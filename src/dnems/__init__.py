@@ -27,11 +27,9 @@ from .network import (
 from .objectives import (
     DecisionVector,
     ObjectiveVector,
+    ScheduleEvaluator,
     decision_bounds,
-    ens_scenario,
     ess_trajectory,
-    evaluate,
-    evaluate_scenario,
     profit_analysis,
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run, single_run
@@ -66,6 +64,7 @@ __all__ = [
     "PvSpec",
     "Scenario",
     "ScenarioSet",
+    "ScheduleEvaluator",
     "SearchSpace",
     "StudyConfig",
     "best_compromise",
@@ -75,10 +74,7 @@ __all__ = [
     "default_forecast",
     "discretize_normal",
     "dominates",
-    "ens_scenario",
     "ess_trajectory",
-    "evaluate",
-    "evaluate_scenario",
     "emit_artifacts",
     "generate",
     "hybrid_run",

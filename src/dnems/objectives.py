@@ -10,13 +10,12 @@ search over hundreds of scenarios affordable.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Network, radial_order
-from .powerflow import solve_batch
+from .powerflow import BatchPowerFlow, check_limits, solve_batch
 from .scenarios import HOURS, Scenario, ScenarioSet
 
 __all__ = [
@@ -29,10 +28,8 @@ __all__ = [
     "DEFAULT_PENALTY_WEIGHTS",
     "decision_bounds",
     "ess_trajectory",
-    "evaluate",
-    "evaluate_scenario",
-    "per_scenario_outcomes",
-    "ens_scenario",
+    "ScheduleEvaluator",
+    "merge_penalty_weights",
     "penalty",
     "profit_analysis",
 ]
@@ -124,6 +121,22 @@ def ess_trajectory(x: DecisionVector, specs) -> EssTrajectory:
     return EssTrajectory(energy=energy, feasible=not np.any(viol > 0), violations=viol)
 
 
+def merge_penalty_weights(weights: dict | None = None) -> dict:
+    """``DEFAULT_PENALTY_WEIGHTS`` updated by ``weights``.
+
+    Raises ValueError for a constraint class the evaluator does not know and
+    for a weight that is not >= 0.
+    """
+    merged = dict(DEFAULT_PENALTY_WEIGHTS)
+    for name, value in dict(weights or {}).items():
+        if name not in merged:
+            raise ValueError(f"unknown penalty weight {name!r}; expected one of {sorted(merged)}")
+        if not value >= 0:
+            raise ValueError(f"penalty weight {name!r} must be >= 0, got {value!r}")
+        merged[name] = value
+    return merged
+
+
 def penalty(violations: dict, weights: dict | None = None) -> float:
     """Weighted sum of squared normalized constraint overshoots.
 
@@ -154,20 +167,6 @@ class EvaluationBreakdown:
     penalty: float
     converged_hours: int
 
-    def to_dict(self) -> dict:
-        return {
-            "p_slack": self.p_slack.tolist(),
-            "p_loss": self.p_loss.tolist(),
-            "pv_injection": self.pv_injection.tolist(),
-            "dg_cost": self.dg_cost.tolist(),
-            "grid_cost": self.grid_cost.tolist(),
-            "pv_cost": self.pv_cost.tolist(),
-            "cost_s": self.cost_s,
-            "ens_s": self.ens_s,
-            "penalty": self.penalty,
-            "converged_hours": self.converged_hours,
-        }
-
 
 @dataclass(frozen=True)
 class ScenarioOutcomes:
@@ -179,19 +178,29 @@ class ScenarioOutcomes:
     probabilities: np.ndarray  # (n_s,)
 
 
+@dataclass(frozen=True)
+class _Day:
+    """Everything the evaluation kernel computes for one schedule and set."""
+
+    sol: BatchPowerFlow  # columns ordered scenario by scenario, 24 hours each
+    pv_out: np.ndarray  # (n_pv, n_s, 24) kW
+    grid_cost: np.ndarray  # (n_s, 24) $
+    dg_cost: np.ndarray  # (n_dg, 24) $
+    pv_cost: np.ndarray  # (n_pv, n_s, 24) $
+    outcomes: ScenarioOutcomes
+
+
 class ScheduleEvaluator:
     """Precomputed per-network machinery for repeated schedule evaluations.
 
+    ``weights`` overrides some or all of ``DEFAULT_PENALTY_WEIGHTS``.
     ``export_credit`` controls whether power pushed back into the grid is
     credited at the hourly price (default) or valued at zero.
     """
 
-    def __init__(self, net: Network, weights: dict | None = None, tol: float = 1e-6,
-                 max_iter: int = 100, export_credit: bool = True):
+    def __init__(self, net: Network, weights: dict | None = None, export_credit: bool = True):
         self.net = net
-        self.weights = dict(DEFAULT_PENALTY_WEIGHTS if weights is None else weights)
-        self.tol = tol
-        self.max_iter = max_iter
+        self.weights = merge_penalty_weights(weights)
         self.export_credit = export_credit
 
         self.p_load = np.array([b.p_load for b in net.buses])
@@ -226,7 +235,6 @@ class ScheduleEvaluator:
 
     def _injections(self, x: DecisionVector, load_f: np.ndarray, pv_f: np.ndarray):
         """Bus injection tensors (n_bus, n_s, 24) for scenario factor matrices."""
-        n_s = load_f.shape[0]
         p = -self.p_load[:, None, None] * load_f[None, :, :]
         q = -self.q_load[:, None, None] * load_f[None, :, :]
         pv_out = self.pv_capacity[:, None, None] * pv_f[None, :, :]  # (n_pv, n_s, 24)
@@ -238,7 +246,9 @@ class ScheduleEvaluator:
             p[b] -= x.ess_power[k][None, :]
         return p, q, pv_out
 
-    def per_scenario(self, x: DecisionVector, sset: ScenarioSet) -> ScenarioOutcomes:
+    def _day(self, x: DecisionVector, sset: ScenarioSet) -> _Day:
+        """The evaluation kernel: every scenario-hour of ``sset`` in one
+        power-flow call, then hourly costs and per-scenario totals."""
         self._check_dims(x)
         scen = sset.scenarios
         load_f = np.stack([s.load_factor for s in scen])
@@ -249,20 +259,19 @@ class ScheduleEvaluator:
         p, q, pv_out = self._injections(x, load_f, pv_f)
         flat_p = p.reshape(self.net.n_bus, n_s * HOURS)
         flat_q = q.reshape(self.net.n_bus, n_s * HOURS)
-        sol = solve_batch(self.net, flat_p, flat_q, tol=self.tol, max_iter=self.max_iter)
+        sol = solve_batch(self.net, flat_p, flat_q)
 
         p_slack = sol.p_slack.reshape(n_s, HOURS)
         billed = p_slack if self.export_credit else np.maximum(p_slack, 0.0)
-        grid_cost = (price * billed).sum(axis=1)
-        dg_cost = float((self.dg_cost[:, None] * x.dg_power).sum())
-        pv_cost = (self.pv_mcost[:, None, None] * pv_out).sum(axis=(0, 2))
-        cost = grid_cost + dg_cost + pv_cost
+        grid_cost = price * billed
+        dg_cost = self.dg_cost[:, None] * x.dg_power
+        pv_cost = self.pv_mcost[:, None, None] * pv_out
+        cost = grid_cost.sum(axis=1) + float(dg_cost.sum()) + pv_cost.sum(axis=(0, 2))
 
         # constraint overshoots, normalized before squaring
-        v = sol.v.reshape(self.net.n_bus, n_s, HOURS)
-        v_over = np.maximum(0.0, self.net.v_min - v) + np.maximum(0.0, v - self.net.v_max)
-        flow = sol.s_flow.reshape(-1, n_s, HOURS)
-        f_over = np.maximum(0.0, flow - self.s_max[:, None, None]) / self.s_max[:, None, None]
+        over = check_limits(sol, self.net)
+        v_over = over.voltage_overshoot_pu.reshape(self.net.n_bus, n_s, HOURS)
+        f_over = over.flow_overshoot_kva.reshape(-1, n_s, HOURS) / self.s_max[:, None, None]
         nonconv = (~sol.converged.reshape(n_s, HOURS)).sum(axis=1)
 
         traj = ess_trajectory(x, self.net.esss)
@@ -284,7 +293,8 @@ class ScheduleEvaluator:
         )
 
         ens = self._ens(x, load_f, pv_f)
-        return ScenarioOutcomes(cost=cost, ens=ens, penalty=pen, probabilities=sset.probabilities)
+        outcomes = ScenarioOutcomes(cost=cost, ens=ens, penalty=pen, probabilities=sset.probabilities)
+        return _Day(sol, pv_out, grid_cost, dg_cost, pv_cost, outcomes)
 
     def _ens(self, x: DecisionVector, load_f: np.ndarray, pv_f: np.ndarray) -> np.ndarray:
         """Energy not supplied per scenario: each bus's mean unserved load,
@@ -304,7 +314,12 @@ class ScheduleEvaluator:
         unserved = np.maximum(0.0, net_load).mean(axis=2)  # (n_bus, n_s)
         return (self.path_time[:, None] * unserved).sum(axis=0)
 
+    def per_scenario(self, x: DecisionVector, sset: ScenarioSet) -> ScenarioOutcomes:
+        """Cost, ENS and penalty of a schedule under each scenario of a set."""
+        return self._day(x, sset).outcomes
+
     def evaluate(self, x: DecisionVector, sset: ScenarioSet) -> ObjectiveVector:
+        """Probability-weighted cost, ENS, and penalty of a schedule over a set."""
         out = self.per_scenario(x, sset)
         psi = out.probabilities
         return ObjectiveVector(
@@ -314,62 +329,21 @@ class ScheduleEvaluator:
         )
 
     def breakdown(self, x: DecisionVector, s: Scenario) -> EvaluationBreakdown:
-        self._check_dims(x)
-        load_f = s.load_factor[None, :]
-        pv_f = s.pv_factor[None, :]
-        p, q, pv_out = self._injections(x, load_f, pv_f)
-        sol = solve_batch(self.net, p[:, 0, :], q[:, 0, :], tol=self.tol, max_iter=self.max_iter)
-        billed = sol.p_slack if self.export_credit else np.maximum(sol.p_slack, 0.0)
-        grid_cost = s.price * billed
-        dg_cost = (self.dg_cost[:, None] * x.dg_power).sum(axis=0)
-        pv_cost = (self.pv_mcost[:, None] * pv_out[:, 0, :]).sum(axis=0)
-
-        one = ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),))
-        out = self.per_scenario(x, one)
+        """Full hourly breakdown of one schedule under one scenario."""
+        day = self._day(x, ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),)))
+        out = day.outcomes
         return EvaluationBreakdown(
-            p_slack=sol.p_slack,
-            p_loss=sol.p_loss,
-            pv_injection=pv_out[:, 0, :].sum(axis=0),
-            dg_cost=dg_cost,
-            grid_cost=grid_cost,
-            pv_cost=pv_cost,
+            p_slack=day.sol.p_slack,
+            p_loss=day.sol.p_loss,
+            pv_injection=day.pv_out[:, 0, :].sum(axis=0),
+            dg_cost=day.dg_cost.sum(axis=0),
+            grid_cost=day.grid_cost[0],
+            pv_cost=day.pv_cost[:, 0, :].sum(axis=0),
             cost_s=float(out.cost[0]),
             ens_s=float(out.ens[0]),
             penalty=float(out.penalty[0]),
-            converged_hours=int(sol.converged.sum()),
+            converged_hours=int(day.sol.converged.sum()),
         )
-
-
-_evaluators: "weakref.WeakKeyDictionary[Network, ScheduleEvaluator]" = weakref.WeakKeyDictionary()
-
-
-def _evaluator(net: Network) -> ScheduleEvaluator:
-    ev = _evaluators.get(net)
-    if ev is None:
-        ev = ScheduleEvaluator(net)
-        _evaluators[net] = ev
-    return ev
-
-
-def evaluate(net: Network, x: DecisionVector, sset: ScenarioSet) -> ObjectiveVector:
-    """Probability-weighted cost, ENS, and penalty of a schedule over a set."""
-    return _evaluator(net).evaluate(x, sset)
-
-
-def evaluate_scenario(net: Network, x: DecisionVector, s: Scenario) -> EvaluationBreakdown:
-    """Full hourly breakdown of one schedule under one scenario."""
-    return _evaluator(net).breakdown(x, s)
-
-
-def per_scenario_outcomes(net: Network, x: DecisionVector, sset: ScenarioSet) -> ScenarioOutcomes:
-    return _evaluator(net).per_scenario(x, sset)
-
-
-def ens_scenario(net: Network, x: DecisionVector, s: Scenario) -> float:
-    """Energy not supplied (kWh/yr) of a schedule under one scenario."""
-    ev = _evaluator(net)
-    ev._check_dims(x)
-    return float(ev._ens(x, s.load_factor[None, :], s.pv_factor[None, :])[0])
 
 
 @dataclass(frozen=True)

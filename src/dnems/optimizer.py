@@ -85,7 +85,7 @@ class HybridConfig:
     seed: int = 0
     archive_capacity: int = 100
     objective_weights: tuple[float, float] = (0.5, 0.5)
-    penalty_weights: dict | None = None  # consumed by the schedule evaluator
+    penalty_weights: dict | None = None  # overrides merged over the schedule evaluator's defaults
 
     def __post_init__(self):
         if self.population < 2 or self.population % 2:

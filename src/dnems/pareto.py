@@ -19,7 +19,6 @@ __all__ = [
     "ParetoArchive",
     "membership",
     "dominates",
-    "archive_insert",
     "best_compromise",
 ]
 
@@ -130,11 +129,6 @@ class ParetoArchive:
                 f"{e.f.f1:.10g},{e.f.f2:.10g},{e.memberships[0]:.10g},{e.memberships[1]:.10g},{y:.10g}"
             )
         Path(path).write_text("\n".join(lines) + "\n")
-
-
-def archive_insert(arch: ParetoArchive, entry: ArchiveEntry) -> ParetoArchive:
-    arch.insert(entry)
-    return arch
 
 
 def best_compromise(arch: ParetoArchive, weights: tuple[float, float] = (0.5, 0.5)) -> ArchiveEntry:

@@ -59,19 +59,6 @@ class PowerFlowSolution:
     iterations: int
     mismatch: float  # worst per-unit power mismatch at any non-slack bus
 
-    def to_dict(self) -> dict:
-        return {
-            "v": self.v.tolist(),
-            "delta": self.delta.tolist(),
-            "s_flow": self.s_flow.tolist(),
-            "p_loss_total": self.p_loss_total,
-            "p_slack": self.p_slack,
-            "q_slack": self.q_slack,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "mismatch": self.mismatch,
-        }
-
 
 @dataclass(frozen=True)
 class BatchPowerFlow:
@@ -122,7 +109,6 @@ class _SweepModel:
                 path[b, c] = 1.0
         self.path = path
         self.dlf = path.T @ (z_pu[:, None] * path)  # shared-path impedance matrix
-        self.z_pu = z_pu
         self.r_pu = z_pu.real
         self.slack = slack
         self.nonslack = nonslack
@@ -132,6 +118,7 @@ class _SweepModel:
             parent[b] = net.bus_index(f)
         self.parent = parent
         self.s_base_kva = net.base_mva * 1000.0
+        self.s_max = np.array([br.s_max for br in net.branches])  # kVA
 
 
 _models: "weakref.WeakKeyDictionary[Network, _SweepModel]" = weakref.WeakKeyDictionary()
@@ -265,17 +252,23 @@ def solve(
 
 @dataclass(frozen=True)
 class ViolationReport:
-    flow_overshoot_kva: np.ndarray  # per branch, max(0, flow - s_max)
-    voltage_overshoot_pu: np.ndarray  # per bus, distance outside [v_min, v_max]
+    flow_overshoot_kva: np.ndarray  # per branch (x column), max(0, flow - s_max)
+    voltage_overshoot_pu: np.ndarray  # per bus (x column), distance outside [v_min, v_max]
 
     @property
     def is_empty(self) -> bool:
         return not (np.any(self.flow_overshoot_kva > 0) or np.any(self.voltage_overshoot_pu > 0))
 
 
-def check_limits(sol: PowerFlowSolution, net: Network) -> ViolationReport:
-    """Per-branch flow overshoots and per-bus voltage violations, as max(0, excess)."""
-    s_max = np.array([br.s_max for br in net.branches])
+def check_limits(sol: PowerFlowSolution | BatchPowerFlow, net: Network) -> ViolationReport:
+    """Per-branch flow overshoots and per-bus voltage violations, as max(0, excess).
+
+    A batch solution gives column-wise overshoots shaped like its ``s_flow``
+    and ``v``.
+    """
+    s_max = _model(net).s_max
+    if sol.s_flow.ndim == 2:
+        s_max = s_max[:, None]
     flow = np.maximum(0.0, sol.s_flow - s_max)
     volt = np.maximum(0.0, net.v_min - sol.v) + np.maximum(0.0, sol.v - net.v_max)
     return ViolationReport(flow_overshoot_kva=flow, voltage_overshoot_pu=volt)

@@ -30,7 +30,6 @@ __all__ = [
     "generate",
     "reduce",
     "stopping_rule",
-    "expected_value",
     "scenario_set_to_csv",
 ]
 
@@ -106,27 +105,25 @@ class ScenarioSet:
         return np.array([s.probability for s in self.scenarios])
 
 
+def _parse_forecast(text: str, source) -> ForecastProfile:
+    """Forecast document: three hourly profiles plus optional sigmas."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"forecast {source}: expected a JSON object")
+    for key in ("load_factor", "pv_factor", "price"):
+        if key not in doc:
+            raise ValueError(f"forecast {source}: missing key {key!r}")
+    sigmas = {k: float(doc[k]) for k in ("sigma_load", "sigma_pv", "sigma_price") if k in doc}
+    return ForecastProfile(doc["load_factor"], doc["pv_factor"], doc["price"], **sigmas)
+
+
 def load_forecast(path) -> ForecastProfile:
-    doc = json.loads(Path(path).read_text())
-    return ForecastProfile(
-        load_factor=doc["load_factor"],
-        pv_factor=doc["pv_factor"],
-        price=doc["price"],
-        sigma_load=float(doc.get("sigma_load", 0.05)),
-        sigma_pv=float(doc.get("sigma_pv", 0.10)),
-        sigma_price=float(doc.get("sigma_price", 0.05)),
-    )
+    return _parse_forecast(Path(path).read_text(), path)
 
 
 def default_forecast() -> ForecastProfile:
-    doc = json.loads(resources.files("dnems.data").joinpath("default_forecast.json").read_text())
-    return ForecastProfile(
-        load_factor=doc["load_factor"],
-        pv_factor=doc["pv_factor"],
-        price=doc["price"],
-        sigma_load=doc["sigma_load"],
-        sigma_pv=doc["sigma_pv"],
-        sigma_price=doc["sigma_price"],
+    return _parse_forecast(
+        resources.files("dnems.data").joinpath("default_forecast.json").read_text(), "default_forecast.json"
     )
 
 
@@ -312,15 +309,6 @@ def stopping_rule(samples, epsilon: float) -> tuple[bool, RunStatistics]:
         raise ValueError("epsilon must be positive")
     stats = RunStatistics.from_samples(samples)
     return stats.re <= epsilon, stats
-
-
-def expected_value(per_scenario) -> float:
-    """Probability-weighted mean of (value, probability) pairs."""
-    pairs = list(per_scenario)
-    total = sum(p for _, p in pairs)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return float(sum(v * p for v, p in pairs))
 
 
 def scenario_set_to_csv(scenario_set: ScenarioSet, path) -> None:

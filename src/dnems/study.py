@@ -26,6 +26,7 @@ from .objectives import (
     ScenarioOutcomes,
     ScheduleEvaluator,
     decision_bounds,
+    merge_penalty_weights,
     profit_analysis,
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run
@@ -65,7 +66,6 @@ class StudyConfig:
     oversample: int = 2  # raw draws per kept scenario before reduction
     levels: int = 7
     vary: str = "both"  # "both" | "scenarios" | "optimizer"
-    epsilon: float = 0.005
     profit_years: int = 20
     investment: float = DEFAULT_INVESTMENT
     c_npv: float = DEFAULT_C_NPV
@@ -84,6 +84,10 @@ class StudyConfig:
             raise ConfigError(f"vary must be both|scenarios|optimizer, got {self.vary!r}")
         if min(self.weights) < 0 or max(self.weights) <= 0:
             raise ConfigError("weights must be nonnegative and not both zero")
+        try:
+            merge_penalty_weights(self.optimizer.penalty_weights)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"optimizer penalty weights: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
@@ -280,9 +284,10 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 
     # hourly schedules of each best solution under the forecast scenario
     schedules: dict = {}
+    breakdowns: dict = {}
     kind_of = {"cost": "cost", "ens": "ens", "multi": "bcs"}
     for mode, rec in best.items():
-        bd = evaluator.breakdown(rec["x"], det_set.scenarios[0])
+        bd = breakdowns[mode] = evaluator.breakdown(rec["x"], det_set.scenarios[0])
         schedules[kind_of[mode]] = {
             "dg": rec["x"].dg_power,
             "ess": rec["x"].ess_power,
@@ -300,7 +305,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     profit = None
     if "cost" in best:
         t1 = time.perf_counter()
-        profit = _profit_from_baseline(cfg, net, evaluator, det_set, best["cost"])
+        profit = _profit_from_baseline(cfg, net, det_set, breakdowns["cost"].cost_s)
         timings["profit_s"] = time.perf_counter() - t1
 
     timings["total_s"] = time.perf_counter() - t0
@@ -318,21 +323,11 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     )
 
 
-def _profit_from_baseline(cfg, net, evaluator, det_set, cost_best) -> ProfitReport:
-    """Compare the deterministic cost of the retrofitted system against the
-    same feeder stripped of PV and storage, then project over the horizon."""
-    bare = Network(
-        buses=net.buses,
-        branches=net.branches,
-        dgs=net.dgs,
-        pvs=(),
-        esss=(),
-        substation_bus=net.substation_bus,
-        v_min=net.v_min,
-        v_max=net.v_max,
-        base_kv=net.base_kv,
-        base_mva=net.base_mva,
-    )
+def _profit_from_baseline(cfg, net, det_set, toc_new: float) -> ProfitReport:
+    """Compare the deterministic cost ``toc_new`` of the retrofitted system
+    against the same feeder stripped of PV and storage, then project over
+    the horizon."""
+    bare = replace(net, pvs=(), esss=())
     bare_eval = ScheduleEvaluator(
         bare, weights=cfg.optimizer.penalty_weights, export_credit=cfg.export_credit
     )
@@ -341,10 +336,9 @@ def _profit_from_baseline(cfg, net, evaluator, det_set, cost_best) -> ProfitRepo
         bare, bare_eval, det_set, replace(cfg.optimizer, seed=opt_seed), "cost", cfg.weights
     )
     _, f_old = _select(archive, "cost", cfg.weights)
-    bd_new = evaluator.breakdown(cost_best["x"], det_set.scenarios[0])
     return profit_analysis(
         toc_old=f_old.f1,
-        toc_new=bd_new.cost_s,
+        toc_new=toc_new,
         investment=cfg.investment,
         years=cfg.profit_years,
         c_npv=cfg.c_npv,

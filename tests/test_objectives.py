@@ -3,12 +3,12 @@ import pytest
 
 from dnems.network import Branch, Bus, DgSpec, EssSpec, make_network
 from dnems.objectives import (
+    DEFAULT_PENALTY_WEIGHTS,
     DecisionVector,
+    ScheduleEvaluator,
     decision_bounds,
-    ens_scenario,
     ess_trajectory,
-    evaluate,
-    evaluate_scenario,
+    merge_penalty_weights,
     penalty,
     profit_analysis,
 )
@@ -20,6 +20,14 @@ def spec(**kw):
                 p_discharge_max=200.0, eff_charge=0.9, eff_discharge=0.9, w_initial=500.0)
     base.update(kw)
     return EssSpec(**base)
+
+
+def evaluate(net, x, sset):
+    return ScheduleEvaluator(net).evaluate(x, sset)
+
+
+def breakdown(net, x, s):
+    return ScheduleEvaluator(net).breakdown(x, s)
 
 
 def flat_scenario(load=1.0, pv=0.0, price=0.1):
@@ -92,6 +100,22 @@ class TestPenalty:
         with pytest.raises(ValueError, match="negative penalty weight"):
             penalty({"voltage": [0.1]}, {"voltage": -1.0})
 
+    def test_evaluator_merges_partial_weights(self, two_bus):
+        ev = ScheduleEvaluator(two_bus, weights={"voltage": 5.0})
+        assert ev.weights == {**DEFAULT_PENALTY_WEIGHTS, "voltage": 5.0}
+        x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
+        assert ev.evaluate(x, ScenarioSet((flat_scenario(),))).penalty == 0.0
+
+    def test_unknown_weight_rejected(self, two_bus):
+        with pytest.raises(ValueError, match="unknown penalty weight 'volt'"):
+            ScheduleEvaluator(two_bus, weights={"volt": 1.0})
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PENALTY_WEIGHTS))
+    def test_evaluator_rejects_negative_weight(self, two_bus, name):
+        with pytest.raises(ValueError, match=f"penalty weight '{name}' must be >= 0"):
+            ScheduleEvaluator(two_bus, weights={name: -1.0})
+        assert merge_penalty_weights({name: 0.0})[name] == 0.0
+
 
 def dg_test_network():
     """Near-lossless feeder with one 150 kW load and a DG at the load bus."""
@@ -109,7 +133,7 @@ class TestEvaluateScenario:
         # 100 kW from the grid at 0.10 plus 50 kW of DG at 0.08 -> 14.00 $/h
         net = dg_test_network()
         x = DecisionVector(np.full((1, 24), 50.0), np.zeros((0, 24)))
-        bd = evaluate_scenario(net, x, flat_scenario(price=0.1))
+        bd = breakdown(net, x, flat_scenario(price=0.1))
         hour_cost = bd.grid_cost[0] + bd.dg_cost[0]
         assert bd.p_slack[0] == pytest.approx(100.0, abs=0.01)
         assert hour_cost == pytest.approx(14.0, abs=1e-3)
@@ -123,7 +147,7 @@ class TestEvaluateScenario:
             v_max=1.5,
         )
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
-        bd = evaluate_scenario(net, x, flat_scenario())
+        bd = breakdown(net, x, flat_scenario())
         assert bd.cost_s == pytest.approx(0.0, abs=1e-9)
         assert bd.penalty == 0.0
         assert bd.converged_hours == 24
@@ -132,7 +156,7 @@ class TestEvaluateScenario:
         net = dg_test_network()
         x = DecisionVector(np.zeros((3, 24)), np.zeros((0, 24)))
         with pytest.raises(ValueError, match="does not match"):
-            evaluate_scenario(net, x, flat_scenario())
+            breakdown(net, x, flat_scenario())
 
     def test_power_balance_residual(self, ieee69):
         # converged hours satisfy slack + PV + DG + ESS = loss + demand
@@ -142,7 +166,7 @@ class TestEvaluateScenario:
         x = DecisionVector(
             rng.uniform(0, 500, size=(4, 24)), rng.uniform(-750, 750, size=(3, 24))
         )
-        bd = evaluate_scenario(ieee69, x, s)
+        bd = breakdown(ieee69, x, s)
         assert bd.converged_hours == 24
         demand = sum(b.p_load for b in ieee69.buses) * s.load_factor
         dg = x.dg_power.sum(axis=0)
@@ -156,12 +180,12 @@ class TestEns:
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
         # 100 kW net at bus 2, one branch with 2.0 + 0.5 h/yr
         s = flat_scenario(load=100.0 / 150.0)
-        assert ens_scenario(two_bus, x, s) == pytest.approx(250.0, abs=1e-9)
+        assert breakdown(two_bus, x, s).ens_s == pytest.approx(250.0, abs=1e-9)
 
     def test_local_dg_floors_at_zero(self):
         net = dg_test_network()
         x = DecisionVector(np.full((1, 24), 500.0), np.zeros((0, 24)))
-        assert ens_scenario(net, x, flat_scenario()) == 0.0
+        assert breakdown(net, x, flat_scenario()).ens_s == 0.0
 
     def test_repair_time_linearity(self, two_bus):
         doubled = make_network(
@@ -175,7 +199,7 @@ class TestEns:
         )
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
         s = flat_scenario()
-        assert ens_scenario(doubled, x, s) == pytest.approx(2 * ens_scenario(two_bus, x, s))
+        assert breakdown(doubled, x, s).ens_s == pytest.approx(2 * breakdown(two_bus, x, s).ens_s)
         # cost is blind to reliability times (the mirror of price-blind ENS)
         sset = ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),))
         assert evaluate(doubled, x, sset).f1 == evaluate(two_bus, x, sset).f1
@@ -184,19 +208,38 @@ class TestEns:
         idle = DecisionVector(np.zeros((4, 24)), np.zeros((3, 24)))
         discharging = DecisionVector(np.zeros((4, 24)), np.full((3, 24), -20.0))
         s = deterministic_set(default_forecast()).scenarios[0]
-        assert ens_scenario(ieee69, discharging, s) <= ens_scenario(ieee69, idle, s)
+        assert breakdown(ieee69, discharging, s).ens_s <= breakdown(ieee69, idle, s).ens_s
 
 
 class TestEvaluateSet:
     def test_singleton_equals_scenario(self, ieee69, rng):
-        s = deterministic_set(default_forecast()).scenarios[0]
-        sset = ScenarioSet((s,))
+        fc = default_forecast()
         x = DecisionVector(rng.uniform(0, 300, (4, 24)), rng.uniform(-200, 200, (3, 24)))
-        f = evaluate(ieee69, x, sset)
-        bd = evaluate_scenario(ieee69, x, s)
-        assert f.f1 == pytest.approx(bd.cost_s, rel=1e-12)
-        assert f.f2 == pytest.approx(bd.ens_s, rel=1e-12)
-        assert f.penalty == pytest.approx(bd.penalty, rel=1e-12)
+        ev = ScheduleEvaluator(ieee69)
+        for load in (1.0, 1.8):  # 1.8 pushes voltages out of band: nonzero penalty
+            s = Scenario(fc.load_factor * load, fc.pv_factor, fc.price, 1.0)
+            sset = ScenarioSet((s,))
+            f = ev.evaluate(x, sset)
+            out = ev.per_scenario(x, sset)
+            bd = ev.breakdown(x, s)
+            assert (bd.cost_s, bd.ens_s, bd.penalty) == (out.cost[0], out.ens[0], out.penalty[0])
+            assert (f.f1, f.f2, f.penalty) == (bd.cost_s, bd.ens_s, bd.penalty)
+            assert (bd.penalty > 0) == (load > 1.0)
+            hourly = bd.grid_cost.sum() + bd.dg_cost.sum() + bd.pv_cost.sum()
+            assert hourly == pytest.approx(bd.cost_s, rel=1e-12)
+
+    def test_export_credit(self):
+        # 250 kW of DG against a 150 kW load exports 100 kW every hour
+        net = dg_test_network()
+        x = DecisionVector(np.full((1, 24), 250.0), np.zeros((0, 24)))
+        s = flat_scenario(price=0.1)
+        credited = ScheduleEvaluator(net).breakdown(x, s)
+        zeroed = ScheduleEvaluator(net, export_credit=False).breakdown(x, s)
+        assert np.all(credited.p_slack < 0)
+        assert np.array_equal(credited.grid_cost, 0.1 * credited.p_slack)
+        assert np.all(zeroed.grid_cost == 0.0)
+        assert zeroed.cost_s == pytest.approx(24 * 250.0 * 0.08)
+        assert credited.cost_s < zeroed.cost_s
 
     def test_weighted_mean(self, two_bus):
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
@@ -209,10 +252,12 @@ class TestEvaluateSet:
             )
         )
         f = evaluate(two_bus, x, pair)
-        a = evaluate_scenario(two_bus, x, s1)
-        b = evaluate_scenario(two_bus, x, s2)
+        a = breakdown(two_bus, x, s1)
+        b = breakdown(two_bus, x, s2)
         assert f.f1 == pytest.approx(0.5 * a.cost_s + 0.5 * b.cost_s)
         assert f.f2 == pytest.approx(0.5 * a.ens_s + 0.5 * b.ens_s)
+        with pytest.raises(ValueError, match="sum to"):  # weights must be a distribution
+            ScenarioSet((pair.scenarios[0], Scenario(s2.load_factor, s2.pv_factor, s2.price, 0.4)))
 
     def test_duplicate_split_invariance(self, two_bus):
         # splitting a scenario's mass across identical copies changes nothing

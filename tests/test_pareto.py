@@ -6,7 +6,6 @@ from dnems.pareto import (
     ArchiveEntry,
     MembershipScaler,
     ParetoArchive,
-    archive_insert,
     best_compromise,
     dominates,
     membership,
@@ -74,7 +73,7 @@ class TestDominates:
 class TestArchive:
     def test_insert_into_empty(self):
         arch = ParetoArchive(capacity=10)
-        archive_insert(arch, ArchiveEntry(x=None, f=ov(1, 2)))
+        assert arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
         assert len(arch) == 1
 
     def test_total_dominance_collapses(self):

@@ -175,3 +175,22 @@ class TestCheckLimits:
         report = check_limits(sol, net)
         assert report.flow_overshoot_kva[0] == pytest.approx(sol.s_flow[0] - 100.0)
         assert not report.is_empty
+
+    def test_batch_columns_match_single(self):
+        net = make_network(
+            [Bus(id=1), Bus(id=2, p_load=120.0)],
+            [Branch(1, 2, 0.01, 0.01, s_max=100.0)],
+            v_min=0.9999,
+            v_max=1.5,
+        )
+        loads = (50.0, 120.0, 4000.0)  # clean, flow overshoot, flow and voltage overshoot
+        batch = solve_batch(net, np.array([[0.0] * 3, [-k for k in loads]]), np.zeros((2, 3)))
+        report = check_limits(batch, net)
+        assert report.flow_overshoot_kva.shape == batch.s_flow.shape
+        assert report.voltage_overshoot_pu.shape == batch.v.shape
+        for i, k in enumerate(loads):
+            single = check_limits(solve(net, InjectionProfile(np.array([0.0, -k]), np.zeros(2))), net)
+            assert np.allclose(report.flow_overshoot_kva[:, i], single.flow_overshoot_kva, atol=1e-9)
+            assert np.allclose(report.voltage_overshoot_pu[:, i], single.voltage_overshoot_pu, atol=1e-12)
+        assert report.flow_overshoot_kva[0, 0] == 0.0 < report.flow_overshoot_kva[0, 1]
+        assert report.voltage_overshoot_pu[1, 1] == 0.0 < report.voltage_overshoot_pu[1, 2]

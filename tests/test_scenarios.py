@@ -9,7 +9,6 @@ from dnems.scenarios import (
     default_forecast,
     deterministic_set,
     discretize_normal,
-    expected_value,
     generate,
     reduce,
     reduction_features,
@@ -180,27 +179,6 @@ class TestStatistics:
             small.append(RunStatistics.from_samples(rng.normal(size=8)).ci95_halfwidth)
             large.append(RunStatistics.from_samples(rng.normal(size=32)).ci95_halfwidth)
         assert np.mean(large) < np.mean(small)
-
-
-class TestExpectedValue:
-    def test_degenerate(self):
-        assert expected_value([(7.0, 1.0)]) == 7.0
-
-    def test_weighted_mean(self):
-        assert expected_value([(10.0, 0.6), (20.0, 0.4)]) == pytest.approx(14.0)
-
-    def test_permutation_invariant(self, rng):
-        vals = rng.normal(size=6)
-        probs = rng.random(6)
-        probs /= probs.sum()
-        pairs = list(zip(vals, probs))
-        a = expected_value(pairs)
-        b = expected_value(pairs[::-1])
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_probability_sum_enforced(self):
-        with pytest.raises(ValueError, match="sum"):
-            expected_value([(1.0, 0.5), (2.0, 0.4)])
 
 
 class TestSerialization:

@@ -116,6 +116,12 @@ class TestRunStudy:
         with pytest.raises(ConfigError):
             run_study(tiny_config(network="/nonexistent/net.json"))
 
+    def test_partial_penalty_weights_merge_over_defaults(self):
+        opt = HybridConfig(**TINY_OPT, penalty_weights={"voltage": 1e6})
+        report = run_study(tiny_config(repeats=1, optimizer=opt))
+        assert report.errors == []
+        assert len(report.runs) == 1
+
 
 class TestEmitArtifacts:
     def test_files_written(self, det_multi_report, tmp_path):
@@ -236,6 +242,29 @@ class TestCli:
         )
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [({"volt": 1.0}, "unknown penalty weight 'volt'"), ({"flow": -1.0}, "'flow' must be >= 0")],
+    )
+    def test_bad_penalty_weights_exit_one(self, tmp_path, capsys, weights, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"repeats": 1, "optimizer": {"population": 8, "iterations": 2, "penalty_weights": weights}}
+        ))
+        code = main(["--config", str(cfg_path), "--mode", "det", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    def test_forecast_missing_key_exit_one(self, tmp_path, capsys):
+        doc = {"load_factor": [1.0] * 24, "pv_factor": [0.0] * 24}
+        forecast = tmp_path / "forecast.json"
+        forecast.write_text(json.dumps(doc))
+        code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
+                     "--population", "8", "--iterations", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "missing key 'price'" in capsys.readouterr().err
 
     def test_config_file_with_overrides(self, tmp_path):
         doc = {"mode": "deterministic", "objective": "cost", "repeats": 1,
