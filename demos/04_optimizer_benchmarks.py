@@ -3,7 +3,7 @@ benchmark surfaces."""
 
 import numpy as np
 
-from dnems import HybridConfig, SearchSpace, hybrid_run, single_run
+from dnems import HybridConfig, SearchSpace, hybrid_run, rowwise, single_run
 from dnems.objectives import ObjectiveVector
 
 
@@ -29,7 +29,7 @@ for name, (fn, space) in BENCHMARKS.items():
         for seed in range(10):
             cfg = HybridConfig(population=50, iterations=100, seed=seed)
             runner = hybrid_run if mode == "hybrid" else lambda c, s, f: single_run(mode, c, s, f)
-            _, log = runner(cfg, space, fn)
+            _, log = runner(cfg, space, rowwise(fn))  # the optimizer scores whole populations
             finals.append(log[-1]["best_f1"])
         print(f"  {mode:7s} median {np.median(finals):10.3e}   best {min(finals):10.3e}")
 

@@ -32,7 +32,7 @@ from .objectives import (
     ess_trajectory,
     profit_analysis,
 )
-from .optimizer import HybridConfig, SearchSpace, hybrid_run, single_run
+from .optimizer import HybridConfig, SearchSpace, hybrid_run, rowwise, single_run
 from .pareto import ParetoArchive, best_compromise, dominates, membership
 from .powerflow import InjectionProfile, check_limits, solve
 from .scenarios import (
@@ -83,6 +83,7 @@ __all__ = [
     "profit_analysis",
     "radial_order",
     "reduce",
+    "rowwise",
     "run_study",
     "save_network",
     "single_run",

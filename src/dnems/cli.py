@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
-failures during the study itself.
+failures during the study itself, including a study in which no repeat
+succeeded.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def main(argv=None) -> int:
         print(f"wrote {cfg.out_dir}/{name}")
     if report.errors:
         print(f"{len(report.errors)} repeat(s) failed; see manifest summary", file=sys.stderr)
+    if not report.runs:
+        print("runtime failure: no repeat succeeded", file=sys.stderr)
+        return 2
     print(f"done in {report.timings['total_s']:.1f}s ({len(report.runs)} runs)", file=sys.stderr)
     return 0
 

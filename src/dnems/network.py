@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
 from pathlib import Path
 
@@ -103,10 +104,31 @@ class Network:
         return bus_id - 1
 
 
+def _check_finite(what: str, item, names=None) -> None:
+    """NetworkError unless each named numeric field (default: all) is finite."""
+    for name in names or [f.name for f in fields(item)]:
+        value = getattr(item, name)
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise NetworkError(f"{what}: {name} must be a number, got {value!r}") from None
+        if not finite:
+            raise NetworkError(f"{what}: {name} must be finite, got {value}")
+
+
 def _validate(net: Network) -> Network:
     n = len(net.buses)
     if n == 0:
         raise NetworkError("network has no buses")
+
+    _check_finite("network", net, _SCALARS)
+    for b in net.buses:
+        _check_finite(f"bus {b.id}", b)
+    for br in net.branches:
+        _check_finite(f"branch ({br.from_bus},{br.to_bus})", br)
+    for kind, devices in (("DG", net.dgs), ("PV", net.pvs), ("ESS", net.esss)):
+        for dev in devices:
+            _check_finite(f"{kind} at bus {dev.bus}", dev)
 
     ids = [b.id for b in net.buses]
     if sorted(ids) != list(range(1, n + 1)):
@@ -144,6 +166,8 @@ def _validate(net: Network) -> Network:
                 raise NetworkError(f"branch ({br.from_bus},{br.to_bus}) references unknown bus {end}")
         if br.r < 0 or br.x < 0:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): negative impedance")
+        if br.r == 0 and br.x == 0:
+            raise NetworkError(f"zero-impedance branch ({br.from_bus},{br.to_bus}): r = x = 0")
         if br.s_max <= 0:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): s_max must be positive")
         if br.at_repair < 0 or br.at_restoration < 0:

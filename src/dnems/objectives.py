@@ -3,9 +3,10 @@ constraint penalties, and the long-horizon cost-profit analysis.
 
 A candidate schedule fixes hourly DG setpoints and signed storage powers for
 one day; it is evaluated against a scenario (or probability-weighted scenario
-set) by running one radial power flow per hour.  All scenario-hours of one
-candidate are solved in a single batched call, which is what makes population
-search over hundreds of scenarios affordable.
+set) by running one radial power flow per hour.  A whole population of
+candidates is evaluated as one block: the scenario-hours of as many
+candidates as fit a fixed size are solved in a single batched call, which is
+what makes population search over hundreds of scenarios affordable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network, radial_order
-from .powerflow import BatchPowerFlow, check_limits, solve_batch
+from .powerflow import check_limits, solve_batch
 from .scenarios import HOURS, Scenario, ScenarioSet
 
 __all__ = [
@@ -41,6 +42,11 @@ DEFAULT_PENALTY_WEIGHTS = {
     "rate": 1e6,
     "convergence": 1e6,
 }
+
+# Bus x columns per power-flow call.  A block of candidates is solved in as
+# few calls as this allows, never splitting one candidate's scenario-hours;
+# it bounds the working memory of a call, not the results.
+_CALL_BUS_COLUMNS = 2**15
 
 
 @dataclass(frozen=True)
@@ -106,19 +112,26 @@ def ess_trajectory(x: DecisionVector, specs) -> EssTrajectory:
     n = len(specs)
     if x.ess_power.shape != (n, HOURS):
         raise ValueError(f"ess_power shape {x.ess_power.shape} does not match {n} storage units")
-    charge = np.maximum(x.ess_power, 0.0)
-    discharge = np.maximum(-x.ess_power, 0.0)
+    energy, viol = _energy_balance(x.ess_power, specs)
+    return EssTrajectory(energy=energy, feasible=not np.any(viol > 0), violations=viol)
+
+
+def _energy_balance(ess_power: np.ndarray, specs) -> tuple[np.ndarray, np.ndarray]:
+    """Stored energy (..., n_ess, 25) and band overshoots (..., n_ess, 24) of
+    signed storage powers (..., n_ess, 24); leading axes index candidates."""
+    charge = np.maximum(ess_power, 0.0)
+    discharge = np.maximum(-ess_power, 0.0)
     eff_c = np.array([s.eff_charge for s in specs])
     eff_d = np.array([s.eff_discharge for s in specs])
     delta = eff_c[:, None] * charge - discharge / eff_d[:, None]  # dt = 1 h
-    energy = np.empty((n, HOURS + 1))
-    energy[:, 0] = [s.w_initial for s in specs]
+    energy = np.empty(ess_power.shape[:-1] + (HOURS + 1,))
+    energy[..., 0] = [s.w_initial for s in specs]
     for t in range(HOURS):  # sequential so the recurrence holds bit-for-bit
-        energy[:, t + 1] = energy[:, t] + delta[:, t]
+        energy[..., t + 1] = energy[..., t] + delta[..., t]
     w_min = np.array([s.w_min for s in specs])[:, None]
     w_max = np.array([s.w_max for s in specs])[:, None]
-    viol = np.maximum(0.0, energy[:, 1:] - w_max) + np.maximum(0.0, w_min - energy[:, 1:])
-    return EssTrajectory(energy=energy, feasible=not np.any(viol > 0), violations=viol)
+    viol = np.maximum(0.0, energy[..., 1:] - w_max) + np.maximum(0.0, w_min - energy[..., 1:])
+    return energy, viol
 
 
 def merge_penalty_weights(weights: dict | None = None) -> dict:
@@ -170,24 +183,28 @@ class EvaluationBreakdown:
 
 @dataclass(frozen=True)
 class ScenarioOutcomes:
-    """Per-scenario totals for one candidate across a scenario set."""
+    """Per-scenario totals across a scenario set: (n_s,) arrays for one
+    candidate, (k, n_s) arrays for a block of k candidates."""
 
-    cost: np.ndarray  # (n_s,) $/day
-    ens: np.ndarray  # (n_s,) kWh/yr
-    penalty: np.ndarray  # (n_s,)
+    cost: np.ndarray  # $/day
+    ens: np.ndarray  # kWh/yr
+    penalty: np.ndarray
     probabilities: np.ndarray  # (n_s,)
 
 
 @dataclass(frozen=True)
 class _Day:
-    """Everything the evaluation kernel computes for one schedule and set."""
+    """Everything the evaluation kernel computes for a block of k schedules
+    and one scenario set."""
 
-    sol: BatchPowerFlow  # columns ordered scenario by scenario, 24 hours each
+    p_slack: np.ndarray  # (k, n_s, 24) kW
+    p_loss: np.ndarray  # (k, n_s, 24) kW
+    converged: np.ndarray  # (k, n_s, 24) bool
     pv_out: np.ndarray  # (n_pv, n_s, 24) kW
-    grid_cost: np.ndarray  # (n_s, 24) $
-    dg_cost: np.ndarray  # (n_dg, 24) $
+    grid_cost: np.ndarray  # (k, n_s, 24) $
+    dg_cost: np.ndarray  # (k, n_dg, 24) $
     pv_cost: np.ndarray  # (n_pv, n_s, 24) $
-    outcomes: ScenarioOutcomes
+    outcomes: ScenarioOutcomes  # (k, n_s) arrays
 
 
 class ScheduleEvaluator:
@@ -196,6 +213,11 @@ class ScheduleEvaluator:
     ``weights`` overrides some or all of ``DEFAULT_PENALTY_WEIGHTS``.
     ``export_credit`` controls whether power pushed back into the grid is
     credited at the hourly price (default) or valued at zero.
+
+    ``evaluate`` and ``per_scenario`` take either one ``DecisionVector`` or a
+    block: a (k, d) array whose rows are flattened decision vectors
+    (``DecisionVector.flatten`` order).  Both go through the same kernel, and
+    a candidate's results do not depend on the block it is evaluated in.
     """
 
     def __init__(self, net: Network, weights: dict | None = None, export_credit: bool = True):
@@ -223,127 +245,173 @@ class ScheduleEvaluator:
             [times[list(order.paths[b.id])].sum() for b in net.buses]
         )
 
-    def _check_dims(self, x: DecisionVector) -> None:
-        if x.dg_power.shape != (len(self.dg_idx), HOURS):
-            raise ValueError(
-                f"dg_power shape {x.dg_power.shape} does not match network ({len(self.dg_idx)} DGs)"
-            )
-        if x.ess_power.shape != (len(self.ess_idx), HOURS):
-            raise ValueError(
-                f"ess_power shape {x.ess_power.shape} does not match network ({len(self.ess_idx)} ESSs)"
-            )
+    def _block(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """DG setpoints (k, n_dg, 24) and storage powers (k, n_ess, 24) of a
+        DecisionVector (k = 1) or of a (k, d) block of flat decision vectors."""
+        n_dg, n_ess = len(self.dg_idx), len(self.ess_idx)
+        if isinstance(x, DecisionVector):
+            if x.dg_power.shape != (n_dg, HOURS):
+                raise ValueError(f"dg_power shape {x.dg_power.shape} does not match network ({n_dg} DGs)")
+            if x.ess_power.shape != (n_ess, HOURS):
+                raise ValueError(f"ess_power shape {x.ess_power.shape} does not match network ({n_ess} ESSs)")
+            return x.dg_power[None], x.ess_power[None]
+        x = np.asarray(x, dtype=float)
+        d = (n_dg + n_ess) * HOURS
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"block shape {x.shape} does not match network: need (k, {d})")
+        k, split = len(x), n_dg * HOURS
+        return x[:, :split].reshape(k, n_dg, HOURS), x[:, split:].reshape(k, n_ess, HOURS)
 
-    def _injections(self, x: DecisionVector, load_f: np.ndarray, pv_f: np.ndarray):
-        """Bus injection tensors (n_bus, n_s, 24) for scenario factor matrices."""
-        p = -self.p_load[:, None, None] * load_f[None, :, :]
-        q = -self.q_load[:, None, None] * load_f[None, :, :]
-        pv_out = self.pv_capacity[:, None, None] * pv_f[None, :, :]  # (n_pv, n_s, 24)
-        for i, b in enumerate(self.pv_idx):
-            p[b] += pv_out[i]
-        for j, b in enumerate(self.dg_idx):
-            p[b] += x.dg_power[j][None, :]
-        for k, b in enumerate(self.ess_idx):
-            p[b] -= x.ess_power[k][None, :]
-        return p, q, pv_out
-
-    def _day(self, x: DecisionVector, sset: ScenarioSet) -> _Day:
-        """The evaluation kernel: every scenario-hour of ``sset`` in one
-        power-flow call, then hourly costs and per-scenario totals."""
-        self._check_dims(x)
+    def _day(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> _Day:
+        """The evaluation kernel: the scenario-hours of a block of candidates
+        in as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, then hourly
+        costs and per-candidate, per-scenario totals."""
         scen = sset.scenarios
         load_f = np.stack([s.load_factor for s in scen])
         pv_f = np.stack([s.pv_factor for s in scen])
         price = np.stack([s.price for s in scen])
-        n_s = len(scen)
+        n_bus, n_s, k = self.net.n_bus, len(scen), len(dg)
+        w = self.weights
 
-        p, q, pv_out = self._injections(x, load_f, pv_f)
-        flat_p = p.reshape(self.net.n_bus, n_s * HOURS)
-        flat_q = q.reshape(self.net.n_bus, n_s * HOURS)
-        sol = solve_batch(self.net, flat_p, flat_q)
+        pv_out = self.pv_capacity[:, None, None] * pv_f[None, :, :]  # (n_pv, n_s, 24)
+        pv_cost = self.pv_mcost[:, None, None] * pv_out
+        pv_cost_s = pv_cost.sum(axis=(0, 2))
 
-        p_slack = sol.p_slack.reshape(n_s, HOURS)
+        # storage energy band and rate overshoots, per candidate
+        if len(self.ess_idx):
+            _, viol = _energy_balance(ess, self.net.esss)
+            e_over = viol / self.ess_w_max[:, None]
+            charge_over = np.maximum(0.0, ess - self.ess_rate_max[:, [0]])
+            discharge_over = np.maximum(0.0, -ess - self.ess_rate_max[:, [1]])
+            r_over = charge_over / self.ess_rate_max[:, [0]] + discharge_over / self.ess_rate_max[:, [1]]
+            static_pen = (
+                w["energy"] * (e_over**2).reshape(k, -1).sum(axis=1)
+                + w["rate"] * (r_over**2).reshape(k, -1).sum(axis=1)
+            )
+        else:
+            static_pen = np.zeros(k)
+        dg_cost = self.dg_cost[:, None] * dg  # (k, n_dg, 24)
+        dg_cost_s = dg_cost.reshape(k, -1).sum(axis=1)
+
+        per_call = max(1, _CALL_BUS_COLUMNS // (n_bus * n_s * HOURS))
+        parts = [
+            self._network(dg[a : a + per_call], ess[a : a + per_call], load_f, pv_out)
+            for a in range(0, k, per_call)
+        ]
+        p_slack, p_loss, converged, pen, ens = (np.concatenate(arrs) for arrs in zip(*parts))
+        pen = pen + static_pen[:, None]
+        p_slack = p_slack.reshape(k, n_s, HOURS)
         billed = p_slack if self.export_credit else np.maximum(p_slack, 0.0)
         grid_cost = price * billed
-        dg_cost = self.dg_cost[:, None] * x.dg_power
-        pv_cost = self.pv_mcost[:, None, None] * pv_out
-        cost = grid_cost.sum(axis=1) + float(dg_cost.sum()) + pv_cost.sum(axis=(0, 2))
-
-        # constraint overshoots, normalized before squaring
-        over = check_limits(sol, self.net)
-        v_over = over.voltage_overshoot_pu.reshape(self.net.n_bus, n_s, HOURS)
-        f_over = over.flow_overshoot_kva.reshape(-1, n_s, HOURS) / self.s_max[:, None, None]
-        nonconv = (~sol.converged.reshape(n_s, HOURS)).sum(axis=1)
-
-        traj = ess_trajectory(x, self.net.esss)
-        if len(self.net.esss):
-            e_over = traj.violations / self.ess_w_max[:, None]
-            charge_over = np.maximum(0.0, x.ess_power - self.ess_rate_max[:, [0]])
-            discharge_over = np.maximum(0.0, -x.ess_power - self.ess_rate_max[:, [1]])
-            r_over = charge_over / self.ess_rate_max[:, [0]] + discharge_over / self.ess_rate_max[:, [1]]
-            static_pen = penalty({"energy": e_over, "rate": r_over}, self.weights)
-        else:
-            static_pen = 0.0
-
-        w = self.weights
-        pen = (
-            w["voltage"] * (v_over**2).sum(axis=(0, 2))
-            + w["flow"] * (f_over**2).sum(axis=(0, 2))
-            + w["convergence"] * nonconv.astype(float)
-            + static_pen
+        cost = grid_cost.sum(axis=2) + dg_cost_s[:, None] + pv_cost_s
+        outcomes = ScenarioOutcomes(cost=cost, ens=ens, penalty=pen, probabilities=sset.probabilities)
+        return _Day(
+            p_slack=p_slack,
+            p_loss=p_loss.reshape(k, n_s, HOURS),
+            converged=converged.reshape(k, n_s, HOURS),
+            pv_out=pv_out,
+            grid_cost=grid_cost,
+            dg_cost=dg_cost,
+            pv_cost=pv_cost,
+            outcomes=outcomes,
         )
 
-        ens = self._ens(x, load_f, pv_f)
-        outcomes = ScenarioOutcomes(cost=cost, ens=ens, penalty=pen, probabilities=sset.probabilities)
-        return _Day(sol, pv_out, grid_cost, dg_cost, pv_cost, outcomes)
+    def _network(self, dg: np.ndarray, ess: np.ndarray, load_f: np.ndarray, pv_out: np.ndarray):
+        """One power-flow call for c candidates: slack power, losses and
+        convergence per column (c * n_s * 24,), and the (c, n_s) network
+        penalty (voltage, flow, convergence) and ENS."""
+        n_bus, c, (n_s, _) = self.net.n_bus, len(dg), load_f.shape
+        w = self.weights
+        # injections (n_bus, c, n_s, 24): columns ordered candidate, scenario, hour
+        p = np.empty((n_bus, c, n_s, HOURS))
+        q = np.empty((n_bus, c, n_s, HOURS))
+        np.multiply(-self.p_load[:, None, None, None], load_f, out=p)
+        np.multiply(-self.q_load[:, None, None, None], load_f, out=q)
+        for i, b in enumerate(self.pv_idx):
+            p[b] += pv_out[i]
+        for j, b in enumerate(self.dg_idx):
+            p[b] += dg[:, j, None, :]
+        for j, b in enumerate(self.ess_idx):
+            p[b] -= ess[:, j, None, :]
+        sol = solve_batch(self.net, p.reshape(n_bus, -1), q.reshape(n_bus, -1))
 
-    def _ens(self, x: DecisionVector, load_f: np.ndarray, pv_f: np.ndarray) -> np.ndarray:
-        """Energy not supplied per scenario: each bus's mean unserved load,
-        weighted by the repair plus restoration hours along its feed path.
+        # constraint overshoots, normalized before squaring; each candidate's
+        # overshoots are made contiguous so that its sums run in the same
+        # order as for a block of one
+        over = check_limits(sol, self.net)
+        v_over = _by_candidate(over.voltage_overshoot_pu, c, n_s)
+        f_over = _by_candidate(over.flow_overshoot_kva, c, n_s) / self.s_max[:, None, None]
+        nonconv = (~sol.converged.reshape(c, n_s, HOURS)).sum(axis=2)
+        pen = (
+            w["voltage"] * (v_over**2).sum(axis=(1, 3))
+            + w["flow"] * (f_over**2).sum(axis=(1, 3))
+            + w["convergence"] * nonconv.astype(float)
+        )
+        return sol.p_slack, sol.p_loss, sol.converged, pen, self._ens(dg, ess, load_f, pv_out)
+
+    def _ens(self, dg: np.ndarray, ess: np.ndarray, load_f: np.ndarray, pv_out: np.ndarray) -> np.ndarray:
+        """Energy not supplied (c, n_s) of c candidates: each bus's mean
+        unserved load, weighted by the repair plus restoration hours along its
+        feed path.
 
         Local generation and storage discharge offset a bus's load hour by
         hour; surplus hours do not bank credit against deficit hours, so the
         unserved level responds to when devices run, not just how much.
         """
-        net_load = self.p_load[:, None, None] * load_f[None, :, :]
+        # candidate-major (c, n_bus, n_s, 24): each candidate's sum over buses
+        # then runs in the same order as for a block of one
+        net_load = np.empty((len(dg), self.net.n_bus) + load_f.shape)
+        np.multiply(self.p_load[:, None, None], load_f, out=net_load)
         for i, b in enumerate(self.pv_idx):
-            net_load[b] -= self.pv_capacity[i] * pv_f
+            net_load[:, b] -= pv_out[i]
         for j, b in enumerate(self.dg_idx):
-            net_load[b] -= x.dg_power[j][None, :]
-        for k, b in enumerate(self.ess_idx):
-            net_load[b] -= np.maximum(0.0, -x.ess_power[k])[None, :]
-        unserved = np.maximum(0.0, net_load).mean(axis=2)  # (n_bus, n_s)
-        return (self.path_time[:, None] * unserved).sum(axis=0)
+            net_load[:, b] -= dg[:, j, None, :]
+        for j, b in enumerate(self.ess_idx):
+            net_load[:, b] -= np.maximum(0.0, -ess[:, j])[:, None, :]
+        unserved = np.maximum(0.0, net_load).mean(axis=3)  # (c, n_bus, n_s)
+        return (self.path_time[:, None] * unserved).sum(axis=1)
 
-    def per_scenario(self, x: DecisionVector, sset: ScenarioSet) -> ScenarioOutcomes:
-        """Cost, ENS and penalty of a schedule under each scenario of a set."""
-        return self._day(x, sset).outcomes
+    def per_scenario(self, x, sset: ScenarioSet) -> ScenarioOutcomes:
+        """Cost, ENS and penalty of a schedule (or of each row of a block)
+        under each scenario of a set."""
+        out = self._day(*self._block(x), sset).outcomes
+        if not isinstance(x, DecisionVector):
+            return out
+        return ScenarioOutcomes(out.cost[0], out.ens[0], out.penalty[0], out.probabilities)
 
-    def evaluate(self, x: DecisionVector, sset: ScenarioSet) -> ObjectiveVector:
-        """Probability-weighted cost, ENS, and penalty of a schedule over a set."""
+    def evaluate(self, x, sset: ScenarioSet):
+        """Probability-weighted cost, ENS, and penalty over a set: one
+        ObjectiveVector for a DecisionVector, a list of k for a (k, d) block."""
         out = self.per_scenario(x, sset)
         psi = out.probabilities
-        return ObjectiveVector(
-            f1=float(psi @ out.cost),
-            f2=float(psi @ out.ens),
-            penalty=float(psi @ out.penalty),
-        )
+        rows = zip(np.atleast_2d(out.cost), np.atleast_2d(out.ens), np.atleast_2d(out.penalty))
+        fs = [ObjectiveVector(f1=float(psi @ c), f2=float(psi @ e), penalty=float(psi @ p)) for c, e, p in rows]
+        return fs[0] if isinstance(x, DecisionVector) else fs
 
     def breakdown(self, x: DecisionVector, s: Scenario) -> EvaluationBreakdown:
         """Full hourly breakdown of one schedule under one scenario."""
-        day = self._day(x, ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),)))
+        sset = ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),))
+        day = self._day(*self._block(x), sset)
         out = day.outcomes
         return EvaluationBreakdown(
-            p_slack=day.sol.p_slack,
-            p_loss=day.sol.p_loss,
+            p_slack=day.p_slack[0, 0],
+            p_loss=day.p_loss[0, 0],
             pv_injection=day.pv_out[:, 0, :].sum(axis=0),
-            dg_cost=day.dg_cost.sum(axis=0),
-            grid_cost=day.grid_cost[0],
+            dg_cost=day.dg_cost[0].sum(axis=0),
+            grid_cost=day.grid_cost[0, 0],
             pv_cost=day.pv_cost[:, 0, :].sum(axis=0),
-            cost_s=float(out.cost[0]),
-            ens_s=float(out.ens[0]),
-            penalty=float(out.penalty[0]),
-            converged_hours=int(day.sol.converged.sum()),
+            cost_s=float(out.cost[0, 0]),
+            ens_s=float(out.ens[0, 0]),
+            penalty=float(out.penalty[0, 0]),
+            converged_hours=int(day.converged.sum()),
         )
+
+
+def _by_candidate(a: np.ndarray, c: int, n_s: int) -> np.ndarray:
+    """Column-wise values (rows, c * n_s * 24) of c candidates as a
+    contiguous (c, rows, n_s, 24) array."""
+    rows = a.shape[0]
+    return np.ascontiguousarray(a.reshape(rows, c, n_s, HOURS).transpose(1, 0, 2, 3))
 
 
 @dataclass(frozen=True)

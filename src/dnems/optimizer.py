@@ -3,8 +3,9 @@
 Each iteration the population is split at random into two equal halves: one
 moves by the three-leader pack rules (exploration controlled by a scalar that
 decays linearly from two to zero), the other by inertia-weighted swarm
-velocity updates.  Everyone is then evaluated, archived, and reshuffled, and
-the archive's best member is fed back to both halves as the shared incumbent.
+velocity updates.  Everyone is then evaluated (the whole population in one
+evaluator call), archived, and reshuffled, and the archive's best member is
+fed back to both halves as the shared incumbent.
 
 Ranking inside the search is scalar: weighted normalized objective shortfalls
 plus the constraint penalty.  The archive keeps the actual non-dominated set.
@@ -32,6 +33,7 @@ __all__ = [
     "pso_step",
     "hybrid_run",
     "single_run",
+    "rowwise",
     "convergence_log_to_csv",
 ]
 
@@ -92,13 +94,20 @@ class HybridConfig:
             raise ValueError("population must be even and >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.archive_capacity < 1:
+            raise ValueError("archive_capacity must be >= 1")
+        for name in ("c1", "c2", "mu_high", "mu_low"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 class EvaluatorFailure(RuntimeError):
-    """Evaluator raised; ``x`` holds the offending position."""
+    """Evaluator raised; ``x`` holds the offending position (row ``row`` of
+    the block), or the whole block when the failing row is not known."""
 
-    def __init__(self, x: np.ndarray, cause: BaseException):
-        super().__init__(f"evaluator failed at x={x!r}: {cause}")
+    def __init__(self, x: np.ndarray, cause: BaseException, row: int | None = None):
+        where = f"row {row}" if row is not None else f"a {'x'.join(map(str, np.shape(x)))} block"
+        super().__init__(f"evaluator failed at {where}: {type(cause).__name__}: {cause}")
         self.x = x
 
 
@@ -173,14 +182,34 @@ class _Scaler:
         return w1 * s1 + w2 * s2 + f.penalty
 
 
+def rowwise(fn):
+    """Population evaluator from a one-position objective ``fn(x) -> f``: it
+    maps an (n, d) block to ``[fn(row) for row in block]``."""
+
+    def evaluate_rows(positions):
+        out = []
+        for i, row in enumerate(positions):
+            try:
+                out.append(fn(row))
+            except Exception as exc:
+                raise EvaluatorFailure(row.copy(), exc, row=i) from exc
+        return out
+
+    return evaluate_rows
+
+
 def _evaluate_all(evaluator, positions):
-    out = []
-    for row in positions:
-        try:
-            out.append(evaluator(row))
-        except Exception as exc:
-            raise EvaluatorFailure(row.copy(), exc) from exc
-    return out
+    try:
+        fs = list(evaluator(positions))
+    except EvaluatorFailure:
+        raise
+    except Exception as exc:
+        raise EvaluatorFailure(positions.copy(), exc) from exc
+    if len(fs) != len(positions):
+        raise EvaluatorFailure(
+            positions.copy(), ValueError(f"{len(fs)} objective vectors for {len(positions)} positions")
+        )
+    return fs
 
 
 def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
@@ -275,8 +304,10 @@ def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
 def hybrid_run(cfg: HybridConfig, space: SearchSpace, evaluator):
     """Split-evolve-shuffle search; returns (ParetoArchive, convergence log).
 
-    ``evaluator`` maps a flat position vector to an objective vector with
-    ``f1``, ``f2`` and ``penalty`` attributes.  Fully deterministic per seed.
+    ``evaluator`` maps an (n, d) block of positions, the whole population, to
+    a sequence of n objective vectors with ``f1``, ``f2`` and ``penalty``
+    attributes, in row order; ``rowwise`` builds one from a one-position
+    objective.  Fully deterministic per seed.
     """
     return _run("hybrid", cfg, space, evaluator)
 

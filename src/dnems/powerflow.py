@@ -90,10 +90,6 @@ class _SweepModel:
         order = radial_order(net)
         z_base = net.base_kv**2 / net.base_mva  # ohm
         z_pu = np.array([(br.r + 1j * br.x) / z_base for br in net.branches])
-        if np.any(z_pu == 0):
-            bad = int(np.flatnonzero(z_pu == 0)[0])
-            br = net.branches[bad]
-            raise ValueError(f"zero-impedance branch ({br.from_bus},{br.to_bus})")
 
         slack = net.bus_index(net.substation_bus)
         nonslack = np.array([i for i in range(n) if i != slack])

@@ -41,6 +41,8 @@ def _as24(name, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (HOURS,):
         raise ValueError(f"{name} must have {HOURS} hourly entries, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} entries must be finite")
     return arr
 
 
@@ -59,8 +61,8 @@ class ForecastProfile:
         object.__setattr__(self, "load_factor", _as24("load_factor", self.load_factor))
         object.__setattr__(self, "pv_factor", _as24("pv_factor", self.pv_factor))
         object.__setattr__(self, "price", _as24("price", self.price))
-        if min(self.sigma_load, self.sigma_pv, self.sigma_price) < 0:
-            raise ValueError("sigmas must be nonnegative")
+        if not all(0 <= s < np.inf for s in (self.sigma_load, self.sigma_pv, self.sigma_price)):
+            raise ValueError("sigmas must be finite and nonnegative")
         if np.any(self.pv_factor < 0) or np.any(self.pv_factor > 1):
             raise ValueError("pv_factor must lie in [0, 1]")
 

@@ -80,6 +80,10 @@ class StudyConfig:
             raise ConfigError("repeats must be >= 1")
         if not self.scenario_counts or min(self.scenario_counts) < 1:
             raise ConfigError("scenario counts must all be >= 1")
+        if self.levels < 3 or self.levels % 2 == 0:
+            raise ConfigError(f"levels must be odd and >= 3, got {self.levels}")
+        if self.oversample < 1:
+            raise ConfigError(f"oversample must be >= 1, got {self.oversample}")
         if self.vary not in ("both", "scenarios", "optimizer"):
             raise ConfigError(f"vary must be both|scenarios|optimizer, got {self.vary!r}")
         if min(self.weights) < 0 or max(self.weights) <= 0:
@@ -154,7 +158,7 @@ def _load_inputs(cfg: StudyConfig) -> tuple[Network, ForecastProfile]:
 
 
 def _make_scenarios(cfg: StudyConfig, forecast: ForecastProfile, count: int, seed: int) -> ScenarioSet:
-    raw = generate(forecast, n=max(count * cfg.oversample, count), seed=seed, levels=cfg.levels)
+    raw = generate(forecast, n=count * cfg.oversample, seed=seed, levels=cfg.levels)
     return reduce_scenarios(raw, min(count, len(raw)))
 
 
@@ -178,10 +182,9 @@ def _optimize(
 ) -> tuple[ParetoArchive, list]:
     lower, upper = decision_bounds(net)
     space = SearchSpace(lower, upper)
-    n_dg, n_ess = len(net.dgs), len(net.esss)
 
-    def objective(flat: np.ndarray) -> ObjectiveVector:
-        return evaluator.evaluate(DecisionVector.from_flat(flat, n_dg, n_ess), sset)
+    def objective(positions: np.ndarray) -> list[ObjectiveVector]:
+        return evaluator.evaluate(positions, sset)
 
     run_weights = _MODE_WEIGHTS.get(mode, weights)
     cfg = replace(opt_cfg, objective_weights=tuple(run_weights))

@@ -29,6 +29,7 @@ from dnems.optimizer import (
     hybrid_run,
     mu_schedule,
     pso_step,
+    rowwise,
     single_run,
 )
 from dnems.pareto import dominates
@@ -205,9 +206,9 @@ def test_criterion_4_hybrid_benchmark():
             for seed in range(20):
                 cfg = HybridConfig(population=50, iterations=100, seed=seed)
                 if mode == "hybrid":
-                    _, log = hybrid_run(cfg, space, fn)
+                    _, log = hybrid_run(cfg, space, rowwise(fn))
                 else:
-                    _, log = single_run(mode, cfg, space, fn)
+                    _, log = single_run(mode, cfg, space, rowwise(fn))
                 finals.append(log[-1]["best_f1"])
             medians[mode] = float(np.median(finals))
             finals_by_mode[mode] = finals

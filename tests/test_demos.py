@@ -12,7 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_network_and_powerflow.py", "02_scenarios.py", "03_storage_and_objectives.py"],
+    [
+        "01_network_and_powerflow.py",
+        "02_scenarios.py",
+        "03_storage_and_objectives.py",
+        "04_optimizer_benchmarks.py",
+        "05_full_study.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

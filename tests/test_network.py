@@ -127,6 +127,23 @@ class TestValidation:
         with pytest.raises(NetworkError, match="negative active load"):
             make_network([Bus(id=1), Bus(id=2, p_load=-5)], [Branch(1, 2, 0.1, 0.1)])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["p_load", "q_load"])
+    def test_nonfinite_load(self, field, value):
+        with pytest.raises(NetworkError, match=f"bus 2: {field} must be finite"):
+            make_network([Bus(id=1), Bus(id=2, **{field: value})], [Branch(1, 2, 0.1, 0.1)])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["r", "x"])
+    def test_nonfinite_impedance(self, field, value):
+        impedance = {"r": 0.1, "x": 0.1, field: value}
+        with pytest.raises(NetworkError, match=rf"branch \(1,2\): {field} must be finite"):
+            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, **impedance)])
+
+    def test_nonnumeric_field(self):
+        with pytest.raises(NetworkError, match="p_load must be a number"):
+            make_network([Bus(id=1), Bus(id=2, p_load="ten")], [Branch(1, 2, 0.1, 0.1)])
+
     def test_inverted_voltage_bounds(self):
         with pytest.raises(NetworkError, match="voltage bounds"):
             make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], v_min=1.1, v_max=0.9)

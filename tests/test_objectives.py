@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dnems.network import Branch, Bus, DgSpec, EssSpec, make_network
+from dnems.network import Branch, Bus, DgSpec, EssSpec, builtin_ieee69, make_network
 from dnems.objectives import (
     DEFAULT_PENALTY_WEIGHTS,
     DecisionVector,
@@ -12,7 +13,7 @@ from dnems.objectives import (
     penalty,
     profit_analysis,
 )
-from dnems.scenarios import Scenario, ScenarioSet, default_forecast, deterministic_set
+from dnems.scenarios import Scenario, ScenarioSet, default_forecast, deterministic_set, generate, reduce
 
 
 def spec(**kw):
@@ -283,6 +284,58 @@ class TestEvaluateSet:
         f_pricier = evaluate(ieee69, x, ScenarioSet((pricier,)))
         assert f_pricier.f2 == f_base.f2  # reliability blind to prices
         assert f_pricier.f1 != f_base.f1
+
+
+def _block_sets():
+    fc = default_forecast()
+    s = deterministic_set(fc).scenarios[0]
+    return {
+        "deterministic": deterministic_set(fc),
+        "ten_scenarios": reduce(generate(fc, n=40, seed=5), 10),
+        # 1.8x load pushes voltages out of band: every candidate is penalized
+        "heavy": ScenarioSet((Scenario(s.load_factor * 1.8, s.pv_factor, s.price, 1.0),)),
+    }
+
+
+_NET = builtin_ieee69()
+_SETS = _block_sets()
+
+
+class TestBlock:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+        set_name=st.sampled_from(sorted(_SETS)),
+        export_credit=st.booleans(),
+    )
+    def test_block_equals_rows(self, k, seed, set_name, export_credit):
+        sset = _SETS[set_name]
+        lower, upper = decision_bounds(_NET)
+        positions = lower + np.random.default_rng(seed).random((k, lower.size)) * (upper - lower)
+        ev = ScheduleEvaluator(_NET, export_credit=export_credit)
+        block = ev.evaluate(positions, sset)
+        rows = [
+            ev.evaluate(DecisionVector.from_flat(x, len(_NET.dgs), len(_NET.esss)), sset) for x in positions
+        ]
+        assert [(f.f1, f.f2, f.penalty) for f in block] == [(f.f1, f.f2, f.penalty) for f in rows]
+        if set_name == "heavy":
+            assert all(f.penalty > 0 for f in block)
+
+    def test_per_scenario_block_shapes(self):
+        sset = _SETS["ten_scenarios"]
+        lower, upper = decision_bounds(_NET)
+        positions = np.stack([lower, upper, (lower + upper) / 2])
+        ev = ScheduleEvaluator(_NET)
+        out = ev.per_scenario(positions, sset)
+        assert out.cost.shape == out.ens.shape == out.penalty.shape == (3, len(sset))
+        one = ev.per_scenario(DecisionVector.from_flat(positions[1], len(_NET.dgs), len(_NET.esss)), sset)
+        assert np.array_equal(one.cost, out.cost[1]) and np.array_equal(one.penalty, out.penalty[1])
+
+    def test_block_width_checked(self):
+        lower, _ = decision_bounds(_NET)
+        with pytest.raises(ValueError, match="block shape"):
+            ScheduleEvaluator(_NET).evaluate(np.zeros((2, lower.size + 1)), _SETS["deterministic"])
 
 
 class TestDecisionBounds:

@@ -15,6 +15,7 @@ from dnems.optimizer import (
     hybrid_run,
     mu_schedule,
     pso_step,
+    rowwise,
     single_run,
 )
 
@@ -172,8 +173,8 @@ class TestRuns:
     def test_determinism(self):
         space = wide_space(5, 10.0)
         cfg = HybridConfig(population=10, iterations=12, seed=99)
-        arch1, log1 = hybrid_run(cfg, space, sphere)
-        arch2, log2 = hybrid_run(cfg, space, sphere)
+        arch1, log1 = hybrid_run(cfg, space, rowwise(sphere))
+        arch2, log2 = hybrid_run(cfg, space, rowwise(sphere))
         assert log1 == log2
         assert [(e.f.f1, e.f.f2) for e in arch1.entries] == [(e.f.f1, e.f.f2) for e in arch2.entries]
         assert all(
@@ -188,14 +189,14 @@ class TestRuns:
             seen.append(x.copy())
             return sphere(x)
 
-        hybrid_run(HybridConfig(population=8, iterations=10, seed=3), space, recording)
+        hybrid_run(HybridConfig(population=8, iterations=10, seed=3), space, rowwise(recording))
         arr = np.stack(seen)
         assert np.all(arr[:, 0] >= -1.0) and np.all(arr[:, 0] <= 1.0)
         assert np.all(arr[:, 1] >= 0.0) and np.all(arr[:, 1] <= 5.0)
 
     def test_archive_best_monotone(self):
         space = wide_space(6, 50.0)
-        _, log = hybrid_run(HybridConfig(population=12, iterations=30, seed=5), space, sphere)
+        _, log = hybrid_run(HybridConfig(population=12, iterations=30, seed=5), space, rowwise(sphere))
         best = [row["best_f1"] for row in log]
         assert all(a >= b for a, b in zip(best, best[1:]))
 
@@ -205,7 +206,7 @@ class TestRuns:
             finals = []
             for seed in range(5):
                 cfg = HybridConfig(population=50, iterations=100, seed=seed)
-                _, log = single_run(mode, cfg, space, sphere)
+                _, log = single_run(mode, cfg, space, rowwise(sphere))
                 finals.append(log[-1]["best_f1"])
             assert np.median(finals) <= 1e-2
 
@@ -214,19 +215,57 @@ class TestRuns:
             raise RuntimeError("boom")
 
         with pytest.raises(EvaluatorFailure) as err:
-            hybrid_run(HybridConfig(population=4, iterations=2, seed=0), wide_space(2), exploding)
+            hybrid_run(HybridConfig(population=4, iterations=2, seed=0), wide_space(2), rowwise(exploding))
         assert err.value.x.shape == (2,)
+
+    def test_evaluator_failure_names_row_briefly(self):
+        def exploding(x):
+            raise RuntimeError("boom")
+
+        with pytest.raises(EvaluatorFailure, match="row 0: RuntimeError: boom") as err:
+            hybrid_run(HybridConfig(population=4, iterations=2, seed=0), wide_space(200), rowwise(exploding))
+        assert len(str(err.value)) < 100
+
+    def test_block_evaluator_failure_carries_block(self):
+        def exploding(block):
+            raise KeyError("flow")
+
+        with pytest.raises(EvaluatorFailure, match="a 4x168 block: KeyError") as err:
+            hybrid_run(HybridConfig(population=4, iterations=2, seed=0), wide_space(168), exploding)
+        assert err.value.x.shape == (4, 168)
+
+    def test_block_evaluator_sees_whole_population(self):
+        shapes = []
+
+        def block(positions):
+            shapes.append(positions.shape)
+            return rowwise(sphere)(positions)
+
+        hybrid_run(HybridConfig(population=6, iterations=3, seed=2), wide_space(3), block)
+        assert shapes == [(6, 3)] * 4
+
+    def test_short_evaluator_result_rejected(self):
+        with pytest.raises(EvaluatorFailure, match="3 objective vectors for 4 positions"):
+            hybrid_run(HybridConfig(population=4, iterations=1), wide_space(2), lambda b: rowwise(sphere)(b[:3]))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("archive_capacity", 0), ("c1", -0.1), ("c2", -1.0), ("mu_high", -0.5), ("mu_low", float("nan"))],
+    )
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HybridConfig(**{field: value})
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            single_run("annealing", HybridConfig(population=4, iterations=1), wide_space(), sphere)
+            single_run("annealing", HybridConfig(population=4, iterations=1), wide_space(), rowwise(sphere))
 
     def test_odd_population_rejected(self):
         with pytest.raises(ValueError, match="population"):
             HybridConfig(population=7)
 
     def test_log_csv(self, tmp_path):
-        _, log = hybrid_run(HybridConfig(population=6, iterations=4, seed=1), wide_space(2), sphere)
+        _, log = hybrid_run(HybridConfig(population=6, iterations=4, seed=1), wide_space(2), rowwise(sphere))
         path = tmp_path / "log.csv"
         convergence_log_to_csv(log, path)
         lines = path.read_text().strip().split("\n")

@@ -28,12 +28,11 @@ class TestFlatAndTrivial:
         assert sol.delta[0] == 0.0
 
     def test_zero_impedance_branch_rejected(self):
-        net = make_network(
-            [Bus(id=1), Bus(id=2, p_load=10)],
-            [Branch(1, 2, 0.0, 0.0)],
-        )
-        with pytest.raises(ValueError, match="zero-impedance"):
-            solve(net, InjectionProfile(np.zeros(2), np.zeros(2)))
+        with pytest.raises(ValueError, match="zero-impedance"):  # at validation, before any solve
+            make_network(
+                [Bus(id=1), Bus(id=2, p_load=10)],
+                [Branch(1, 2, 0.0, 0.0)],
+            )
 
     def test_nonconvergence_flagged_not_raised(self, two_bus):
         # a hopeless load: fixed point collapses, caller gets converged=False
@@ -142,6 +141,19 @@ class TestBatch:
             assert np.allclose(batch.v[:, i], single.v, atol=1e-9)
             assert batch.p_loss[i] == pytest.approx(single.p_loss_total, abs=1e-9)
             assert batch.p_slack[i] == pytest.approx(single.p_slack, abs=1e-9)
+
+    def test_width_invariance(self, ieee69, rng):
+        # 24 columns solved inside a block of 24*k columns are bit-identical
+        # to the same 24 columns solved alone; the block evaluator relies on it
+        p, q = load_injections(ieee69)
+        for k in range(2, 41):
+            factors = rng.uniform(0.3, 1.9, size=24 * k)
+            at = int(rng.integers(k))
+            cols = slice(24 * at, 24 * at + 24)
+            block = solve_batch(ieee69, p[:, None] * factors, q[:, None] * factors)
+            alone = solve_batch(ieee69, p[:, None] * factors[cols], q[:, None] * factors[cols])
+            for name in ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch"):
+                assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (k, name)
 
     def test_max_iter_validation(self, ieee69):
         z = np.zeros((69, 1))

@@ -181,6 +181,22 @@ class TestStatistics:
         assert np.mean(large) < np.mean(small)
 
 
+class TestForecastValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["load_factor", "pv_factor", "price"])
+    def test_nonfinite_entry_rejected(self, name, value):
+        fc = flat_forecast()
+        profiles = {"load_factor": fc.load_factor, "pv_factor": fc.pv_factor, "price": fc.price}
+        profiles[name] = profiles[name].copy()
+        profiles[name][5] = value
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            ForecastProfile(**profiles)
+
+    def test_nonfinite_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigmas must be finite"):
+            flat_forecast(sig=(0.05, float("nan"), 0.05))
+
+
 class TestSerialization:
     def test_csv_roundtrip_shape(self, tmp_path):
         sset = generate(default_forecast(), n=6, seed=2)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dnems.cli import main
+from dnems.network import builtin_ieee69, network_to_dict
+from dnems.objectives import ScheduleEvaluator
 from dnems.optimizer import HybridConfig
 from dnems.study import ConfigError, StudyConfig, emit_artifacts, run_study
 
@@ -50,6 +52,15 @@ class TestConfig:
     def test_bad_repeats(self):
         with pytest.raises(ConfigError, match="repeats"):
             StudyConfig(repeats=0)
+
+    @pytest.mark.parametrize("levels", [1, 2, 4])
+    def test_bad_levels(self, levels):
+        with pytest.raises(ConfigError, match="levels must be odd and >= 3"):
+            StudyConfig(levels=levels)
+
+    def test_bad_oversample(self):
+        with pytest.raises(ConfigError, match="oversample must be >= 1"):
+            StudyConfig(oversample=0)
 
     def test_from_json(self, tmp_path):
         doc = {
@@ -265,6 +276,69 @@ class TestCli:
                      "--population", "8", "--iterations", "2", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "missing key 'price'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"levels": 4}, "levels must be odd"),
+            ({"oversample": 0}, "oversample must be >= 1"),
+            ({"optimizer": {"archive_capacity": 0}}, "archive_capacity must be >= 1"),
+            ({"optimizer": {"c1": -1.0}}, "c1 must be >= 0"),
+            ({"optimizer": {"mu_low": -0.1}}, "mu_low must be >= 0"),
+        ],
+    )
+    def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"repeats": 1, **doc}))
+        code = main(["--config", str(cfg_path), "--mode", "stoch", "--scenarios", "4",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["buses"][4].update(p_load=float("nan")), "bus 5: p_load must be finite"),
+            (lambda doc: doc["branches"][2].update(x=float("inf")), "x must be finite"),
+            (lambda doc: doc["branches"][2].update(r=0.0, x=0.0), "zero-impedance branch"),
+        ],
+    )
+    def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
+        doc = network_to_dict(builtin_ieee69())
+        edit(doc)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--network", str(path), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    def test_nonfinite_forecast_exit_one(self, tmp_path, capsys):
+        doc = {"load_factor": [1.0] * 24, "pv_factor": [0.0] * 24, "price": [0.1] * 23 + [float("nan")]}
+        forecast = tmp_path / "forecast.json"
+        forecast.write_text(json.dumps(doc))
+        code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "price entries must be finite" in capsys.readouterr().err
+
+    def test_no_successful_repeat_exit_two(self, tmp_path, capsys, monkeypatch):
+        def failing(self, x, sset):
+            raise KeyError("flow")
+
+        monkeypatch.setattr(ScheduleEvaluator, "evaluate", failing)
+        out = tmp_path / "o"
+        code = main(["--mode", "det", "--objective", "multi", "--repeats", "2",
+                     "--population", "4", "--iterations", "1", "--out", str(out)])
+        assert code == 2
+        assert "no repeat succeeded" in capsys.readouterr().err
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["runs"] == 0
+        assert len(summary["errors"]) == 6
+        assert all(len(e) < 200 for e in summary["errors"])
+        assert "KeyError: 'flow'" in summary["errors"][0]
 
     def test_config_file_with_overrides(self, tmp_path):
         doc = {"mode": "deterministic", "objective": "cost", "repeats": 1,
