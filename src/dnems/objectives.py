@@ -31,7 +31,6 @@ __all__ = [
     "ess_trajectory",
     "ScheduleEvaluator",
     "merge_penalty_weights",
-    "penalty",
     "profit_analysis",
 ]
 
@@ -148,23 +147,6 @@ def merge_penalty_weights(weights: dict | None = None) -> dict:
             raise ValueError(f"penalty weight {name!r} must be >= 0, got {value!r}")
         merged[name] = value
     return merged
-
-
-def penalty(violations: dict, weights: dict | None = None) -> float:
-    """Weighted sum of squared normalized constraint overshoots.
-
-    ``violations`` maps a class name to its (already normalized) overshoot
-    values; zero iff every overshoot is zero.
-    """
-    weights = DEFAULT_PENALTY_WEIGHTS if weights is None else weights
-    total = 0.0
-    for name, values in violations.items():
-        w = weights.get(name, 0.0)
-        if w < 0:
-            raise ValueError(f"negative penalty weight for {name!r}")
-        arr = np.asarray(values, dtype=float)
-        total += w * float((arr**2).sum())
-    return total
 
 
 @dataclass(frozen=True)
@@ -439,7 +421,6 @@ class ProfitReport:
 # source gives no unit).  The headline figure below is the total.
 DEFAULT_INVESTMENT = 9_751_200.0
 DEFAULT_C_NPV = 1.07
-CONVERTER_COST_RAW = 400.0
 
 
 def profit_analysis(

@@ -72,7 +72,6 @@ def dominates(a, b) -> bool:
 class ArchiveEntry:
     x: object  # decision data, opaque to the archive
     f: object  # objective vector with f1, f2, penalty
-    memberships: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass
@@ -113,21 +112,14 @@ class ParetoArchive:
         nn[int(np.argmin(f2))] = np.inf
         del self.entries[int(np.argmin(nn))]
 
-    def refresh_memberships(self) -> MembershipScaler:
-        scaler = MembershipScaler.from_entries(self.entries)
-        for e in self.entries:
-            e.memberships = scaler.of(e.f)
-        return scaler
-
     def to_csv(self, path) -> None:
-        self.refresh_memberships()
-        num = np.array([sum(e.memberships) for e in self.entries])
+        scaler = MembershipScaler.from_entries(self.entries)
+        psi = [scaler.of(e.f) for e in self.entries]
+        num = np.array([sum(m) for m in psi])
         denom = num.sum() or 1.0
         lines = ["f1,f2,psi1,psi2,y"]
-        for e, y in zip(self.entries, num / denom):
-            lines.append(
-                f"{e.f.f1:.10g},{e.f.f2:.10g},{e.memberships[0]:.10g},{e.memberships[1]:.10g},{y:.10g}"
-            )
+        for e, (m1, m2), y in zip(self.entries, psi, num / denom):
+            lines.append(f"{e.f.f1:.10g},{e.f.f2:.10g},{m1:.10g},{m2:.10g},{y:.10g}")
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -143,11 +135,12 @@ def best_compromise(arch: ParetoArchive, weights: tuple[float, float] = (0.5, 0.
     w1, w2 = weights
     if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
         raise ValueError("weights must be nonnegative and not both zero")
-    arch.refresh_memberships()
+    scaler = MembershipScaler.from_entries(arch.entries)
     best = None
     best_score = -1.0
     for e in arch.entries:
-        score = w1 * e.memberships[0] + w2 * e.memberships[1]
+        m1, m2 = scaler.of(e.f)
+        score = w1 * m1 + w2 * m2
         if score > best_score or (score == best_score and best is not None and e.f.f1 < best.f.f1):
             best, best_score = e, score
     return best

@@ -135,15 +135,17 @@ def solve_batch(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BatchPowerFlow:
-    """Solve one power flow per column of the (n_bus, m) injection matrices."""
+    """Solve one power flow per column of the (n_bus, m) injection matrices.
+
+    Any other shape, a transposed (m, n_bus) block included, raises
+    ValueError.
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     mdl = _model(net)
-    p = np.atleast_2d(np.asarray(p_kw, dtype=float))
-    q = np.atleast_2d(np.asarray(q_kvar, dtype=float))
-    if p.shape[0] != net.n_bus:
-        p, q = p.T, q.T
-    if p.shape[0] != net.n_bus or q.shape != p.shape:
+    p = np.asarray(p_kw, dtype=float)
+    q = np.asarray(q_kvar, dtype=float)
+    if p.ndim != 2 or p.shape[0] != net.n_bus or q.shape != p.shape:
         raise ValueError(f"injection matrices must be (n_bus={net.n_bus}, m)")
     m = p.shape[1]
 

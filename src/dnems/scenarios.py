@@ -10,12 +10,12 @@ error threshold on repeated runs decides when enough scenarios were used.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "HOURS",
@@ -30,7 +30,6 @@ __all__ = [
     "generate",
     "reduce",
     "stopping_rule",
-    "scenario_set_to_csv",
 ]
 
 HOURS = 24
@@ -151,7 +150,7 @@ def discretize_normal(mean: float, sigma: float, levels: int = 7) -> list[tuple[
         probs = np.zeros(levels)
         probs[half] = 1.0
         return [(float(mean), float(p)) for p in probs]
-    edges = norm.cdf(ks[:-1] + 0.5)
+    edges = [0.5 * math.erfc(-(k + 0.5) / math.sqrt(2)) for k in ks[:-1]]
     probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
     centers = mean + ks * sigma
     return [(float(c), float(p)) for c, p in zip(centers, probs)]
@@ -311,18 +310,3 @@ def stopping_rule(samples, epsilon: float) -> tuple[bool, RunStatistics]:
         raise ValueError("epsilon must be positive")
     stats = RunStatistics.from_samples(samples)
     return stats.re <= epsilon, stats
-
-
-def scenario_set_to_csv(scenario_set: ScenarioSet, path) -> None:
-    """Audit dump: one row per scenario, 72 realized values plus probability."""
-    header = (
-        [f"load_{t}" for t in range(HOURS)]
-        + [f"pv_{t}" for t in range(HOURS)]
-        + [f"price_{t}" for t in range(HOURS)]
-        + ["probability"]
-    )
-    lines = [",".join(header)]
-    for s in scenario_set.scenarios:
-        row = np.concatenate([s.features(), [s.probability]])
-        lines.append(",".join(f"{x:.12g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")

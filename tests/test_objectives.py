@@ -10,7 +10,6 @@ from dnems.objectives import (
     decision_bounds,
     ess_trajectory,
     merge_penalty_weights,
-    penalty,
     profit_analysis,
 )
 from dnems.scenarios import Scenario, ScenarioSet, default_forecast, deterministic_set, generate, reduce
@@ -86,20 +85,24 @@ class TestEssTrajectory:
 
 
 class TestPenalty:
-    def test_no_violations(self):
-        assert penalty({"voltage": np.zeros(5), "flow": []}) == 0.0
+    def test_rate_overshoot_value(self, two_bus):
+        # one hour of charging past the rate limit, energy band far away:
+        # the rate term is the whole penalty, quadratic in the overshoot
+        unit = spec(w_min=0.0, w_max=1e5, w_initial=5e4)
+        net = make_network(two_bus.buses, two_bus.branches, esss=[unit], v_min=0.5, v_max=1.5)
+        ev = ScheduleEvaluator(net)
+        sset = ScenarioSet((flat_scenario(),))
+        delta = 20.0
 
-    def test_hand_value(self):
-        assert penalty({"voltage": [0.02]}, {"voltage": 1e6}) == pytest.approx(400.0)
+        def pen(charge):
+            power = np.zeros((1, 24))
+            power[0, 7] = charge
+            return ev.evaluate(DecisionVector(np.zeros((0, 24)), power), sset).penalty
 
-    def test_quadratic_scaling(self):
-        one = penalty({"flow": [0.1]}, {"flow": 10.0})
-        doubled = penalty({"flow": [0.2]}, {"flow": 10.0})
-        assert doubled == pytest.approx(4 * one)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="negative penalty weight"):
-            penalty({"voltage": [0.1]}, {"voltage": -1.0})
+        expected = ev.weights["rate"] * (delta / unit.p_charge_max) ** 2
+        assert pen(unit.p_charge_max + delta) == pytest.approx(expected, rel=1e-12)
+        assert pen(unit.p_charge_max + 2 * delta) == pytest.approx(4 * expected, rel=1e-12)
+        assert pen(unit.p_charge_max) == 0.0
 
     def test_evaluator_merges_partial_weights(self, two_bus):
         ev = ScheduleEvaluator(two_bus, weights={"voltage": 5.0})

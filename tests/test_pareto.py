@@ -145,7 +145,8 @@ class TestBestCompromise:
     def test_hand_scores(self):
         arch = self.make_archive()
         entry = best_compromise(arch, weights=(1.0, 1.0))
-        assert entry.memberships == (pytest.approx(0.9), pytest.approx(0.4))
+        scaler = MembershipScaler.from_entries(arch.entries)
+        assert scaler.of(entry.f) == (pytest.approx(0.9), pytest.approx(0.4))
         assert entry.f.f1 == pytest.approx(0.1)
         # normalized score of the winner over the four entries
         num = 0.9 + 0.4

@@ -160,6 +160,13 @@ class TestBatch:
         with pytest.raises(ValueError, match="max_iter"):
             solve_batch(ieee69, z, z, max_iter=0)
 
+    def test_transposed_block_rejected(self, ieee69):
+        # one orientation only: (m, n_bus) is never read as (n_bus, m)
+        p, q = load_injections(ieee69)
+        factors = np.array([0.5, 1.0, 1.5])
+        with pytest.raises(ValueError, match="n_bus=69"):
+            solve_batch(ieee69, factors[:, None] * p, factors[:, None] * q)
+
 
 class TestCheckLimits:
     def test_feasible_empty(self, ieee69):

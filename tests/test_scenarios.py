@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from dnems.scenarios import (
     ForecastProfile,
@@ -12,7 +18,6 @@ from dnems.scenarios import (
     generate,
     reduce,
     reduction_features,
-    scenario_set_to_csv,
     stopping_rule,
 )
 from oracles import reduction_cost_oracle
@@ -61,6 +66,25 @@ class TestDiscretize:
     def test_bad_levels(self, levels):
         with pytest.raises(ValueError, match="levels"):
             discretize_normal(0.0, 1.0, levels)
+
+    @pytest.mark.parametrize("levels", range(3, 52, 2))
+    def test_masses_match_scipy(self, levels):
+        half = (levels - 1) // 2
+        edges = norm.cdf(np.arange(-half, half) + 0.5)
+        expected = np.diff(np.concatenate([[0.0], edges, [1.0]]))
+        probs = np.array([p for _, p in discretize_normal(0.0, 1.0, levels)])
+        assert np.max(np.abs(probs - expected)) <= 1e-15
+        assert abs(probs.sum() - 1.0) <= 1e-15
+
+
+def test_import_loads_no_scipy():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, dnems; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestGenerate:
@@ -198,14 +222,6 @@ class TestForecastValidation:
 
 
 class TestSerialization:
-    def test_csv_roundtrip_shape(self, tmp_path):
-        sset = generate(default_forecast(), n=6, seed=2)
-        path = tmp_path / "scen.csv"
-        scenario_set_to_csv(sset, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == len(sset) + 1
-        assert len(lines[0].split(",")) == 73
-
     def test_deterministic_set(self):
         fc = default_forecast()
         sset = deterministic_set(fc)
