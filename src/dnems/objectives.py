@@ -4,9 +4,17 @@ constraint penalties, and the long-horizon cost-profit analysis.
 A candidate schedule fixes hourly DG setpoints and signed storage powers for
 one day; it is evaluated against a scenario (or probability-weighted scenario
 set) by running one radial power flow per hour.  A whole population of
-candidates is evaluated as one block: the scenario-hours of as many
-candidates as fit a fixed size are solved in a single batched call, which is
-what makes population search over hundreds of scenarios affordable.
+candidates is evaluated as one block: the columns of as many candidates as
+fit a fixed size are solved in a single batched call.
+
+A candidate's columns are the set's distinct grid states, not its
+scenario-hours.  The power flow of an hour sees only the hour (through the
+schedule) and its load and PV factors, never the price, and binned forecast
+errors repeat, so a reduced set of 120 scenarios holds some 370 states for
+its 2,880 scenario-hours.  Column results are gathered back to
+scenario-hours before any sum, so every total is the same bits as when each
+scenario-hour has a column of its own.  This is what makes population search
+over hundreds of scenarios affordable.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from .network import Network, radial_order
 from .powerflow import check_limits, solve_batch
-from .scenarios import HOURS, Scenario, ScenarioSet
+from .scenarios import HOURS, Scenario, ScenarioArrays, ScenarioSet
 
 __all__ = [
     "DecisionVector",
@@ -245,17 +253,14 @@ class ScheduleEvaluator:
         return x[:, :split].reshape(k, n_dg, HOURS), x[:, split:].reshape(k, n_ess, HOURS)
 
     def _day(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> _Day:
-        """The evaluation kernel: the scenario-hours of a block of candidates
-        in as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, then hourly
+        """The evaluation kernel: the grid states of a block of candidates in
+        as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, then hourly
         costs and per-candidate, per-scenario totals."""
-        scen = sset.scenarios
-        load_f = np.stack([s.load_factor for s in scen])
-        pv_f = np.stack([s.pv_factor for s in scen])
-        price = np.stack([s.price for s in scen])
-        n_bus, n_s, k = self.net.n_bus, len(scen), len(dg)
+        arr = sset.arrays
+        k = len(dg)
         w = self.weights
 
-        pv_out = self.pv_capacity[:, None, None] * pv_f[None, :, :]  # (n_pv, n_s, 24)
+        pv_out = self.pv_capacity[:, None, None] * arr.pv_factor[None, :, :]  # (n_pv, n_s, 24)
         pv_cost = self.pv_mcost[:, None, None] * pv_out
         pv_cost_s = pv_cost.sum(axis=(0, 2))
 
@@ -275,22 +280,25 @@ class ScheduleEvaluator:
         dg_cost = self.dg_cost[:, None] * dg  # (k, n_dg, 24)
         dg_cost_s = dg_cost.reshape(k, -1).sum(axis=1)
 
-        per_call = max(1, _CALL_BUS_COLUMNS // (n_bus * n_s * HOURS))
+        # columns per candidate: the states, padded to a multiple of 4 by
+        # repeating states, since the sweep's matrix product gives a column
+        # the same bits at any position of a block only at such widths
+        width = -(-len(arr.state_hour) // 4) * 4
+        per_call = max(1, _CALL_BUS_COLUMNS // (self.net.n_bus * width))
         parts = [
-            self._network(dg[a : a + per_call], ess[a : a + per_call], load_f, pv_out)
+            self._network(dg[a : a + per_call], ess[a : a + per_call], arr, width)
             for a in range(0, k, per_call)
         ]
         p_slack, p_loss, converged, pen, ens = (np.concatenate(arrs) for arrs in zip(*parts))
         pen = pen + static_pen[:, None]
-        p_slack = p_slack.reshape(k, n_s, HOURS)
         billed = p_slack if self.export_credit else np.maximum(p_slack, 0.0)
-        grid_cost = price * billed
+        grid_cost = arr.price * billed
         cost = grid_cost.sum(axis=2) + dg_cost_s[:, None] + pv_cost_s
         outcomes = ScenarioOutcomes(cost=cost, ens=ens, penalty=pen, probabilities=sset.probabilities)
         return _Day(
             p_slack=p_slack,
-            p_loss=p_loss.reshape(k, n_s, HOURS),
-            converged=converged.reshape(k, n_s, HOURS),
+            p_loss=p_loss,
+            converged=converged,
             pv_out=pv_out,
             grid_cost=grid_cost,
             dg_cost=dg_cost,
@@ -298,40 +306,51 @@ class ScheduleEvaluator:
             outcomes=outcomes,
         )
 
-    def _network(self, dg: np.ndarray, ess: np.ndarray, load_f: np.ndarray, pv_out: np.ndarray):
-        """One power-flow call for c candidates: slack power, losses and
-        convergence per column (c * n_s * 24,), and the (c, n_s) network
-        penalty (voltage, flow, convergence) and ENS."""
-        n_bus, c, (n_s, _) = self.net.n_bus, len(dg), load_f.shape
+    def _network(self, dg: np.ndarray, ess: np.ndarray, arr: ScenarioArrays, width: int):
+        """One power-flow call for c candidates over ``width`` columns each
+        (the set's grid states, cyclically padded): slack power, losses and
+        convergence per scenario-hour (c, n_s, 24), and the (c, n_s) network
+        penalty (voltage, flow, convergence) and ENS.
+
+        Column results are gathered back to scenario-hours before any sum, so
+        every total runs over the same values in the same order as if each
+        scenario-hour had been solved in its own column."""
+        n_bus, c, (n_s, _) = self.net.n_bus, len(dg), arr.load_factor.shape
         w = self.weights
-        # injections (n_bus, c, n_s, 24): columns ordered candidate, scenario, hour
-        p = np.empty((n_bus, c, n_s, HOURS))
-        q = np.empty((n_bus, c, n_s, HOURS))
-        np.multiply(-self.p_load[:, None, None, None], load_f, out=p)
-        np.multiply(-self.q_load[:, None, None, None], load_f, out=q)
+        hour, load_f, pv_f = (np.resize(a, width) for a in (arr.state_hour, arr.state_load, arr.state_pv))
+        # injections (n_bus, c, width): columns ordered candidate, state
+        p = np.empty((n_bus, c, width))
+        q = np.empty((n_bus, c, width))
+        np.multiply(-self.p_load[:, None, None], load_f, out=p)
+        np.multiply(-self.q_load[:, None, None], load_f, out=q)
         for i, b in enumerate(self.pv_idx):
-            p[b] += pv_out[i]
+            p[b] += self.pv_capacity[i] * pv_f
         for j, b in enumerate(self.dg_idx):
-            p[b] += dg[:, j, None, :]
+            p[b] += dg[:, j, hour]
         for j, b in enumerate(self.ess_idx):
-            p[b] -= ess[:, j, None, :]
+            p[b] -= ess[:, j, hour]
         sol = solve_batch(self.net, p.reshape(n_bus, -1), q.reshape(n_bus, -1))
 
-        # constraint overshoots, normalized before squaring; each candidate's
-        # overshoots are made contiguous so that its sums run in the same
-        # order as for a block of one
-        over = check_limits(sol, self.net)
-        v_over = _by_candidate(over.voltage_overshoot_pu, c, n_s)
-        f_over = _by_candidate(over.flow_overshoot_kva, c, n_s) / self.s_max[:, None, None]
-        nonconv = (~sol.converged.reshape(c, n_s, HOURS)).sum(axis=2)
-        pen = (
-            w["voltage"] * (v_over**2).sum(axis=(1, 3))
-            + w["flow"] * (f_over**2).sum(axis=(1, 3))
-            + w["convergence"] * nonconv.astype(float)
-        )
-        return sol.p_slack, sol.p_loss, sol.converged, pen, self._ens(dg, ess, load_f, pv_out)
+        # constraint overshoots, normalized before squaring, as contiguous
+        # (c, rows, n_s, 24) arrays: each candidate's sums then run in the
+        # same order as for a block of one
+        def hours(a):  # (rows, c * width) columns -> (c, rows, n_s, 24)
+            return _scenario_hours(a.reshape(len(a), c, width).transpose(1, 0, 2), arr.state_of, n_s)
 
-    def _ens(self, dg: np.ndarray, ess: np.ndarray, load_f: np.ndarray, pv_out: np.ndarray) -> np.ndarray:
+        over = check_limits(sol, self.net)
+        v_sq = hours(over.voltage_overshoot_pu**2)
+        f_sq = hours((over.flow_overshoot_kva / self.s_max[:, None]) ** 2)
+        p_slack, p_loss, converged = (
+            _scenario_hours(a.reshape(c, width), arr.state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged)
+        )
+        pen = (
+            w["voltage"] * v_sq.sum(axis=(1, 3))
+            + w["flow"] * f_sq.sum(axis=(1, 3))
+            + w["convergence"] * (~converged).sum(axis=2).astype(float)
+        )
+        return p_slack, p_loss, converged, pen, self._ens(dg, ess, arr)
+
+    def _ens(self, dg: np.ndarray, ess: np.ndarray, arr: ScenarioArrays) -> np.ndarray:
         """Energy not supplied (c, n_s) of c candidates: each bus's mean
         unserved load, weighted by the repair plus restoration hours along its
         feed path.
@@ -340,18 +359,20 @@ class ScheduleEvaluator:
         hour; surplus hours do not bank credit against deficit hours, so the
         unserved level responds to when devices run, not just how much.
         """
-        # candidate-major (c, n_bus, n_s, 24): each candidate's sum over buses
-        # then runs in the same order as for a block of one
-        net_load = np.empty((len(dg), self.net.n_bus) + load_f.shape)
-        np.multiply(self.p_load[:, None, None], load_f, out=net_load)
+        hour = arr.state_hour
+        # unserved load per grid state, candidate-major (c, n_bus, u); the
+        # hourly mean and the sum over buses then run on scenario-hours in the
+        # same order as for a block of one
+        net_load = np.empty((len(dg), self.net.n_bus, len(hour)))
+        np.multiply(self.p_load[:, None], arr.state_load, out=net_load)
         for i, b in enumerate(self.pv_idx):
-            net_load[:, b] -= pv_out[i]
+            net_load[:, b] -= self.pv_capacity[i] * arr.state_pv
         for j, b in enumerate(self.dg_idx):
-            net_load[:, b] -= dg[:, j, None, :]
+            net_load[:, b] -= dg[:, j, hour]
         for j, b in enumerate(self.ess_idx):
-            net_load[:, b] -= np.maximum(0.0, -ess[:, j])[:, None, :]
-        unserved = np.maximum(0.0, net_load).mean(axis=3)  # (c, n_bus, n_s)
-        return (self.path_time[:, None] * unserved).sum(axis=1)
+            net_load[:, b] -= np.maximum(0.0, -ess[:, j, hour])
+        unserved = _scenario_hours(np.maximum(0.0, net_load), arr.state_of, len(arr.load_factor))
+        return (self.path_time[:, None] * unserved.mean(axis=3)).sum(axis=1)
 
     def per_scenario(self, x, sset: ScenarioSet) -> ScenarioOutcomes:
         """Cost, ENS and penalty of a schedule (or of each row of a block)
@@ -389,11 +410,11 @@ class ScheduleEvaluator:
         )
 
 
-def _by_candidate(a: np.ndarray, c: int, n_s: int) -> np.ndarray:
-    """Column-wise values (rows, c * n_s * 24) of c candidates as a
-    contiguous (c, rows, n_s, 24) array."""
-    rows = a.shape[0]
-    return np.ascontiguousarray(a.reshape(rows, c, n_s, HOURS).transpose(1, 0, 2, 3))
+def _scenario_hours(a: np.ndarray, state_of: np.ndarray | None, n_s: int) -> np.ndarray:
+    """Per-state values (..., u) as contiguous per-scenario-hour values
+    (..., n_s, 24); padding columns, to which no scenario-hour maps, drop out."""
+    a = np.ascontiguousarray(a if state_of is None else a.take(state_of, axis=-1))
+    return a.reshape(a.shape[:-1] + (n_s, HOURS))
 
 
 @dataclass(frozen=True)

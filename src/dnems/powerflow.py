@@ -179,7 +179,8 @@ def solve_batch(
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             v_abs = np.abs(v)
             i_new = s_conj * v / np.square(v_abs)  # conj(s / v)
-            i_new[~np.isfinite(i_new)] = 0.0
+            if not np.isfinite(i_new.sum()):  # a NaN or inf anywhere shows in the sum
+                i_new[~np.isfinite(i_new)] = 0.0
             v_new = 1.0 + mdl.dlf @ i_new
             check = it >= 3 or it == max_iter  # nothing converges in 2 sweeps
             if check:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "ForecastProfile",
     "Scenario",
     "ScenarioSet",
+    "ScenarioArrays",
     "RunStatistics",
     "load_forecast",
     "default_forecast",
@@ -87,6 +89,44 @@ class Scenario:
 
 
 @dataclass(frozen=True)
+class ScenarioArrays:
+    """A set's scenarios stacked into (n_s, 24) arrays, and the distinct grid
+    states among its scenario-hours.
+
+    A grid state is an (hour, load factor, PV factor) triple: all that a
+    power flow of that hour sees of a scenario, since price never reaches the
+    network.  Scenario-hours whose factors agree bit for bit share a state.
+    States are numbered in order of first occurrence, so a set without
+    repeats (a deterministic set, say) maps each scenario-hour to itself.
+    """
+
+    load_factor: np.ndarray  # (n_s, 24)
+    pv_factor: np.ndarray  # (n_s, 24)
+    price: np.ndarray  # (n_s, 24)
+    state_hour: np.ndarray  # (u,) int
+    state_load: np.ndarray  # (u,)
+    state_pv: np.ndarray  # (u,)
+    state_of: np.ndarray | None  # (n_s * 24,) state of each scenario-hour; None for the identity
+
+
+def _scenario_arrays(scenarios: tuple[Scenario, ...]) -> ScenarioArrays:
+    load = np.stack([s.load_factor for s in scenarios])
+    pv = np.stack([s.pv_factor for s in scenarios])
+    price = np.stack([s.price for s in scenarios])
+    hour = np.tile(np.arange(HOURS), len(scenarios))
+    # compare factors by their bits, so that states merge only where the
+    # power flows would be identical
+    keys = np.stack([hour, load.ravel().view(np.int64), pv.ravel().view(np.int64)], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    states = first[order]
+    state_of = None if len(states) == len(keys) else rank[inverse.reshape(-1)]
+    return ScenarioArrays(load, pv, price, hour[states], load.ravel()[states], pv.ravel()[states], state_of)
+
+
+@dataclass(frozen=True)
 class ScenarioSet:
     scenarios: tuple[Scenario, ...]
 
@@ -104,6 +144,12 @@ class ScenarioSet:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([s.probability for s in self.scenarios])
+
+    @cached_property
+    def arrays(self) -> ScenarioArrays:
+        """Stacked arrays and grid states, computed on first use and kept for
+        the set's lifetime (its scenarios are not to be mutated)."""
+        return _scenario_arrays(self.scenarios)
 
 
 def _parse_forecast(text: str, source) -> ForecastProfile:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dnems.objectives
 from dnems.network import Branch, Bus, DgSpec, EssSpec, builtin_ieee69, make_network
 from dnems.objectives import (
     DEFAULT_PENALTY_WEIGHTS,
@@ -339,6 +342,102 @@ class TestBlock:
         lower, _ = decision_bounds(_NET)
         with pytest.raises(ValueError, match="block shape"):
             ScheduleEvaluator(_NET).evaluate(np.zeros((2, lower.size + 1)), _SETS["deterministic"])
+
+
+def _repeating_set(seed: int, n_s: int, load: float) -> ScenarioSet:
+    """A set whose scenarios draw each hour's (load, PV) factors from three
+    levels, the last one repeating the first's, so grid states repeat across
+    scenarios; prices all differ."""
+    rng = np.random.default_rng(seed)
+    fc = default_forecast()
+    levels = np.array([0.9, 1.0, 1.1])
+    loads = fc.load_factor * load * levels[rng.integers(3, size=(n_s, 24))]
+    pvs = fc.pv_factor * levels[rng.integers(3, size=(n_s, 24))]
+    loads[-1], pvs[-1] = loads[0], pvs[0]
+    probs = rng.random(n_s) + 0.1
+    probs /= probs.sum()
+    return ScenarioSet(
+        tuple(Scenario(lf, pf, fc.price * rng.uniform(0.5, 1.5, 24), p) for lf, pf, p in zip(loads, pvs, probs))
+    )
+
+
+def _one_column_per_hour(sset: ScenarioSet) -> ScenarioSet:
+    """The same set with every scenario-hour its own state, as if no two
+    were alike."""
+    arr = sset.arrays
+    plain = ScenarioSet(sset.scenarios)
+    plain.__dict__["arrays"] = dataclasses.replace(
+        arr,
+        state_hour=np.tile(np.arange(24), len(sset)),
+        state_load=arr.load_factor.ravel(),
+        state_pv=arr.pv_factor.ravel(),
+        state_of=None,
+    )
+    return plain
+
+
+class TestGridStates:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_s=st.integers(2, 8),
+        load=st.sampled_from([1.0, 1.8]),
+        export_credit=st.booleans(),
+    )
+    def test_set_equals_stacked_scenarios(self, seed, n_s, load, export_credit):
+        # a scenario-hour solved as a shared state, at any column of a padded
+        # block, gives the bits it gets in a column of its own
+        sset = _repeating_set(seed, n_s, load)
+        assert len(sset.arrays.state_hour) < n_s * 24
+        lower, upper = decision_bounds(_NET)
+        flat = lower + np.random.default_rng(seed).random(lower.size) * (upper - lower)
+        x = DecisionVector.from_flat(flat, len(_NET.dgs), len(_NET.esss))
+        ev = ScheduleEvaluator(_NET, export_credit=export_credit)
+        out = ev.per_scenario(x, sset)
+        ref = ev.per_scenario(x, _one_column_per_hour(sset))
+        for name in ("cost", "ens", "penalty"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+        # against each scenario alone: cost sums over hours only, so its bits
+        # match; ENS and penalty also sum over buses, whose order numpy picks
+        # by the number of scenarios
+        bds = [ev.breakdown(x, s) for s in sset]
+        assert out.cost.tolist() == [bd.cost_s for bd in bds]
+        assert out.ens == pytest.approx([bd.ens_s for bd in bds], rel=1e-12)
+        assert out.penalty == pytest.approx([bd.penalty for bd in bds], rel=1e-12)
+        if load > 1.0:  # 1.8x load pushes voltages out of band
+            assert all(bd.penalty > 0 for bd in bds)
+
+    def test_columns_sent_to_solver(self, monkeypatch):
+        widths = []
+
+        def spy(net, p, q):
+            widths.append(p.shape[1])
+            return solve_batch(net, p, q)
+
+        solve_batch = dnems.objectives.solve_batch
+        monkeypatch.setattr(dnems.objectives, "solve_batch", spy)
+        fc = default_forecast()
+        # two scenarios that differ in one hour's load: 25 states, padded to 28
+        bumped = fc.load_factor.copy()
+        bumped[5] *= 1.1
+        pair = ScenarioSet(
+            (Scenario(fc.load_factor, fc.pv_factor, fc.price, 0.5), Scenario(bumped, fc.pv_factor, fc.price, 0.5))
+        )
+        reduced = _SETS["ten_scenarios"]
+        lower, upper = decision_bounds(_NET)
+        positions = lower + np.random.default_rng(1).random((30, lower.size)) * (upper - lower)
+        ev = ScheduleEvaluator(_NET)
+        for sset, per_candidate in (
+            (pair, 28),
+            (reduced, -(-len(reduced.arrays.state_hour) // 4) * 4),
+            (_SETS["deterministic"], 24),
+        ):
+            widths.clear()
+            ev.evaluate(positions, sset)
+            assert sum(widths) == 30 * per_candidate
+            assert all(w % per_candidate == 0 and w % 4 == 0 for w in widths)
+        assert len(pair.arrays.state_hour) == 25
+        assert len(reduced.arrays.state_hour) < 10 * 24
 
 
 class TestDecisionBounds:

@@ -155,6 +155,24 @@ class TestBatch:
             for name in ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch"):
                 assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (k, name)
 
+    def test_nonfinite_column_isolated(self, ieee69):
+        # an absurd load overflows its column's currents to NaN mid-sweep: the
+        # solver zeroes them, so the column's results stay finite, flags the
+        # column, and leaves the other columns' bits as they are without it
+        p, q = load_injections(ieee69)
+        factors = np.linspace(0.5, 1.5, 8)
+        p_ok, q_ok = p[:, None] * factors, q[:, None] * factors
+        p_bad = p_ok.copy()
+        p_bad[5, 3] = -1e300
+        ok = solve_batch(ieee69, p_ok, q_ok)
+        bad = solve_batch(ieee69, p_bad, q_ok)
+        assert ok.converged.all() and not bad.converged[3]
+        assert np.isfinite(bad.v_complex[:, 3]).all() and np.isfinite(bad.s_flow[:, 3]).all()
+        assert np.isfinite([bad.p_loss[3], bad.p_slack[3], bad.q_slack[3]]).all()
+        others = np.arange(8) != 3
+        for name in ("v_complex", "s_flow", "p_loss", "p_slack", "converged", "mismatch"):
+            assert np.array_equal(getattr(bad, name)[..., others], getattr(ok, name)[..., others]), name
+
     def test_max_iter_validation(self, ieee69):
         z = np.zeros((69, 1))
         with pytest.raises(ValueError, match="max_iter"):

@@ -227,3 +227,52 @@ class TestSerialization:
         sset = deterministic_set(fc)
         assert len(sset) == 1
         assert sset.scenarios[0].probability == 1.0
+
+
+class TestScenarioArrays:
+    def test_states_map_back(self):
+        sset = reduce(generate(default_forecast(), n=80, seed=2), 40)
+        arr = sset.arrays
+        assert arr is sset.arrays  # computed once per set
+        assert np.array_equal(arr.load_factor, np.stack([s.load_factor for s in sset]))
+        assert np.array_equal(arr.price, np.stack([s.price for s in sset]))
+        assert len(arr.state_hour) < 40 * 24  # seven error levels repeat states
+        hours = np.tile(np.arange(24), 40)
+        assert np.array_equal(arr.state_hour[arr.state_of], hours)
+        assert np.array_equal(arr.state_load[arr.state_of], arr.load_factor.ravel())
+        assert np.array_equal(arr.state_pv[arr.state_of], arr.pv_factor.ravel())
+        # states are distinct and numbered in order of first occurrence
+        keys = set(zip(arr.state_hour, arr.state_load, arr.state_pv))
+        assert len(keys) == len(arr.state_hour)
+        _, first = np.unique(arr.state_of, return_index=True)
+        assert np.all(np.diff(first) > 0)
+
+    def test_identity_without_repeats(self):
+        arr = deterministic_set(default_forecast()).arrays
+        assert arr.state_of is None
+        assert np.array_equal(arr.state_hour, np.arange(24))
+        assert np.array_equal(arr.state_load, default_forecast().load_factor)
+
+    def test_price_does_not_split_states(self):
+        fc = default_forecast()
+        sset = ScenarioSet(
+            (
+                Scenario(fc.load_factor, fc.pv_factor, fc.price, 0.5),
+                Scenario(fc.load_factor, fc.pv_factor, fc.price * 2.0, 0.5),
+            )
+        )
+        arr = sset.arrays
+        assert len(arr.state_hour) == 24
+        assert np.array_equal(arr.state_of, np.tile(np.arange(24), 2))
+
+    def test_signed_zero_is_a_distinct_state(self):
+        # states merge on identical bits only, so -0.0 and 0.0 stay apart
+        base = np.full(24, 0.5)
+        neg = base.copy()
+        neg[3] = -0.0
+        pos = base.copy()
+        pos[3] = 0.0
+        sset = ScenarioSet(
+            (Scenario(base, neg, np.full(24, 0.1), 0.5), Scenario(base, pos, np.full(24, 0.1), 0.5))
+        )
+        assert len(sset.arrays.state_hour) == 25
