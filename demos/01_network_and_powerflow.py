@@ -7,7 +7,7 @@ arrays inject at full output.
 
 import numpy as np
 
-from dnems import InjectionProfile, builtin_ieee69, check_limits, radial_order, solve
+from dnems import builtin_ieee69, check_limits, radial_order, solve_batch
 
 net = builtin_ieee69()
 print(f"{net.n_bus} buses, {len(net.branches)} branches, "
@@ -22,8 +22,8 @@ print(f"deepest bus: #{deepest.id}, {len(order.path(deepest.id))} branches from 
 # base case: every bus draws its nominal load, no devices running
 p = np.array([-b.p_load for b in net.buses])
 q = np.array([-b.q_load for b in net.buses])
-sol = solve(net, InjectionProfile(p, q))
-print(f"\nbase case: loss {sol.p_loss_total:.1f} kW, "
+sol = solve_batch(net, p, q)
+print(f"\nbase case: loss {sol.p_loss:.1f} kW, "
       f"min voltage {sol.v.min():.4f} pu at bus {int(np.argmin(sol.v)) + 1}, "
       f"import {sol.p_slack:.0f} kW ({sol.iterations} sweeps)")
 
@@ -34,7 +34,7 @@ print(f"limit violations: {'none' if report.is_empty else 'yes'}")
 p_noon = p.copy()
 for pv in net.pvs:
     p_noon[pv.bus - 1] += pv.capacity
-sol_noon = solve(net, InjectionProfile(p_noon, q))
-print(f"\nwith 4.5 MW of PV: loss {sol_noon.p_loss_total:.1f} kW, "
+sol_noon = solve_batch(net, p_noon, q)
+print(f"\nwith 4.5 MW of PV: loss {sol_noon.p_loss:.1f} kW, "
       f"min voltage {sol_noon.v.min():.4f} pu, import {sol_noon.p_slack:.0f} kW")
 print("local generation flattens the voltage profile and cuts the feeder import")

@@ -34,7 +34,7 @@ from .objectives import (
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run, rowwise, single_run
 from .pareto import ParetoArchive, best_compromise, dominates, membership
-from .powerflow import InjectionProfile, check_limits, solve
+from .powerflow import check_limits, solve_batch
 from .scenarios import (
     ForecastProfile,
     Scenario,
@@ -57,7 +57,6 @@ __all__ = [
     "EssSpec",
     "ForecastProfile",
     "HybridConfig",
-    "InjectionProfile",
     "Network",
     "ObjectiveVector",
     "ParetoArchive",
@@ -87,6 +86,6 @@ __all__ = [
     "run_study",
     "save_network",
     "single_run",
-    "solve",
+    "solve_batch",
     "stopping_rule",
 ]

@@ -13,6 +13,7 @@ load.  The substation is the slack bus, pinned at 1.0 pu.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,11 +23,8 @@ import numpy as np
 from .network import Network, radial_order
 
 __all__ = [
-    "InjectionProfile",
-    "PowerFlowSolution",
     "BatchPowerFlow",
     "ViolationReport",
-    "solve",
     "solve_batch",
     "check_limits",
 ]
@@ -37,49 +35,21 @@ _V_COLLAPSE = 0.2  # pu magnitude below which the fixed point is declared diverg
 
 
 @dataclass(frozen=True)
-class InjectionProfile:
-    """Net bus injections for one hour, kW / kvar, indexed by bus position.
-
-    The substation entry is ignored (slack balances the system).
-    """
-
-    p_kw: np.ndarray
-    q_kvar: np.ndarray
-
-
-@dataclass(frozen=True)
-class PowerFlowSolution:
-    v: np.ndarray  # per-bus voltage magnitude, pu
-    delta: np.ndarray  # per-bus voltage angle, rad
-    s_flow: np.ndarray  # per-branch apparent power at sending end, kVA
-    p_loss_total: float  # kW
-    p_slack: float  # substation active power, kW (positive = import)
-    q_slack: float  # kvar
-    converged: bool
-    iterations: int
-    mismatch: float  # worst per-unit power mismatch at any non-slack bus
-
-
-@dataclass(frozen=True)
 class BatchPowerFlow:
-    """Column-wise solutions for a matrix of injection profiles."""
+    """Solutions of a batch of injection profiles, one per trailing index."""
 
-    v_complex: np.ndarray  # (n_bus, m) phasors; magnitude/angle derived lazily
-    s_flow: np.ndarray  # (n_branch, m), kVA
-    p_loss: np.ndarray  # (m,), kW
-    p_slack: np.ndarray  # (m,), kW
-    q_slack: np.ndarray  # (m,), kvar
-    converged: np.ndarray  # (m,), bool
-    iterations: int
-    mismatch: np.ndarray  # (m,), pu
+    v_complex: np.ndarray  # (n_bus, *batch) phasors; magnitude derived lazily
+    s_flow: np.ndarray  # (n_branch, *batch) apparent power at the sending end, kVA
+    p_loss: np.ndarray  # batch, kW
+    p_slack: np.ndarray  # batch, substation active power, kW (positive = import)
+    q_slack: np.ndarray  # batch, kvar
+    converged: np.ndarray  # batch, bool
+    iterations: int  # sweeps of the whole call
+    mismatch: np.ndarray  # batch, worst per-unit power mismatch at any non-slack bus
 
     @cached_property
     def v(self) -> np.ndarray:
         return np.abs(self.v_complex)
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        return np.angle(self.v_complex)
 
 
 class _SweepModel:
@@ -135,40 +105,48 @@ def solve_batch(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BatchPowerFlow:
-    """Solve one power flow per column of the (n_bus, m) injection matrices.
+    """Solve the bus-injection power-flow equations for a batch of profiles.
 
-    Any other shape, a transposed (m, n_bus) block included, raises
-    ValueError.
+    Injections are shaped (n_bus,) for one profile or (n_bus, *batch) for
+    many; each result keeps the batch shape after its leading bus or branch
+    axis, so a single profile gives 0-d per-profile results.  Any other
+    leading axis, a transposed (m, n_bus) block included, raises ValueError.
+
+    A profile's per-bus power mismatch is at most ``tol`` (pu) when it is
+    ``converged``; a non-converged profile is returned rather than raised so
+    callers can penalize it.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     mdl = _model(net)
     p = np.asarray(p_kw, dtype=float)
     q = np.asarray(q_kvar, dtype=float)
-    if p.ndim != 2 or p.shape[0] != net.n_bus or q.shape != p.shape:
-        raise ValueError(f"injection matrices must be (n_bus={net.n_bus}, m)")
-    m = p.shape[1]
+    if p.ndim == 0 or p.shape[0] != net.n_bus or q.shape != p.shape:
+        raise ValueError(f"injections must be shaped (n_bus={net.n_bus},) or (n_bus={net.n_bus}, *batch)")
+    batch = p.shape[1:]
+    m = math.prod(batch)
 
     if net.n_bus == 1:  # bare substation: nothing to solve
-        zeros = np.zeros(m)
+        zeros = np.zeros(batch)
         return BatchPowerFlow(
-            v_complex=np.ones((1, m), dtype=complex),
-            s_flow=np.zeros((0, m)),
+            v_complex=np.ones((1, *batch), dtype=complex),
+            s_flow=np.zeros((0, *batch)),
             p_loss=zeros,
             p_slack=zeros.copy(),
             q_slack=zeros.copy(),
-            converged=np.ones(m, dtype=bool),
+            converged=np.ones(batch, dtype=bool),
             iterations=0,
             mismatch=zeros.copy(),
         )
 
+    p, q = p.reshape(net.n_bus, m), q.reshape(net.n_bus, m)
     s_pu = (p[mdl.nonslack] + 1j * q[mdl.nonslack]) / mdl.s_base_kva  # (n-1, m)
     s_conj = np.conj(s_pu)
     s_abs = np.abs(s_pu)
     v = np.ones((net.n_bus - 1, m), dtype=complex)
     i_inj = np.zeros_like(v)
     mismatch = np.full(m, np.inf)
-    alive = np.ones(m, dtype=bool)
+    alive = np.ones(m, dtype=bool)  # columns not diverged
     active = np.ones(m, dtype=bool)  # columns still iterating
 
     it = 0
@@ -180,7 +158,10 @@ def solve_batch(
             v_abs = np.abs(v)
             i_new = s_conj * v / np.square(v_abs)  # conj(s / v)
             if not np.isfinite(i_new.sum()):  # a NaN or inf anywhere shows in the sum
-                i_new[~np.isfinite(i_new)] = 0.0
+                # diverged columns: zero currents give v = 1, then they freeze
+                diverged = ~np.isfinite(i_new).all(axis=0)
+                i_new[:, diverged] = 0.0
+                alive &= ~diverged
             v_new = 1.0 + mdl.dlf @ i_new
             check = it >= 3 or it == max_iter  # nothing converges in 2 sweeps
             if check:
@@ -192,10 +173,11 @@ def solve_batch(
         else:
             i_inj[:, active] = i_new[:, active]
             v[:, active] = v_new[:, active]
+        active &= alive
         if check:
-            active = alive & (mismatch > tol)
-            if not active.any():
-                break
+            active &= mismatch > tol
+        if not active.any():
+            break
 
     converged = alive & (mismatch <= tol)
 
@@ -212,62 +194,31 @@ def solve_batch(
     root = mdl.parent == mdl.slack
     s_slack = s_from[root].sum(axis=0) * mdl.s_base_kva
     return BatchPowerFlow(
-        v_complex=v_full,
-        s_flow=np.abs(s_from) * mdl.s_base_kva,
-        p_loss=loss,
-        p_slack=s_slack.real,
-        q_slack=s_slack.imag,
-        converged=converged,
+        v_complex=v_full.reshape(net.n_bus, *batch),
+        s_flow=(np.abs(s_from) * mdl.s_base_kva).reshape(len(s_from), *batch),
+        p_loss=loss.reshape(batch),
+        p_slack=s_slack.real.reshape(batch),
+        q_slack=s_slack.imag.reshape(batch),
+        converged=converged.reshape(batch),
         iterations=it,
-        mismatch=mismatch,
-    )
-
-
-def solve(
-    net: Network,
-    inj: InjectionProfile,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PowerFlowSolution:
-    """Solve the bus-injection power-flow equations for one injection profile.
-
-    Returns a solution whose per-bus power mismatch is at most ``tol`` (pu)
-    when ``converged`` is set; a non-converged solution is returned rather
-    than raised so callers can penalize it.
-    """
-    batch = solve_batch(net, np.asarray(inj.p_kw, float)[:, None], np.asarray(inj.q_kvar, float)[:, None], tol, max_iter)
-    return PowerFlowSolution(
-        v=batch.v[:, 0],
-        delta=batch.delta[:, 0],
-        s_flow=batch.s_flow[:, 0],
-        p_loss_total=float(batch.p_loss[0]),
-        p_slack=float(batch.p_slack[0]),
-        q_slack=float(batch.q_slack[0]),
-        converged=bool(batch.converged[0]),
-        iterations=batch.iterations,
-        mismatch=float(batch.mismatch[0]),
+        mismatch=mismatch.reshape(batch),
     )
 
 
 @dataclass(frozen=True)
 class ViolationReport:
-    flow_overshoot_kva: np.ndarray  # per branch (x column), max(0, flow - s_max)
-    voltage_overshoot_pu: np.ndarray  # per bus (x column), distance outside [v_min, v_max]
+    flow_overshoot_kva: np.ndarray  # (n_branch, *batch), max(0, flow - s_max)
+    voltage_overshoot_pu: np.ndarray  # (n_bus, *batch), distance outside [v_min, v_max]
 
     @property
     def is_empty(self) -> bool:
         return not (np.any(self.flow_overshoot_kva > 0) or np.any(self.voltage_overshoot_pu > 0))
 
 
-def check_limits(sol: PowerFlowSolution | BatchPowerFlow, net: Network) -> ViolationReport:
-    """Per-branch flow overshoots and per-bus voltage violations, as max(0, excess).
-
-    A batch solution gives column-wise overshoots shaped like its ``s_flow``
-    and ``v``.
-    """
-    s_max = _model(net).s_max
-    if sol.s_flow.ndim == 2:
-        s_max = s_max[:, None]
+def check_limits(sol: BatchPowerFlow, net: Network) -> ViolationReport:
+    """Per-branch flow overshoots and per-bus voltage violations, as max(0,
+    excess), shaped like the solution's ``s_flow`` and ``v``."""
+    s_max = _model(net).s_max.reshape(-1, *(1,) * (sol.s_flow.ndim - 1))
     flow = np.maximum(0.0, sol.s_flow - s_max)
     volt = np.maximum(0.0, net.v_min - sol.v) + np.maximum(0.0, sol.v - net.v_max)
     return ViolationReport(flow_overshoot_kva=flow, voltage_overshoot_pu=volt)

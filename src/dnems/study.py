@@ -105,6 +105,10 @@ class StudyConfig:
     def from_dict(cls, doc: dict) -> "StudyConfig":
         doc = dict(doc)
         opt = doc.pop("optimizer", {})
+        # a study derives these per run, from the top-level keys named here
+        for key, top in (("seed", "seed"), ("objective_weights", "weights")):
+            if isinstance(opt, dict) and key in opt:
+                raise ConfigError(f"optimizer.{key} has no effect in a study; set the top-level {top!r}")
         try:
             optimizer = HybridConfig(**opt) if isinstance(opt, dict) else opt
             known = {k for k in cls.__dataclass_fields__}

@@ -33,7 +33,7 @@ from dnems.optimizer import (
     single_run,
 )
 from dnems.pareto import dominates
-from dnems.powerflow import InjectionProfile, solve
+from dnems.powerflow import solve_batch
 from dnems.scenarios import (
     ForecastProfile,
     default_forecast,
@@ -64,21 +64,21 @@ def test_criterion_1_powerflow_oracle_equivalence(ieee69):
         scale = rng.uniform(0.3, 1.5)
         p = np.array([-b.p_load * scale for b in net.buses])
         q = np.array([-b.q_load * scale for b in net.buses])
-        sol = solve(net, InjectionProfile(p, q), tol=PF_TOL)
+        sol = solve_batch(net, p, q, tol=PF_TOL)
         assert sol.converged, f"case {case} did not converge"
         v_ref, ok = pf_oracle_newton(net, p, q)
         assert ok, f"oracle failed on case {case}"
         worst = max(worst, float(np.max(np.abs(sol.v - np.abs(v_ref)))))
-        residual = sol.p_slack + p.sum() - sol.p_loss_total
+        residual = sol.p_slack + p.sum() - sol.p_loss
         assert abs(residual) <= 10 * PF_TOL * net.base_mva * 1000
 
     p = np.array([-b.p_load for b in ieee69.buses])
     q = np.array([-b.q_load for b in ieee69.buses])
-    sol = solve(ieee69, InjectionProfile(p, q), tol=PF_TOL)
+    sol = solve_batch(ieee69, p, q, tol=PF_TOL)
     v_ref, ok = pf_oracle_newton(ieee69, p, q)
     assert sol.converged and ok
     worst = max(worst, float(np.max(np.abs(sol.v - np.abs(v_ref)))))
-    residual = sol.p_slack + p.sum() - sol.p_loss_total
+    residual = sol.p_slack + p.sum() - sol.p_loss
     assert abs(residual) <= 10 * PF_TOL * ieee69.base_mva * 1000
 
     assert worst < 1e-6
@@ -434,7 +434,7 @@ def test_criterion_10_storage_dynamics_and_penalty(ieee69):
                 p[dg.bus - 1] += x.dg_power[j, t]
             for k, ess in enumerate(ieee69.esss):
                 p[ess.bus - 1] -= x.ess_power[k, t]
-            sol = solve(ieee69, InjectionProfile(p, q))
+            sol = solve_batch(ieee69, p, q)
             assert sol.converged
             assert np.all(sol.v >= ieee69.v_min - 1e-9)
             assert np.all(sol.v <= ieee69.v_max + 1e-9)

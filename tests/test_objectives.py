@@ -411,7 +411,7 @@ class TestGridStates:
         widths = []
 
         def spy(net, p, q):
-            widths.append(p.shape[1])
+            widths.append(p[0].size)
             return solve_batch(net, p, q)
 
         solve_batch = dnems.objectives.solve_batch

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnems.objectives import ObjectiveVector
 from dnems.pareto import (
@@ -127,6 +128,25 @@ class TestArchive:
                 arch.insert(ArchiveEntry(x=None, f=ov(f1, f2, pen)))
             got = {(e.f.f1, e.f.f2, e.f.penalty) for e in arch.entries}
             assert got == nondominated_filter(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # few distinct values, so objective ties and exact repeats are common
+        points=st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 1.5, 3.0]), st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+                      st.sampled_from([0.0, 0.0, 1.0, 2.0])),
+            max_size=40,
+        ),
+        capacity=st.integers(1, 6),
+    )
+    def test_any_insert_stream_keeps_invariants(self, points, capacity):
+        arch = ParetoArchive(capacity=capacity)
+        for f1, f2, pen in points:
+            arch.insert(ArchiveEntry(x=None, f=ov(f1, f2, pen)))
+        kept = [(e.f.f1, e.f.f2, e.f.penalty) for e in arch.entries]
+        assert len(kept) <= capacity
+        assert len(set(kept)) == len(kept)
+        assert nondominated_filter(kept) == set(kept)
 
 
 class TestBestCompromise:

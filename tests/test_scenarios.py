@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from dnems.scenarios import (
@@ -154,6 +155,22 @@ class TestReduce:
             reduced = reduce(raw, len(raw) - 1)
             kept = [s.features().tobytes() for s in reduced]
             assert raw.scenarios[victim].features().tobytes() not in kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.05, 0.2])] * 3),
+        levels=st.sampled_from([3, 5, 7]),
+        kept=st.floats(0.0, 1.0),
+    )
+    def test_generate_then_reduce_conserves_mass(self, n, seed, sigmas, levels, kept):
+        fc = default_forecast()
+        raw = generate(ForecastProfile(fc.load_factor, fc.pv_factor, fc.price, *sigmas), n=n, seed=seed, levels=levels)
+        reduced = reduce(raw, max(1, round(kept * len(raw))))
+        for sset in (raw, reduced):
+            assert abs(sum(s.probability for s in sset) - 1.0) <= 1e-12
+            assert all(s.probability > 0 for s in sset)
 
     def test_bad_target(self):
         sset = generate(default_forecast(), n=5, seed=1)

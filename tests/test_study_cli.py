@@ -285,6 +285,8 @@ class TestCli:
             ({"optimizer": {"archive_capacity": 0}}, "archive_capacity must be >= 1"),
             ({"optimizer": {"c1": -1.0}}, "c1 must be >= 0"),
             ({"optimizer": {"mu_low": -0.1}}, "mu_low must be >= 0"),
+            ({"optimizer": {"seed": 3}}, "top-level 'seed'"),
+            ({"optimizer": {"objective_weights": [1.0, 0.0]}}, "top-level 'weights'"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
