@@ -15,13 +15,12 @@ print(f"  total probability: {sum(p for _, p in bins):.12f}")
 forecast = default_forecast()
 raw = generate(forecast, n=200, seed=42)
 print(f"\n200 draws -> {len(raw)} distinct scenarios (duplicates merged), "
-      f"sum psi = {sum(s.probability for s in raw):.12f}")
+      f"sum psi = {sum(raw.probabilities.tolist()):.12f}")
 
 kept = reduce(raw, 30)
 print(f"reduced to {len(kept)}; the surviving mass still sums to "
-      f"{sum(s.probability for s in kept):.12f}")
-heaviest = max(kept, key=lambda s: s.probability)
-print(f"heaviest surviving scenario carries psi = {heaviest.probability:.3f}")
+      f"{sum(kept.probabilities.tolist()):.12f}")
+print(f"heaviest surviving scenario carries psi = {kept.probabilities.max():.3f}")
 
 # the stopping rule: keep adding runs until the 95% CI is tight enough
 rng = np.random.default_rng(7)

@@ -9,7 +9,7 @@ from dnems.scenarios import deterministic_set
 
 net = builtin_ieee69()
 forecast = default_forecast()
-scenario = deterministic_set(forecast).scenarios[0]
+scenario = deterministic_set(forecast)
 n_dg, n_ess = len(net.dgs), len(net.esss)
 evaluator = ScheduleEvaluator(net)
 

@@ -37,7 +37,6 @@ from .pareto import ParetoArchive, best_compromise, dominates, membership
 from .powerflow import check_limits, solve_batch
 from .scenarios import (
     ForecastProfile,
-    Scenario,
     ScenarioSet,
     default_forecast,
     discretize_normal,
@@ -61,7 +60,6 @@ __all__ = [
     "ObjectiveVector",
     "ParetoArchive",
     "PvSpec",
-    "Scenario",
     "ScenarioSet",
     "ScheduleEvaluator",
     "SearchSpace",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .network import Network, radial_order
 from .powerflow import check_limits, solve_batch
-from .scenarios import HOURS, Scenario, ScenarioArrays, ScenarioSet
+from .scenarios import HOURS, ScenarioSet
 
 __all__ = [
     "DecisionVector",
@@ -261,11 +261,10 @@ class ScheduleEvaluator:
         """The evaluation kernel: the grid states of a block of candidates in
         as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, then hourly
         costs and per-candidate, per-scenario totals."""
-        arr = sset.arrays
         k = len(dg)
         w = self.weights
 
-        pv_out = self.pv_capacity[:, None, None] * arr.pv_factor[None, :, :]  # (n_pv, n_s, 24)
+        pv_out = self.pv_capacity[:, None, None] * sset.pv_factor[None, :, :]  # (n_pv, n_s, 24)
         pv_cost = self.pv_mcost[:, None, None] * pv_out
         pv_cost_s = pv_cost.sum(axis=(0, 2))
 
@@ -288,16 +287,16 @@ class ScheduleEvaluator:
         # columns per candidate: the states, padded to a multiple of 4 by
         # repeating states, since the sweep's matrix product gives a column
         # the same bits at any position of a block only at such widths
-        width = -(-len(arr.state_hour) // 4) * 4
+        width = -(-len(sset.grid_states[0]) // 4) * 4
         per_call = max(1, _CALL_BUS_COLUMNS // (self.net.n_bus * width))
         parts = [
-            self._network(dg[a : a + per_call], ess[a : a + per_call], arr, width)
+            self._network(dg[a : a + per_call], ess[a : a + per_call], sset, width)
             for a in range(0, k, per_call)
         ]
         p_slack, p_loss, converged, pen, ens = (np.concatenate(arrs) for arrs in zip(*parts))
         pen = pen + static_pen[:, None]
         billed = p_slack if self.export_credit else np.maximum(p_slack, 0.0)
-        grid_cost = arr.price * billed
+        grid_cost = sset.price * billed
         cost = grid_cost.sum(axis=2) + dg_cost_s[:, None] + pv_cost_s
         outcomes = ScenarioOutcomes(cost=cost, ens=ens, penalty=pen, probabilities=sset.probabilities)
         return _Day(
@@ -311,7 +310,7 @@ class ScheduleEvaluator:
             outcomes=outcomes,
         )
 
-    def _network(self, dg: np.ndarray, ess: np.ndarray, arr: ScenarioArrays, width: int):
+    def _network(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet, width: int):
         """One power-flow call for c candidates over ``width`` columns each
         (the set's grid states, cyclically padded): slack power, losses and
         convergence per scenario-hour (c, n_s, 24), and the (c, n_s) network
@@ -320,9 +319,10 @@ class ScheduleEvaluator:
         Column results are gathered back to scenario-hours before any sum, so
         every total runs over the same values in the same order as if each
         scenario-hour had been solved in its own column."""
-        n_bus, c, (n_s, _) = self.net.n_bus, len(dg), arr.load_factor.shape
+        n_bus, c, n_s = self.net.n_bus, len(dg), len(sset)
         w = self.weights
-        hour, load_f, pv_f = (np.resize(a, width) for a in (arr.state_hour, arr.state_load, arr.state_pv))
+        *states, state_of = sset.grid_states
+        hour, load_f, pv_f = (np.resize(a, width) for a in states)
         # injections (n_bus, c, width): columns ordered candidate, state
         p = np.empty((n_bus, c, width))
         q = np.empty((n_bus, c, width))
@@ -340,22 +340,22 @@ class ScheduleEvaluator:
         # (c, rows, n_s, 24) arrays: each candidate's sums then run in the
         # same order as for a block of one
         def hours(a):  # (rows, c, width) -> (c, rows, n_s, 24)
-            return _scenario_hours(a.swapaxes(0, 1), arr.state_of, n_s)
+            return _scenario_hours(a.swapaxes(0, 1), state_of, n_s)
 
         over = check_limits(sol, self.net)
         v_sq = hours(over.voltage_overshoot_pu**2)
         f_sq = hours((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2)
         p_slack, p_loss, converged = (
-            _scenario_hours(a, arr.state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged)
+            _scenario_hours(a, state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged)
         )
         pen = (
             w["voltage"] * v_sq.sum(axis=(1, 3))
             + w["flow"] * f_sq.sum(axis=(1, 3))
             + w["convergence"] * (~converged).sum(axis=2).astype(float)
         )
-        return p_slack, p_loss, converged, pen, self._ens(dg, ess, arr)
+        return p_slack, p_loss, converged, pen, self._ens(dg, ess, sset)
 
-    def _ens(self, dg: np.ndarray, ess: np.ndarray, arr: ScenarioArrays) -> np.ndarray:
+    def _ens(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> np.ndarray:
         """Energy not supplied (c, n_s) of c candidates: each bus's mean
         unserved load, weighted by the repair plus restoration hours along its
         feed path.
@@ -364,19 +364,19 @@ class ScheduleEvaluator:
         hour; surplus hours do not bank credit against deficit hours, so the
         unserved level responds to when devices run, not just how much.
         """
-        hour = arr.state_hour
+        hour, load_f, pv_f, state_of = sset.grid_states
         # unserved load per grid state, candidate-major (c, n_bus, u); the
         # hourly mean and the sum over buses then run on scenario-hours in the
         # same order as for a block of one
         net_load = np.empty((len(dg), self.net.n_bus, len(hour)))
-        np.multiply(self.p_load[:, None], arr.state_load, out=net_load)
+        np.multiply(self.p_load[:, None], load_f, out=net_load)
         for i, b in enumerate(self.pv_idx):
-            net_load[:, b] -= self.pv_capacity[i] * arr.state_pv
+            net_load[:, b] -= self.pv_capacity[i] * pv_f
         for j, b in enumerate(self.dg_idx):
             net_load[:, b] -= dg[:, j, hour]
         for j, b in enumerate(self.ess_idx):
             net_load[:, b] -= np.maximum(0.0, -ess[:, j, hour])
-        unserved = _scenario_hours(np.maximum(0.0, net_load), arr.state_of, len(arr.load_factor))
+        unserved = _scenario_hours(np.maximum(0.0, net_load), state_of, len(sset))
         return (self.path_time[:, None] * unserved.mean(axis=3)).sum(axis=1)
 
     def per_scenario(self, x, sset: ScenarioSet) -> ScenarioOutcomes:
@@ -396,9 +396,10 @@ class ScheduleEvaluator:
         fs = [ObjectiveVector(f1=float(psi @ c), f2=float(psi @ e), penalty=float(psi @ p)) for c, e, p in rows]
         return fs[0] if isinstance(x, DecisionVector) else fs
 
-    def breakdown(self, x: DecisionVector, s: Scenario) -> EvaluationBreakdown:
-        """Full hourly breakdown of one schedule under one scenario."""
-        sset = ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),))
+    def breakdown(self, x: DecisionVector, sset: ScenarioSet) -> EvaluationBreakdown:
+        """Full hourly breakdown of one schedule under a one-scenario set."""
+        if len(sset) != 1:
+            raise ValueError(f"breakdown takes a one-scenario set, got {len(sset)} scenarios")
         day = self._day(*self._block(x), sset)
         out = day.outcomes
         return EvaluationBreakdown(

@@ -13,6 +13,7 @@ plus the constraint penalty.  The archive keeps the actual non-dominated set.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,6 +91,10 @@ class HybridConfig:
     penalty_weights: dict | None = None  # overrides merged over the schedule evaluator's defaults
 
     def __post_init__(self):
+        for name in ("population", "iterations", "seed", "archive_capacity"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population < 2 or self.population % 2:
             raise ValueError("population must be even and >= 2")
         if self.iterations < 1:

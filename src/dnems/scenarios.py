@@ -21,9 +21,7 @@ import numpy as np
 __all__ = [
     "HOURS",
     "ForecastProfile",
-    "Scenario",
     "ScenarioSet",
-    "ScenarioArrays",
     "RunStatistics",
     "load_forecast",
     "default_forecast",
@@ -38,10 +36,12 @@ HOURS = 24
 _PROB_TOL = 1e-12
 
 
-def _as24(name, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (HOURS,):
-        raise ValueError(f"{name} must have {HOURS} hourly entries, got shape {arr.shape}")
+def _hourly(name, values, ndim: int = 1) -> np.ndarray:
+    """A float array of hourly values: (24,) for ``ndim`` 1, (n, 24) for 2."""
+    arr = np.array(values, dtype=float, order="C")
+    if arr.ndim != ndim or arr.shape[-1] != HOURS:
+        per = " per scenario" * (ndim == 2)
+        raise ValueError(f"{name} must have {HOURS} hourly entries{per}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} entries must be finite")
     return arr
@@ -59,97 +59,81 @@ class ForecastProfile:
     sigma_price: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "load_factor", _as24("load_factor", self.load_factor))
-        object.__setattr__(self, "pv_factor", _as24("pv_factor", self.pv_factor))
-        object.__setattr__(self, "price", _as24("price", self.price))
+        for name in ("load_factor", "pv_factor", "price"):
+            object.__setattr__(self, name, _hourly(name, getattr(self, name)))
         if not all(0 <= s < np.inf for s in (self.sigma_load, self.sigma_pv, self.sigma_price)):
             raise ValueError("sigmas must be finite and nonnegative")
         if np.any(self.pv_factor < 0) or np.any(self.pv_factor > 1):
             raise ValueError("pv_factor must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One realized 24-hour triple with its occurrence probability."""
-
-    load_factor: np.ndarray
-    pv_factor: np.ndarray
-    price: np.ndarray
-    probability: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "load_factor", _as24("load_factor", self.load_factor))
-        object.__setattr__(self, "pv_factor", _as24("pv_factor", self.pv_factor))
-        object.__setattr__(self, "price", _as24("price", self.price))
-        if not self.probability > 0:
-            raise ValueError("scenario probability must be positive")
-
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.load_factor, self.pv_factor, self.price])
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct value among ``keys``' rows, in order of
+    first occurrence, and the number in that order of every row's value."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
 
 
-@dataclass(frozen=True)
-class ScenarioArrays:
-    """A set's scenarios stacked into (n_s, 24) arrays, and the distinct grid
-    states among its scenario-hours.
+@dataclass(frozen=True, eq=False)
+class ScenarioSet:
+    """n_s realized 24-hour (load factor, PV factor, price) triples, stacked
+    into read-only (n_s, 24) arrays, with their occurrence probabilities.
 
-    A grid state is an (hour, load factor, PV factor) triple: all that a
-    power flow of that hour sees of a scenario, since price never reaches the
-    network.  Scenario-hours whose factors agree bit for bit share a state.
-    States are numbered in order of first occurrence, so a set without
-    repeats (a deterministic set, say) maps each scenario-hour to itself.
+    Every probability is positive and they sum to one within 1e-12, summed
+    one after another in scenario order.  The arrays are copies, so a set
+    never changes after it is built.
     """
 
     load_factor: np.ndarray  # (n_s, 24)
     pv_factor: np.ndarray  # (n_s, 24)
     price: np.ndarray  # (n_s, 24)
-    state_hour: np.ndarray  # (u,) int
-    state_load: np.ndarray  # (u,)
-    state_pv: np.ndarray  # (u,)
-    state_of: np.ndarray | None  # (n_s * 24,) state of each scenario-hour; None for the identity
-
-
-def _scenario_arrays(scenarios: tuple[Scenario, ...]) -> ScenarioArrays:
-    load = np.stack([s.load_factor for s in scenarios])
-    pv = np.stack([s.pv_factor for s in scenarios])
-    price = np.stack([s.price for s in scenarios])
-    hour = np.tile(np.arange(HOURS), len(scenarios))
-    # compare factors by their bits, so that states merge only where the
-    # power flows would be identical
-    keys = np.stack([hour, load.ravel().view(np.int64), pv.ravel().view(np.int64)], axis=1)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    states = first[order]
-    state_of = None if len(states) == len(keys) else rank[inverse.reshape(-1)]
-    return ScenarioArrays(load, pv, price, hour[states], load.ravel()[states], pv.ravel()[states], state_of)
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    scenarios: tuple[Scenario, ...]
+    probabilities: np.ndarray  # (n_s,)
 
     def __post_init__(self):
-        total = sum(s.probability for s in self.scenarios)
+        for name in ("load_factor", "pv_factor", "price"):
+            object.__setattr__(self, name, _hourly(name, getattr(self, name), ndim=2))
+        object.__setattr__(self, "probabilities", np.array(self.probabilities, dtype=float))
+        for arr in (self.load_factor, self.pv_factor, self.price, self.probabilities):
+            arr.setflags(write=False)
+        shapes = [a.shape for a in (self.load_factor, self.pv_factor, self.price, self.probabilities)]
+        if not (shapes[0] == shapes[1] == shapes[2] and shapes[3] == shapes[0][:1]):
+            raise ValueError(f"profiles and probabilities disagree on the number of scenarios: shapes {shapes}")
+        if not np.all(self.probabilities > 0):
+            raise ValueError("scenario probability must be positive")
+        total = sum(self.probabilities.tolist())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"scenario probabilities sum to {total!r}, expected 1")
 
     def __len__(self) -> int:
-        return len(self.scenarios)
+        return len(self.probabilities)
 
-    def __iter__(self):
-        return iter(self.scenarios)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([s.probability for s in self.scenarios])
+    def __reduce__(self):
+        # rebuilt through the constructor: the arrays come back read-only and
+        # the grid states are recomputed on first use, never shipped
+        return ScenarioSet, (self.load_factor, self.pv_factor, self.price, self.probabilities)
 
     @cached_property
-    def arrays(self) -> ScenarioArrays:
-        """Stacked arrays and grid states, computed on first use and kept for
-        the set's lifetime (its scenarios are not to be mutated)."""
-        return _scenario_arrays(self.scenarios)
+    def grid_states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """The distinct grid states among the set's scenario-hours, computed
+        on first use: their hours (u,), load factors (u,) and PV factors (u,),
+        and the (n_s * 24,) state of each scenario-hour, None for the identity.
+
+        A grid state is an (hour, load factor, PV factor) triple: all that a
+        power flow of that hour sees of a scenario, since price never reaches
+        the network.  Scenario-hours whose factors agree bit for bit share a
+        state.  States are numbered in order of first occurrence, so a set
+        without repeats (a deterministic set, say) maps each scenario-hour to
+        itself.
+        """
+        load, pv = self.load_factor.ravel(), self.pv_factor.ravel()
+        hour = np.tile(np.arange(HOURS), len(self))
+        # compare factors by their bits, so that states merge only where the
+        # power flows would be identical
+        states, state_of = _distinct_rows(np.stack([hour, load.view(np.int64), pv.view(np.int64)], axis=1))
+        return hour[states], load[states], pv[states], None if len(states) == len(hour) else state_of
 
 
 def _parse_forecast(text: str, source) -> ForecastProfile:
@@ -160,7 +144,13 @@ def _parse_forecast(text: str, source) -> ForecastProfile:
     for key in ("load_factor", "pv_factor", "price"):
         if key not in doc:
             raise ValueError(f"forecast {source}: missing key {key!r}")
-    sigmas = {k: float(doc[k]) for k in ("sigma_load", "sigma_pv", "sigma_price") if k in doc}
+        if not (isinstance(doc[key], list) and all(type(v) in (int, float) for v in doc[key])):
+            raise ValueError(f"forecast {source}: {key} must be a list of numbers")
+    sigmas = {k: doc[k] for k in ("sigma_load", "sigma_pv", "sigma_price") if k in doc}
+    for key, value in sigmas.items():
+        if type(value) not in (int, float):
+            raise ValueError(f"forecast {source}: {key} must be a number, got {value!r}")
+        sigmas[key] = float(value)
     return ForecastProfile(doc["load_factor"], doc["pv_factor"], doc["price"], **sigmas)
 
 
@@ -176,9 +166,7 @@ def default_forecast() -> ForecastProfile:
 
 def deterministic_set(forecast: ForecastProfile) -> ScenarioSet:
     """Singleton set realizing the forecast exactly with probability 1."""
-    return ScenarioSet(
-        (Scenario(forecast.load_factor, forecast.pv_factor, forecast.price, probability=1.0),)
-    )
+    return ScenarioSet(forecast.load_factor[None], forecast.pv_factor[None], forecast.price[None], [1.0])
 
 
 def discretize_normal(mean: float, sigma: float, levels: int = 7) -> list[tuple[float, float]]:
@@ -202,78 +190,56 @@ def discretize_normal(mean: float, sigma: float, levels: int = 7) -> list[tuple[
     return [(float(c), float(p)) for c, p in zip(centers, probs)]
 
 
-def _bin_probs(levels: int) -> np.ndarray:
-    return np.array([p for _, p in discretize_normal(0.0, 1.0, levels)])
-
-
 def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> ScenarioSet:
     """Draw ``n`` scenarios by roulette-wheel sampling of the discretized PDFs.
 
     Each hour of each uncertain variable draws one bin independently; a
-    scenario's weight is the product of its drawn bin probabilities.
-    Duplicates (identical realized profiles) are merged and the weights are
-    renormalized to sum to one.  Deterministic for a given seed.
+    scenario's weight is the product of its drawn bin probabilities.  Draws
+    whose three profiles agree after rounding to 12 decimals are merged into
+    the first of them, their weights summed in draw order, and the weights
+    are renormalized to sum to one.  Deterministic for a given seed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     half = (levels - 1) // 2
     ks = np.arange(-half, half + 1)
-    std_probs = _bin_probs(levels)
-    degenerate = np.zeros(levels)
-    degenerate[half] = 1.0
+    std_probs = np.array([p for _, p in discretize_normal(0.0, 1.0, levels)])
 
-    variables = [
-        (forecast.load_factor, forecast.sigma_load, 0.0, np.inf),
-        (forecast.pv_factor, forecast.sigma_pv, 0.0, 1.0),
-        (forecast.price, forecast.sigma_price, 0.0, np.inf),
-    ]
-    # per-variable, per-hour bin values and probabilities
-    values = []  # (HOURS, levels)
-    probs = []  # (HOURS, levels)
-    for nominal, rel_sigma, lo, hi in variables:
-        sig = rel_sigma * nominal  # absolute per-hour sigma
-        vals = np.clip(nominal[:, None] + ks[None, :] * sig[:, None], lo, hi)
-        prb = np.where(sig[:, None] > 0, std_probs[None, :], degenerate[None, :])
-        values.append(vals)
-        probs.append(prb)
+    # per-variable (load, PV, price), per-hour bin values and probabilities (3, HOURS, levels)
+    nominal = np.stack([forecast.load_factor, forecast.pv_factor, forecast.price])
+    sig = np.array([forecast.sigma_load, forecast.sigma_pv, forecast.sigma_price])[:, None] * nominal
+    upper = np.array([np.inf, 1.0, np.inf])[:, None, None]
+    values = np.clip(nominal[..., None] + ks * sig[..., None], 0.0, upper)
+    probs = np.where(sig[..., None] > 0, std_probs, ks == 0)  # one certain bin where sigma is 0
 
-    merged: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
-    for _ in range(n):
-        weight = 1.0
-        realized = []
-        for vals, prb in zip(values, probs):
-            u = rng.random(HOURS)
-            idx = (np.cumsum(prb, axis=1) > u[:, None]).argmax(axis=1)
-            realized.append(vals[np.arange(HOURS), idx])
-            weight *= float(np.prod(prb[np.arange(HOURS), idx]))
-        key = tuple(np.round(np.concatenate(realized), 12))
-        if key in merged:
-            lf, pv, pr, w = merged[key]
-            merged[key] = (lf, pv, pr, w + weight)
-        else:
-            merged[key] = (realized[0], realized[1], realized[2], weight)
+    # draw-major uniforms: the same stream as drawing 24 per variable per draw
+    u = rng.random((n, 3, HOURS))
+    idx = (np.cumsum(probs, axis=2) > u[..., None]).argmax(axis=3)  # (n, 3, HOURS)
+    cell = (np.arange(3)[:, None], np.arange(HOURS), idx)
+    realized = values[cell]
+    bin_probs = np.prod(probs[cell], axis=2)  # (n, 3)
+    weights = bin_probs[:, 0] * bin_probs[:, 1] * bin_probs[:, 2]
 
-    total = sum(w for *_, w in merged.values())
-    scenarios = tuple(
-        Scenario(lf, pv, pr, probability=w / total) for lf, pv, pr, w in merged.values()
-    )
-    return _renormalized(scenarios)
+    # + 0.0 merges -0.0 with 0.0
+    keep, merged_into = _distinct_rows(np.round(realized.reshape(n, -1), 12) + 0.0)
+    merged = np.zeros(len(keep))
+    np.add.at(merged, merged_into, weights)  # sums each scenario's weights in draw order
+    load, pv, price = realized[keep].swapaxes(0, 1)
+    return ScenarioSet(load, pv, price, _renormalized(merged / sum(merged.tolist())))
 
 
-def _renormalized(scenarios: tuple[Scenario, ...]) -> ScenarioSet:
-    total = sum(s.probability for s in scenarios)
-    if abs(total - 1.0) > _PROB_TOL:
-        scenarios = tuple(
-            Scenario(s.load_factor, s.pv_factor, s.price, s.probability / total) for s in scenarios
-        )
-    return ScenarioSet(scenarios)
+def _renormalized(probabilities: np.ndarray) -> np.ndarray:
+    """``probabilities`` divided once more by their sum if they miss one by
+    more than a set tolerates."""
+    total = sum(probabilities.tolist())
+    return probabilities / total if abs(total - 1.0) > _PROB_TOL else probabilities
 
 
 def reduction_features(scenario_set: ScenarioSet) -> np.ndarray:
     """Per-scenario feature rows for the reduction distance: the three hourly
     blocks concatenated, each standardized by its mean level across the set."""
-    raw = np.stack([s.features() for s in scenario_set.scenarios])
+    raw = np.concatenate([scenario_set.load_factor, scenario_set.pv_factor, scenario_set.price], axis=1)
     feats = raw.copy()
     for blk in range(3):
         sl = slice(blk * HOURS, (blk + 1) * HOURS)
@@ -314,12 +280,8 @@ def reduce(scenario_set: ScenarioSet, target: int) -> ScenarioSet:
         weights[victim] = 0.0
         alive[victim] = False
 
-    survivors = tuple(
-        Scenario(s.load_factor, s.pv_factor, s.price, probability=weights[i])
-        for i, s in enumerate(scenario_set.scenarios)
-        if alive[i]
-    )
-    return _renormalized(survivors)
+    survivors = (a[alive] for a in (scenario_set.load_factor, scenario_set.pv_factor, scenario_set.price))
+    return ScenarioSet(*survivors, _renormalized(weights[alive]))
 
 
 @dataclass(frozen=True)

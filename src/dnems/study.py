@@ -10,6 +10,8 @@ schedule.  Every output file is a deterministic function of (config, seed).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,6 +49,31 @@ __all__ = ["StudyConfig", "StudyReport", "ConfigError", "run_study", "emit_artif
 _MODE_WEIGHTS = {"cost": (1.0, 0.0), "ens": (0.0, 1.0)}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# config field -> (type check, what the field takes)
+_FIELD_TYPES = {
+    **dict.fromkeys(("repeats", "seed", "oversample", "levels", "profit_years"), (_is_int, "an integer")),
+    **dict.fromkeys(("investment", "c_npv"), (_is_number, "a finite number")),
+    **dict.fromkeys(("network", "mode", "objective", "out_dir", "vary"), (_is_str, "a string")),
+    "forecast": (lambda v: v is None or _is_str(v), "a path string or null"),
+    "export_credit": (lambda v: isinstance(v, bool), "true or false"),
+    "optimizer": (lambda v: isinstance(v, HybridConfig), "an object of optimizer settings"),
+    "scenario_counts": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
+    "weights": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)), "two finite numbers"),
+}
+
+
 class ConfigError(ValueError):
     """Invalid study configuration."""
 
@@ -72,6 +99,11 @@ class StudyConfig:
     export_credit: bool = True
 
     def __post_init__(self):
+        for name, (ok, kind) in _FIELD_TYPES.items():
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        object.__setattr__(self, "scenario_counts", tuple(map(int, self.scenario_counts)))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if self.mode not in ("deterministic", "stochastic"):
             raise ConfigError(f"mode must be deterministic|stochastic, got {self.mode!r}")
         if self.objective not in ("cost", "ens", "multi"):
@@ -86,6 +118,8 @@ class StudyConfig:
             raise ConfigError(f"oversample must be >= 1, got {self.oversample}")
         if self.vary not in ("both", "scenarios", "optimizer"):
             raise ConfigError(f"vary must be both|scenarios|optimizer, got {self.vary!r}")
+        if self.profit_years < 1:
+            raise ConfigError(f"profit_years must be >= 1, got {self.profit_years}")
         if min(self.weights) < 0 or max(self.weights) <= 0:
             raise ConfigError("weights must be nonnegative and not both zero")
         try:
@@ -103,23 +137,21 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {doc!r}")
         doc = dict(doc)
         opt = doc.pop("optimizer", {})
+        if not isinstance(opt, dict):
+            raise ConfigError(f"optimizer must be an object of optimizer settings, got {opt!r}")
         # a study derives these per run, from the top-level keys named here
         for key, top in (("seed", "seed"), ("objective_weights", "weights")):
-            if isinstance(opt, dict) and key in opt:
+            if key in opt:
                 raise ConfigError(f"optimizer.{key} has no effect in a study; set the top-level {top!r}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            optimizer = HybridConfig(**opt) if isinstance(opt, dict) else opt
-            known = {k for k in cls.__dataclass_fields__}
-            unknown = set(doc) - known
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            if "scenario_counts" in doc:
-                doc["scenario_counts"] = tuple(int(c) for c in doc["scenario_counts"])
-            if "weights" in doc:
-                doc["weights"] = tuple(float(w) for w in doc["weights"])
-            return cls(optimizer=optimizer, **doc)
+            return cls(optimizer=HybridConfig(**opt), **doc)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -294,7 +326,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     breakdowns: dict = {}
     kind_of = {"cost": "cost", "ens": "ens", "multi": "bcs"}
     for mode, rec in best.items():
-        bd = breakdowns[mode] = evaluator.breakdown(rec["x"], det_set.scenarios[0])
+        bd = breakdowns[mode] = evaluator.breakdown(rec["x"], det_set)
         schedules[kind_of[mode]] = {
             "dg": rec["x"].dg_power,
             "ess": rec["x"].ess_power,
@@ -356,10 +388,8 @@ def _config_dict(cfg: StudyConfig) -> dict:
     doc = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__ if k != "optimizer"}
     doc["scenario_counts"] = list(cfg.scenario_counts)
     doc["weights"] = list(cfg.weights)
-    doc["optimizer"] = {
-        k: getattr(cfg.optimizer, k) for k in cfg.optimizer.__dataclass_fields__
-    }
-    doc["optimizer"]["objective_weights"] = list(cfg.optimizer.objective_weights)
+    per_run = ("seed", "objective_weights")  # set for each run from the top-level seed and weights
+    doc["optimizer"] = {k: getattr(cfg.optimizer, k) for k in cfg.optimizer.__dataclass_fields__ if k not in per_run}
     return doc
 
 

@@ -4,6 +4,9 @@ Nothing here may import from the solver paths it verifies: the power-flow
 oracles build the bus admittance matrix and solve the injection equations
 directly (Newton via scipy.optimize.root, and a separately coded textbook
 sweep), and the reduction oracle re-derives the deletion cost from scratch.
+The scenario-draw oracle is the one-draw-at-a-time loop that the vectorized
+``generate`` replaced; it takes only the bin probabilities from the package
+(``discretize_normal``, itself checked against scipy.stats).
 """
 
 from collections import deque
@@ -12,6 +15,7 @@ import numpy as np
 from scipy.optimize import root
 
 from dnems.network import Branch, Bus, Network, make_network
+from dnems.scenarios import discretize_normal
 
 
 def ybus(net: Network) -> np.ndarray:
@@ -137,6 +141,53 @@ def reduction_cost_oracle(features: np.ndarray, weights: np.ndarray, candidate: 
         d = float(np.sqrt(((features[candidate] - features[j]) ** 2).sum()))
         best = min(best, d)
     return float(weights[candidate]) * best
+
+
+def generate_oracle(forecast, n: int, seed: int, levels: int = 7):
+    """Roulette-wheel draws one scenario at a time, merged through a dict
+    keyed by the profiles rounded to 12 decimals: (load, pv, price) stacked
+    (n_s, 24) arrays and the probabilities (n_s,), renormalized as a set is."""
+    hours = 24
+    rng = np.random.default_rng(seed)
+    half = (levels - 1) // 2
+    ks = np.arange(-half, half + 1)
+    std_probs = np.array([p for _, p in discretize_normal(0.0, 1.0, levels)])
+    degenerate = np.zeros(levels)
+    degenerate[half] = 1.0
+    variables = [
+        (forecast.load_factor, forecast.sigma_load, 0.0, np.inf),
+        (forecast.pv_factor, forecast.sigma_pv, 0.0, 1.0),
+        (forecast.price, forecast.sigma_price, 0.0, np.inf),
+    ]
+    values, probs = [], []
+    for nominal, rel_sigma, lo, hi in variables:
+        sig = rel_sigma * nominal
+        values.append(np.clip(nominal[:, None] + ks[None, :] * sig[:, None], lo, hi))
+        probs.append(np.where(sig[:, None] > 0, std_probs[None, :], degenerate[None, :]))
+
+    merged = {}
+    for _ in range(n):
+        weight = 1.0
+        realized = []
+        for vals, prb in zip(values, probs):
+            u = rng.random(hours)
+            idx = (np.cumsum(prb, axis=1) > u[:, None]).argmax(axis=1)
+            realized.append(vals[np.arange(hours), idx])
+            weight *= float(np.prod(prb[np.arange(hours), idx]))
+        key = tuple(np.round(np.concatenate(realized), 12))
+        if key in merged:
+            lf, pv, pr, w = merged[key]
+            merged[key] = (lf, pv, pr, w + weight)
+        else:
+            merged[key] = (realized[0], realized[1], realized[2], weight)
+
+    total = sum(w for *_, w in merged.values())
+    probabilities = [w / total for *_, w in merged.values()]
+    total = sum(probabilities)
+    if abs(total - 1.0) > 1e-12:
+        probabilities = [p / total for p in probabilities]
+    load, pv, price = (np.stack([m[i] for m in merged.values()]) for i in range(3))
+    return load, pv, price, np.array(probabilities)
 
 
 def nondominated_filter(points):

@@ -104,12 +104,12 @@ def test_criterion_2_scenario_engine():
         sigmas = rng.uniform(0, 0.2, size=3) * rng.integers(0, 2, size=3)
         fcr = ForecastProfile(fc.load_factor, fc.pv_factor, fc.price, *sigmas)
         sset = generate(fcr, n=int(rng.integers(1, 14)), seed=int(rng.integers(1 << 31)))
-        assert abs(sum(s.probability for s in sset) - 1.0) <= 1e-12
+        assert abs(sum(sset.probabilities.tolist()) - 1.0) <= 1e-12
         checked += 1
         if len(sset) > 1:
             target = int(rng.integers(1, len(sset) + 1))
             red = reduce(sset, target)
-            assert abs(sum(s.probability for s in red) - 1.0) <= 1e-12
+            assert abs(sum(red.probabilities.tolist()) - 1.0) <= 1e-12
             checked += 1
     assert checked >= 1000  # generation plus reduction checks
 
@@ -122,8 +122,9 @@ def test_criterion_2_scenario_engine():
         weights = sset.probabilities
         costs = [reduction_cost_oracle(feats, weights, i) for i in range(len(sset))]
         victim = int(np.argmin(costs))
-        kept = {s.features().tobytes() for s in reduce(sset, len(sset) - 1)}
-        assert sset.scenarios[victim].features().tobytes() not in kept
+        red = reduce(sset, len(sset) - 1)
+        kept = {row.tobytes() for row in np.hstack([red.load_factor, red.pv_factor, red.price])}
+        assert np.hstack([sset.load_factor, sset.pv_factor, sset.price])[victim].tobytes() not in kept
         matched += 1
     assert matched >= 15
     report(2, f"probability conservation on {checked} randomized cases; reduction matches exhaustive deletion")
@@ -424,12 +425,12 @@ def test_criterion_10_storage_dynamics_and_penalty(ieee69):
         assert np.all(np.abs(x.ess_power) <= 750.0 + 1e-12)
         assert np.all(x.dg_power >= lower[: 4 * 24].reshape(4, 24) - 1e-12)
         assert np.all(x.dg_power <= upper[: 4 * 24].reshape(4, 24) + 1e-12)
-        s = sset.scenarios[0]
+        load_factor, pv_factor = sset.load_factor[0], sset.pv_factor[0]
         for t in range(24):
-            p = np.array([-b.p_load * s.load_factor[t] for b in ieee69.buses])
-            q = np.array([-b.q_load * s.load_factor[t] for b in ieee69.buses])
+            p = np.array([-b.p_load * load_factor[t] for b in ieee69.buses])
+            q = np.array([-b.q_load * load_factor[t] for b in ieee69.buses])
             for pv in ieee69.pvs:
-                p[pv.bus - 1] += pv.capacity * s.pv_factor[t]
+                p[pv.bus - 1] += pv.capacity * pv_factor[t]
             for j, dg in enumerate(ieee69.dgs):
                 p[dg.bus - 1] += x.dg_power[j, t]
             for k, ess in enumerate(ieee69.esss):

@@ -1,8 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dnems.objectives
 from dnems.network import Branch, Bus, DgSpec, EssSpec, builtin_ieee69, make_network
@@ -10,12 +9,13 @@ from dnems.objectives import (
     DEFAULT_PENALTY_WEIGHTS,
     DecisionVector,
     ScheduleEvaluator,
+    _energy_balance,
     decision_bounds,
     ess_trajectory,
     merge_penalty_weights,
     profit_analysis,
 )
-from dnems.scenarios import Scenario, ScenarioSet, default_forecast, deterministic_set, generate, reduce
+from dnems.scenarios import ScenarioSet, default_forecast, deterministic_set, generate, reduce
 
 
 def spec(**kw):
@@ -34,12 +34,25 @@ def breakdown(net, x, s):
 
 
 def flat_scenario(load=1.0, pv=0.0, price=0.1):
-    return Scenario(
-        load_factor=np.full(24, load),
-        pv_factor=np.full(24, pv),
-        price=np.full(24, price),
-        probability=1.0,
+    return ScenarioSet(
+        load_factor=np.full((1, 24), load),
+        pv_factor=np.full((1, 24), pv),
+        price=np.full((1, 24), price),
+        probabilities=[1.0],
     )
+
+
+def stacked(ssets, probabilities):
+    """One set holding the scenarios of ``ssets`` with new probabilities."""
+    return ScenarioSet(
+        *(np.concatenate([getattr(s, name) for s in ssets]) for name in ("load_factor", "pv_factor", "price")),
+        probabilities,
+    )
+
+
+def scenario(sset, i):
+    """Scenario ``i`` of a set, alone in a set of its own."""
+    return ScenarioSet(sset.load_factor[i : i + 1], sset.pv_factor[i : i + 1], sset.price[i : i + 1], [1.0])
 
 
 class TestEssTrajectory:
@@ -87,6 +100,43 @@ class TestEssTrajectory:
             ess_trajectory(x, [spec()])
 
 
+_ESS_SPECS = st.builds(
+    EssSpec,
+    bus=st.just(2),
+    w_min=st.floats(0.0, 500.0),
+    w_max=st.floats(500.0, 5000.0),
+    p_charge_max=st.floats(1.0, 1000.0),
+    p_discharge_max=st.floats(1.0, 1000.0),
+    eff_charge=st.floats(0.5, 1.0),
+    eff_discharge=st.floats(0.5, 1.0),
+    w_initial=st.floats(0.0, 5000.0),
+)
+
+
+@st.composite
+def _specs_and_block(draw):
+    specs = draw(st.lists(_ESS_SPECS, min_size=1, max_size=4))
+    k = draw(st.integers(1, 5))
+    return specs, draw(arrays(float, (k, len(specs), 24), elements=st.floats(-2000.0, 2000.0)))
+
+
+class TestStorageRecurrence:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_specs_and_block())
+    def test_block_equals_rows_and_recurrence(self, case):
+        specs, power = case
+        energy, viol = _energy_balance(power, specs)
+        for row, e, v in zip(power, energy, viol):
+            traj = ess_trajectory(DecisionVector(np.zeros((0, 24)), row), specs)
+            assert np.array_equal(traj.energy, e) and np.array_equal(traj.violations, v)
+            for j, spec in enumerate(specs):
+                assert e[j, 0] == spec.w_initial
+                for t in range(24):
+                    p = float(row[j, t])
+                    step = spec.eff_charge * max(p, 0.0) - max(-p, 0.0) / spec.eff_discharge
+                    assert e[j, t + 1] == e[j, t] + step
+
+
 class TestPenalty:
     def test_rate_overshoot_value(self, two_bus):
         # one hour of charging past the rate limit, energy band far away:
@@ -94,7 +144,7 @@ class TestPenalty:
         unit = spec(w_min=0.0, w_max=1e5, w_initial=5e4)
         net = make_network(two_bus.buses, two_bus.branches, esss=[unit], v_min=0.5, v_max=1.5)
         ev = ScheduleEvaluator(net)
-        sset = ScenarioSet((flat_scenario(),))
+        sset = flat_scenario()
         delta = 20.0
 
         def pen(charge):
@@ -111,7 +161,7 @@ class TestPenalty:
         ev = ScheduleEvaluator(two_bus, weights={"voltage": 5.0})
         assert ev.weights == {**DEFAULT_PENALTY_WEIGHTS, "voltage": 5.0}
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
-        assert ev.evaluate(x, ScenarioSet((flat_scenario(),))).penalty == 0.0
+        assert ev.evaluate(x, flat_scenario()).penalty == 0.0
 
     def test_unknown_weight_rejected(self, two_bus):
         with pytest.raises(ValueError, match="unknown penalty weight 'volt'"):
@@ -165,17 +215,23 @@ class TestEvaluateScenario:
         with pytest.raises(ValueError, match="does not match"):
             breakdown(net, x, flat_scenario())
 
+    def test_breakdown_takes_one_scenario(self, two_bus):
+        x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
+        pair = stacked([flat_scenario(), flat_scenario(load=0.5)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="one-scenario set, got 2"):
+            breakdown(two_bus, x, pair)
+
     def test_power_balance_residual(self, ieee69):
         # converged hours satisfy slack + PV + DG + ESS = loss + demand
         fc = default_forecast()
-        s = deterministic_set(fc).scenarios[0]
+        s = deterministic_set(fc)
         rng = np.random.default_rng(0)
         x = DecisionVector(
             rng.uniform(0, 500, size=(4, 24)), rng.uniform(-750, 750, size=(3, 24))
         )
         bd = breakdown(ieee69, x, s)
         assert bd.converged_hours == 24
-        demand = sum(b.p_load for b in ieee69.buses) * s.load_factor
+        demand = sum(b.p_load for b in ieee69.buses) * s.load_factor[0]
         dg = x.dg_power.sum(axis=0)
         ess = x.ess_power.sum(axis=0)  # positive = charging, i.e. extra demand
         residual = bd.p_slack + bd.pv_injection + dg - ess - bd.p_loss - demand
@@ -208,13 +264,12 @@ class TestEns:
         s = flat_scenario()
         assert breakdown(doubled, x, s).ens_s == pytest.approx(2 * breakdown(two_bus, x, s).ens_s)
         # cost is blind to reliability times (the mirror of price-blind ENS)
-        sset = ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),))
-        assert evaluate(doubled, x, sset).f1 == evaluate(two_bus, x, sset).f1
+        assert evaluate(doubled, x, s).f1 == evaluate(two_bus, x, s).f1
 
     def test_discharge_offsets_load(self, ieee69):
         idle = DecisionVector(np.zeros((4, 24)), np.zeros((3, 24)))
         discharging = DecisionVector(np.zeros((4, 24)), np.full((3, 24), -20.0))
-        s = deterministic_set(default_forecast()).scenarios[0]
+        s = deterministic_set(default_forecast())
         assert breakdown(ieee69, discharging, s).ens_s <= breakdown(ieee69, idle, s).ens_s
 
 
@@ -224,11 +279,10 @@ class TestEvaluateSet:
         x = DecisionVector(rng.uniform(0, 300, (4, 24)), rng.uniform(-200, 200, (3, 24)))
         ev = ScheduleEvaluator(ieee69)
         for load in (1.0, 1.8):  # 1.8 pushes voltages out of band: nonzero penalty
-            s = Scenario(fc.load_factor * load, fc.pv_factor, fc.price, 1.0)
-            sset = ScenarioSet((s,))
+            sset = ScenarioSet(fc.load_factor[None] * load, fc.pv_factor[None], fc.price[None], [1.0])
             f = ev.evaluate(x, sset)
             out = ev.per_scenario(x, sset)
-            bd = ev.breakdown(x, s)
+            bd = ev.breakdown(x, sset)
             assert (bd.cost_s, bd.ens_s, bd.penalty) == (out.cost[0], out.ens[0], out.penalty[0])
             assert (f.f1, f.f2, f.penalty) == (bd.cost_s, bd.ens_s, bd.penalty)
             assert (bd.penalty > 0) == (load > 1.0)
@@ -252,54 +306,43 @@ class TestEvaluateSet:
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
         s1 = flat_scenario(load=0.5)
         s2 = flat_scenario(load=1.0)
-        pair = ScenarioSet(
-            (
-                Scenario(s1.load_factor, s1.pv_factor, s1.price, 0.5),
-                Scenario(s2.load_factor, s2.pv_factor, s2.price, 0.5),
-            )
-        )
+        pair = stacked([s1, s2], [0.5, 0.5])
         f = evaluate(two_bus, x, pair)
         a = breakdown(two_bus, x, s1)
         b = breakdown(two_bus, x, s2)
         assert f.f1 == pytest.approx(0.5 * a.cost_s + 0.5 * b.cost_s)
         assert f.f2 == pytest.approx(0.5 * a.ens_s + 0.5 * b.ens_s)
         with pytest.raises(ValueError, match="sum to"):  # weights must be a distribution
-            ScenarioSet((pair.scenarios[0], Scenario(s2.load_factor, s2.pv_factor, s2.price, 0.4)))
+            stacked([s1, s2], [0.5, 0.4])
 
     def test_duplicate_split_invariance(self, two_bus):
         # splitting a scenario's mass across identical copies changes nothing
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
         s = flat_scenario()
-        whole = ScenarioSet((Scenario(s.load_factor, s.pv_factor, s.price, 1.0),))
-        split = ScenarioSet(
-            (
-                Scenario(s.load_factor, s.pv_factor, s.price, 0.25),
-                Scenario(s.load_factor, s.pv_factor, s.price, 0.75),
-            )
-        )
-        a, b = evaluate(two_bus, x, whole), evaluate(two_bus, x, split)
+        split = stacked([s, s], [0.25, 0.75])
+        a, b = evaluate(two_bus, x, s), evaluate(two_bus, x, split)
         assert a.f1 == pytest.approx(b.f1, rel=1e-12)
         assert a.f2 == pytest.approx(b.f2, rel=1e-12)
 
     def test_objective_separation(self, ieee69, rng):
         x = DecisionVector(rng.uniform(0, 300, (4, 24)), np.zeros((3, 24)))
         fc = default_forecast()
-        base = deterministic_set(fc).scenarios[0]
-        pricier = Scenario(base.load_factor, base.pv_factor, base.price * 1.7, 1.0)
-        f_base = evaluate(ieee69, x, ScenarioSet((base,)))
-        f_pricier = evaluate(ieee69, x, ScenarioSet((pricier,)))
+        base = deterministic_set(fc)
+        pricier = ScenarioSet(base.load_factor, base.pv_factor, base.price * 1.7, [1.0])
+        f_base = evaluate(ieee69, x, base)
+        f_pricier = evaluate(ieee69, x, pricier)
         assert f_pricier.f2 == f_base.f2  # reliability blind to prices
         assert f_pricier.f1 != f_base.f1
 
 
 def _block_sets():
     fc = default_forecast()
-    s = deterministic_set(fc).scenarios[0]
+    s = deterministic_set(fc)
     return {
         "deterministic": deterministic_set(fc),
         "ten_scenarios": reduce(generate(fc, n=40, seed=5), 10),
         # 1.8x load pushes voltages out of band: every candidate is penalized
-        "heavy": ScenarioSet((Scenario(s.load_factor * 1.8, s.pv_factor, s.price, 1.0),)),
+        "heavy": ScenarioSet(s.load_factor * 1.8, s.pv_factor, s.price, [1.0]),
     }
 
 
@@ -356,22 +399,18 @@ def _repeating_set(seed: int, n_s: int, load: float) -> ScenarioSet:
     loads[-1], pvs[-1] = loads[0], pvs[0]
     probs = rng.random(n_s) + 0.1
     probs /= probs.sum()
-    return ScenarioSet(
-        tuple(Scenario(lf, pf, fc.price * rng.uniform(0.5, 1.5, 24), p) for lf, pf, p in zip(loads, pvs, probs))
-    )
+    return ScenarioSet(loads, pvs, fc.price * rng.uniform(0.5, 1.5, (n_s, 24)), probs)
 
 
 def _one_column_per_hour(sset: ScenarioSet) -> ScenarioSet:
     """The same set with every scenario-hour its own state, as if no two
     were alike."""
-    arr = sset.arrays
-    plain = ScenarioSet(sset.scenarios)
-    plain.__dict__["arrays"] = dataclasses.replace(
-        arr,
-        state_hour=np.tile(np.arange(24), len(sset)),
-        state_load=arr.load_factor.ravel(),
-        state_pv=arr.pv_factor.ravel(),
-        state_of=None,
+    plain = ScenarioSet(sset.load_factor, sset.pv_factor, sset.price, sset.probabilities)
+    plain.__dict__["grid_states"] = (
+        np.tile(np.arange(24), len(sset)),
+        sset.load_factor.ravel(),
+        sset.pv_factor.ravel(),
+        None,
     )
     return plain
 
@@ -388,7 +427,7 @@ class TestGridStates:
         # a scenario-hour solved as a shared state, at any column of a padded
         # block, gives the bits it gets in a column of its own
         sset = _repeating_set(seed, n_s, load)
-        assert len(sset.arrays.state_hour) < n_s * 24
+        assert len(sset.grid_states[0]) < n_s * 24
         lower, upper = decision_bounds(_NET)
         flat = lower + np.random.default_rng(seed).random(lower.size) * (upper - lower)
         x = DecisionVector.from_flat(flat, len(_NET.dgs), len(_NET.esss))
@@ -400,7 +439,7 @@ class TestGridStates:
         # against each scenario alone: cost sums over hours only, so its bits
         # match; ENS and penalty also sum over buses, whose order numpy picks
         # by the number of scenarios
-        bds = [ev.breakdown(x, s) for s in sset]
+        bds = [ev.breakdown(x, scenario(sset, i)) for i in range(n_s)]
         assert out.cost.tolist() == [bd.cost_s for bd in bds]
         assert out.ens == pytest.approx([bd.ens_s for bd in bds], rel=1e-12)
         assert out.penalty == pytest.approx([bd.penalty for bd in bds], rel=1e-12)
@@ -420,24 +459,22 @@ class TestGridStates:
         # two scenarios that differ in one hour's load: 25 states, padded to 28
         bumped = fc.load_factor.copy()
         bumped[5] *= 1.1
-        pair = ScenarioSet(
-            (Scenario(fc.load_factor, fc.pv_factor, fc.price, 0.5), Scenario(bumped, fc.pv_factor, fc.price, 0.5))
-        )
+        pair = ScenarioSet(np.stack([fc.load_factor, bumped]), [fc.pv_factor] * 2, [fc.price] * 2, [0.5, 0.5])
         reduced = _SETS["ten_scenarios"]
         lower, upper = decision_bounds(_NET)
         positions = lower + np.random.default_rng(1).random((30, lower.size)) * (upper - lower)
         ev = ScheduleEvaluator(_NET)
         for sset, per_candidate in (
             (pair, 28),
-            (reduced, -(-len(reduced.arrays.state_hour) // 4) * 4),
+            (reduced, -(-len(reduced.grid_states[0]) // 4) * 4),
             (_SETS["deterministic"], 24),
         ):
             widths.clear()
             ev.evaluate(positions, sset)
             assert sum(widths) == 30 * per_candidate
             assert all(w % per_candidate == 0 and w % 4 == 0 for w in widths)
-        assert len(pair.arrays.state_hour) == 25
-        assert len(reduced.arrays.state_hour) < 10 * 24
+        assert len(pair.grid_states[0]) == 25
+        assert len(reduced.grid_states[0]) < 10 * 24
 
 
 class TestDecisionBounds:

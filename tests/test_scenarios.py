@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from dnems.objectives import ScheduleEvaluator, decision_bounds
 from dnems.scenarios import (
     ForecastProfile,
     RunStatistics,
-    Scenario,
     ScenarioSet,
     default_forecast,
     deterministic_set,
@@ -21,10 +22,15 @@ from dnems.scenarios import (
     reduction_features,
     stopping_rule,
 )
-from oracles import reduction_cost_oracle
+from oracles import generate_oracle, reduction_cost_oracle
 
 # standard-normal CDF masses of sigma-wide bins at 0, +-1, +-2, +-3 sigma
 P7 = (0.0062096653, 0.0605975359, 0.2417303375, 0.3829249226)
+
+
+def profile_rows(sset):
+    """Each scenario's load, PV and price profiles as one (72,) row."""
+    return np.hstack([sset.load_factor, sset.pv_factor, sset.price])
 
 
 def flat_forecast(sig=(0.05, 0.10, 0.05)):
@@ -93,28 +99,25 @@ class TestGenerate:
         fc = flat_forecast(sig=(0.0, 0.0, 0.0))
         sset = generate(fc, n=5, seed=3)
         assert len(sset) == 1
-        s = sset.scenarios[0]
-        assert s.probability == 1.0
-        assert np.array_equal(s.load_factor, fc.load_factor)
-        assert np.array_equal(s.pv_factor, fc.pv_factor)
-        assert np.array_equal(s.price, fc.price)
+        assert sset.probabilities[0] == 1.0
+        assert np.array_equal(sset.load_factor[0], fc.load_factor)
+        assert np.array_equal(sset.pv_factor[0], fc.pv_factor)
+        assert np.array_equal(sset.price[0], fc.price)
 
     def test_deterministic_per_seed(self):
         fc = default_forecast()
         a = generate(fc, n=20, seed=42)
         b = generate(fc, n=20, seed=42)
         assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert sa.probability == sb.probability
-            assert np.array_equal(sa.features(), sb.features())
+        assert np.array_equal(a.probabilities, b.probabilities)
+        assert np.array_equal(profile_rows(a), profile_rows(b))
 
     def test_invariants_hold(self):
         sset = generate(default_forecast(), n=30, seed=42, levels=7)
-        assert abs(sum(s.probability for s in sset) - 1.0) <= 1e-12
-        for s in sset:
-            assert np.all(s.pv_factor >= 0) and np.all(s.pv_factor <= 1)
-            assert np.all(s.load_factor >= 0)
-            assert np.all(s.price >= 0)
+        assert abs(sum(sset.probabilities.tolist()) - 1.0) <= 1e-12
+        assert np.all(sset.pv_factor >= 0) and np.all(sset.pv_factor <= 1)
+        assert np.all(sset.load_factor >= 0)
+        assert np.all(sset.price >= 0)
 
     def test_bad_n(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -127,21 +130,19 @@ class TestReduce:
         assert reduce(sset, len(sset)) is sset
 
     def test_merge_duplicates(self):
-        base = np.full(24, 1.0)
-        a = Scenario(base, base * 0.5, base * 0.1, 0.5)
-        b = Scenario(base, base * 0.5, base * 0.1, 0.5)
-        out = reduce(ScenarioSet((a, b)), 1)
+        base = np.full((2, 24), 1.0)
+        out = reduce(ScenarioSet(base, base * 0.5, base * 0.1, [0.5, 0.5]), 1)
         assert len(out) == 1
-        assert out.scenarios[0].probability == pytest.approx(1.0)
+        assert out.probabilities[0] == pytest.approx(1.0)
 
     def test_probability_redistribution(self, rng):
         sset = generate(default_forecast(), n=14, seed=9)
-        original = {s.features().tobytes(): s.probability for s in sset}
+        original = {row.tobytes(): p for row, p in zip(profile_rows(sset), sset.probabilities)}
         reduced = reduce(sset, max(1, len(sset) // 2))
-        assert abs(sum(s.probability for s in reduced) - 1.0) <= 1e-12
-        for s in reduced:
+        assert abs(sum(reduced.probabilities.tolist()) - 1.0) <= 1e-12
+        for row, p in zip(profile_rows(reduced), reduced.probabilities):
             # survivors only ever gain mass from their deleted neighbours
-            assert s.probability >= original[s.features().tobytes()] - 1e-15
+            assert p >= original[row.tobytes()] - 1e-15
 
     def test_matches_exhaustive_single_deletion(self, rng):
         for trial in range(15):
@@ -153,8 +154,8 @@ class TestReduce:
             costs = [reduction_cost_oracle(feats, weights, i) for i in range(len(raw))]
             victim = int(np.argmin(costs))
             reduced = reduce(raw, len(raw) - 1)
-            kept = [s.features().tobytes() for s in reduced]
-            assert raw.scenarios[victim].features().tobytes() not in kept
+            kept = [row.tobytes() for row in profile_rows(reduced)]
+            assert profile_rows(raw)[victim].tobytes() not in kept
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -169,8 +170,8 @@ class TestReduce:
         raw = generate(ForecastProfile(fc.load_factor, fc.pv_factor, fc.price, *sigmas), n=n, seed=seed, levels=levels)
         reduced = reduce(raw, max(1, round(kept * len(raw))))
         for sset in (raw, reduced):
-            assert abs(sum(s.probability for s in sset) - 1.0) <= 1e-12
-            assert all(s.probability > 0 for s in sset)
+            assert abs(sum(sset.probabilities.tolist()) - 1.0) <= 1e-12
+            assert np.all(sset.probabilities > 0)
 
     def test_bad_target(self):
         sset = generate(default_forecast(), n=5, seed=1)
@@ -243,44 +244,40 @@ class TestSerialization:
         fc = default_forecast()
         sset = deterministic_set(fc)
         assert len(sset) == 1
-        assert sset.scenarios[0].probability == 1.0
+        assert sset.probabilities[0] == 1.0
 
 
 class TestScenarioArrays:
+    """The grid states cached on a set's stacked arrays."""
+
     def test_states_map_back(self):
         sset = reduce(generate(default_forecast(), n=80, seed=2), 40)
-        arr = sset.arrays
-        assert arr is sset.arrays  # computed once per set
-        assert np.array_equal(arr.load_factor, np.stack([s.load_factor for s in sset]))
-        assert np.array_equal(arr.price, np.stack([s.price for s in sset]))
-        assert len(arr.state_hour) < 40 * 24  # seven error levels repeat states
+        states = sset.grid_states
+        assert states is sset.grid_states  # computed once per set
+        state_hour, state_load, state_pv, state_of = states
+        assert len(state_hour) < 40 * 24  # seven error levels repeat states
         hours = np.tile(np.arange(24), 40)
-        assert np.array_equal(arr.state_hour[arr.state_of], hours)
-        assert np.array_equal(arr.state_load[arr.state_of], arr.load_factor.ravel())
-        assert np.array_equal(arr.state_pv[arr.state_of], arr.pv_factor.ravel())
+        assert np.array_equal(state_hour[state_of], hours)
+        assert np.array_equal(state_load[state_of], sset.load_factor.ravel())
+        assert np.array_equal(state_pv[state_of], sset.pv_factor.ravel())
         # states are distinct and numbered in order of first occurrence
-        keys = set(zip(arr.state_hour, arr.state_load, arr.state_pv))
-        assert len(keys) == len(arr.state_hour)
-        _, first = np.unique(arr.state_of, return_index=True)
+        keys = set(zip(state_hour, state_load, state_pv))
+        assert len(keys) == len(state_hour)
+        _, first = np.unique(state_of, return_index=True)
         assert np.all(np.diff(first) > 0)
 
     def test_identity_without_repeats(self):
-        arr = deterministic_set(default_forecast()).arrays
-        assert arr.state_of is None
-        assert np.array_equal(arr.state_hour, np.arange(24))
-        assert np.array_equal(arr.state_load, default_forecast().load_factor)
+        state_hour, state_load, _, state_of = deterministic_set(default_forecast()).grid_states
+        assert state_of is None
+        assert np.array_equal(state_hour, np.arange(24))
+        assert np.array_equal(state_load, default_forecast().load_factor)
 
     def test_price_does_not_split_states(self):
         fc = default_forecast()
-        sset = ScenarioSet(
-            (
-                Scenario(fc.load_factor, fc.pv_factor, fc.price, 0.5),
-                Scenario(fc.load_factor, fc.pv_factor, fc.price * 2.0, 0.5),
-            )
-        )
-        arr = sset.arrays
-        assert len(arr.state_hour) == 24
-        assert np.array_equal(arr.state_of, np.tile(np.arange(24), 2))
+        sset = ScenarioSet([fc.load_factor] * 2, [fc.pv_factor] * 2, [fc.price, fc.price * 2.0], [0.5, 0.5])
+        state_hour, _, _, state_of = sset.grid_states
+        assert len(state_hour) == 24
+        assert np.array_equal(state_of, np.tile(np.arange(24), 2))
 
     def test_signed_zero_is_a_distinct_state(self):
         # states merge on identical bits only, so -0.0 and 0.0 stay apart
@@ -289,7 +286,90 @@ class TestScenarioArrays:
         neg[3] = -0.0
         pos = base.copy()
         pos[3] = 0.0
-        sset = ScenarioSet(
-            (Scenario(base, neg, np.full(24, 0.1), 0.5), Scenario(base, pos, np.full(24, 0.1), 0.5))
-        )
-        assert len(sset.arrays.state_hour) == 25
+        sset = ScenarioSet([base, base], [neg, pos], np.full((2, 24), 0.1), [0.5, 0.5])
+        assert len(sset.grid_states[0]) == 25
+
+
+def _two_scenarios(**changes):
+    fields = dict(
+        load_factor=np.full((2, 24), 1.0),
+        pv_factor=np.full((2, 24), 0.5),
+        price=np.full((2, 24), 0.1),
+        probabilities=[0.25, 0.75],
+    )
+    fields.update(changes)
+    return ScenarioSet(**fields)
+
+
+class TestScenarioSet:
+    def test_arrays_are_read_only_copies(self):
+        load = np.full((2, 24), 1.0)
+        sset = _two_scenarios(load_factor=load)
+        load[0, 0] = 2.0
+        assert sset.load_factor[0, 0] == 1.0
+        for arr in (sset.load_factor, sset.pv_factor, sset.price, sset.probabilities):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            sset.probabilities[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"price": np.full((2, 23), 0.1)}, "price must have 24 hourly entries per scenario"),
+            ({"pv_factor": np.full(24, 0.5)}, "pv_factor must have 24 hourly entries per scenario"),
+            ({"load_factor": np.full((3, 24), 1.0)}, "disagree on the number of scenarios"),
+            ({"probabilities": [0.25, 0.25, 0.5]}, "disagree on the number of scenarios"),
+            ({"price": np.full((2, 24), np.nan)}, "price entries must be finite"),
+            ({"load_factor": np.full((2, 24), np.inf)}, "load_factor entries must be finite"),
+            ({"probabilities": [0.0, 1.0]}, "must be positive"),
+            ({"probabilities": [-0.25, 1.25]}, "must be positive"),
+            ({"probabilities": [np.nan, 1.0]}, "must be positive"),
+            ({"probabilities": [0.25, 0.5]}, "sum to 0.75"),
+            ({"probabilities": [0.5, 0.5 + 2e-12]}, "expected 1"),
+        ],
+    )
+    def test_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            _two_scenarios(**changes)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="sum to 0"):
+            ScenarioSet(np.zeros((0, 24)), np.zeros((0, 24)), np.zeros((0, 24)), [])
+
+    def test_mass_within_tolerance_accepted(self):
+        assert len(_two_scenarios(probabilities=[0.5, 0.5 + 5e-13])) == 2
+
+    @pytest.mark.parametrize("states_first", [False, True])
+    def test_pickle_round_trip(self, ieee69, states_first):
+        sset = reduce(generate(default_forecast(), n=24, seed=4), 8)
+        if states_first:
+            sset.grid_states
+        back = pickle.loads(pickle.dumps(sset))
+        assert "grid_states" not in back.__dict__  # recomputed on first use, never shipped
+        for name in ("load_factor", "pv_factor", "price", "probabilities"):
+            assert getattr(back, name).tobytes() == getattr(sset, name).tobytes()
+            assert not getattr(back, name).flags.writeable
+        lower, upper = decision_bounds(ieee69)
+        positions = lower + np.random.default_rng(3).random((5, lower.size)) * (upper - lower)
+        ev = ScheduleEvaluator(ieee69)
+        a, b = ev.per_scenario(positions, sset), ev.per_scenario(positions, back)
+        for name in ("cost", "ens", "penalty", "probabilities"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestGenerateOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 120),
+        levels=st.sampled_from([3, 5, 7, 9]),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05, 0.2])] * 3),
+    )
+    def test_equals_per_draw_loop(self, seed, n, levels, sigmas):
+        fc = default_forecast()
+        fc = ForecastProfile(fc.load_factor, fc.pv_factor, fc.price, *sigmas)
+        got = generate(fc, n=n, seed=seed, levels=levels)
+        want = generate_oracle(fc, n=n, seed=seed, levels=levels)
+        for name, ref in zip(("load_factor", "pv_factor", "price", "probabilities"), want):
+            arr = getattr(got, name)
+            assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), name

@@ -94,7 +94,7 @@ class TestRunStudy:
         for rec in report.best.values():
             sset = rec["sset"]
             assert len(sset) == 1
-            assert sset.scenarios[0].probability == 1.0
+            assert sset.probabilities[0] == 1.0
 
     def test_multi_produces_all_blocks(self, det_multi_report):
         report, _ = det_multi_report
@@ -207,6 +207,18 @@ class TestEmitArtifacts:
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
 
 
+    def test_manifest_config_round_trip(self, tmp_path):
+        cfg = tiny_config(
+            out_dir=str(tmp_path / "a"),
+            weights=(0.3, 0.7),
+            optimizer=HybridConfig(**TINY_OPT, penalty_weights={"voltage": 2e6}),
+            export_credit=False,
+        )
+        emit_artifacts(run_study(cfg), tmp_path / "a")
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert StudyConfig.from_dict(manifest["config"]) == cfg
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         code = main(
@@ -287,6 +299,21 @@ class TestCli:
             ({"optimizer": {"mu_low": -0.1}}, "mu_low must be >= 0"),
             ({"optimizer": {"seed": 3}}, "top-level 'seed'"),
             ({"optimizer": {"objective_weights": [1.0, 0.0]}}, "top-level 'weights'"),
+            ({"optimizer": 5}, "optimizer must be an object"),
+            ({"optimizer": {"population": 4.0}}, "population must be an integer"),
+            ({"weights": [1]}, "weights must be two finite numbers"),
+            ({"weights": [1, 1, 1]}, "weights must be two finite numbers"),
+            ({"weights": ["1", 1]}, "weights must be two finite numbers"),
+            ({"weights": [float("nan"), 1]}, "weights must be two finite numbers"),
+            ({"export_credit": "no"}, "export_credit must be true or false"),
+            ({"network": 5}, "network must be a string"),
+            ({"forecast": 5}, "forecast must be a path string"),
+            ({"levels": 7.0}, "levels must be an integer"),
+            ({"repeats": True}, "repeats must be an integer"),
+            ({"scenario_counts": [4.0]}, "scenario_counts must be a list of integers"),
+            ({"investment": "5"}, "investment must be a finite number"),
+            ({"c_npv": float("nan")}, "c_npv must be a finite number"),
+            ({"profit_years": 0}, "profit_years must be >= 1"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
@@ -325,6 +352,26 @@ class TestCli:
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "price entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sigma_load": None}, "sigma_load must be a number"),
+            ({"sigma_pv": True}, "sigma_pv must be a number"),
+            ({"load_factor": {}}, "load_factor must be a list of numbers"),
+            ({"pv_factor": ["0"] * 24}, "pv_factor must be a list of numbers"),
+            ({"price": 0.1}, "price must be a list of numbers"),
+        ],
+    )
+    def test_mistyped_forecast_exit_one(self, tmp_path, capsys, change, message):
+        doc = {"load_factor": [1.0] * 24, "pv_factor": [0.0] * 24, "price": [0.1] * 24, **change}
+        forecast = tmp_path / "forecast.json"
+        forecast.write_text(json.dumps(doc))
+        code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     def test_no_successful_repeat_exit_two(self, tmp_path, capsys, monkeypatch):
         def failing(self, x, sset):
