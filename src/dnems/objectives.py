@@ -19,6 +19,7 @@ over hundreds of scenarios affordable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,8 @@ def merge_penalty_weights(weights: dict | None = None) -> dict:
     """``DEFAULT_PENALTY_WEIGHTS`` updated by ``weights``.
 
     Raises ValueError for a constraint class the evaluator does not know and
-    for a weight that is not >= 0.
+    for a weight that is not a finite number >= 0: an infinite weight times
+    a zero overshoot would be NaN.
     """
     merged = dict(DEFAULT_PENALTY_WEIGHTS)
     for name, value in dict(weights or {}).items():
@@ -153,6 +155,8 @@ def merge_penalty_weights(weights: dict | None = None) -> dict:
             raise ValueError(f"unknown penalty weight {name!r}; expected one of {sorted(merged)}")
         if not value >= 0:
             raise ValueError(f"penalty weight {name!r} must be >= 0, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"penalty weight {name!r} must be finite, got {value!r}")
         merged[name] = value
     return merged
 
@@ -285,8 +289,10 @@ class ScheduleEvaluator:
         dg_cost_s = dg_cost.reshape(k, -1).sum(axis=1)
 
         # columns per candidate: the states, padded to a multiple of 4 by
-        # repeating states, since the sweep's matrix product gives a column
-        # the same bits at any position of a block only at such widths
+        # repeating states.  The dense sweep product (feeders below
+        # powerflow._TOUR_MIN_BUSES) gives a column the same bits at any
+        # position of a block only at such widths; the tour product sums each
+        # column on its own, for which the padding is harmless
         width = -(-len(sset.grid_states[0]) // 4) * 4
         per_call = max(1, _CALL_BUS_COLUMNS // (self.net.n_bus * width))
         parts = [
@@ -342,17 +348,18 @@ class ScheduleEvaluator:
         def hours(a):  # (rows, c, width) -> (c, rows, n_s, 24)
             return _scenario_hours(a.swapaxes(0, 1), state_of, n_s)
 
+        # an all-zero overshoot is skipped: its weighted sum would be +0.0
+        # (weights are finite), and adding +0.0 changes no bit
         over = check_limits(sol, self.net)
-        v_sq = hours(over.voltage_overshoot_pu**2)
-        f_sq = hours((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2)
         p_slack, p_loss, converged = (
             _scenario_hours(a, state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged)
         )
-        pen = (
-            w["voltage"] * v_sq.sum(axis=(1, 3))
-            + w["flow"] * f_sq.sum(axis=(1, 3))
-            + w["convergence"] * (~converged).sum(axis=2).astype(float)
-        )
+        pen = np.zeros((c, n_s))
+        if over.voltage_overshoot_pu.any():
+            pen += w["voltage"] * hours(over.voltage_overshoot_pu**2).sum(axis=(1, 3))
+        if over.flow_overshoot_kva.any():
+            pen += w["flow"] * hours((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2).sum(axis=(1, 3))
+        pen += w["convergence"] * (~converged).sum(axis=2).astype(float)
         return p_slack, p_loss, converged, pen, self._ens(dg, ess, sset)
 
     def _ens(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> np.ndarray:

@@ -13,6 +13,7 @@ plus the constraint penalty.  The archive keeps the actual non-dominated set.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,8 +103,11 @@ class HybridConfig:
         if self.archive_capacity < 1:
             raise ValueError("archive_capacity must be >= 1")
         for name in ("c1", "c2", "mu_high", "mu_low"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class EvaluatorFailure(RuntimeError):

@@ -131,6 +131,46 @@ def random_radial_network(rng: np.random.Generator, n_bus: int) -> Network:
     return make_network(buses, branches, v_min=0.5, v_max=1.5)
 
 
+def trunk_feeder(rng: np.random.Generator, n_bus: int, drop_pu: float = 0.05) -> Network:
+    """Solvable trunk-and-laterals feeder of any size.
+
+    Each new bus extends the previous one with probability 0.7 and otherwise
+    hangs off a uniformly chosen earlier bus, so depths grow like real
+    feeders' rather than like a random tree's.  Loads are those of
+    ``random_radial_network``; every impedance is then scaled by one factor
+    so that the linearized (DistFlow) voltage drop at the deepest point is
+    ``drop_pu``, which keeps the base case solvable at any ``n_bus``.
+    """
+    base_kv = 12.66
+    parent = [0] + [i - 1 if rng.random() < 0.7 else int(rng.integers(0, i)) for i in range(1, n_bus)]
+    p = np.concatenate([[0.0], rng.uniform(0, 400, n_bus - 1)])
+    q = np.concatenate([[0.0], rng.uniform(0, 250, n_bus - 1)])
+    r = rng.uniform(0.01, 0.6, n_bus)
+    x = rng.uniform(0.01, 0.6, n_bus)
+    p_down, q_down = p.copy(), q.copy()  # load fed through the branch into bus i
+    for i in range(n_bus - 1, 0, -1):
+        p_down[parent[i]] += p_down[i]
+        q_down[parent[i]] += q_down[i]
+    drop = np.zeros(n_bus)
+    for i in range(1, n_bus):  # z_base * s_base = base_kv**2 * 1000
+        drop[i] = drop[parent[i]] + (r[i] * p_down[i] + x[i] * q_down[i]) / (base_kv**2 * 1000.0)
+    scale = drop_pu / drop.max()
+    buses = [Bus(id=i + 1, p_load=float(p[i]), q_load=float(q[i])) for i in range(n_bus)]
+    branches = [
+        Branch(
+            from_bus=parent[i] + 1,
+            to_bus=i + 1,
+            r=float(r[i] * scale),
+            x=float(x[i] * scale),
+            s_max=10000.0,
+            at_repair=float(rng.uniform(0.5, 4.0)),
+            at_restoration=float(rng.uniform(0.1, 1.0)),
+        )
+        for i in range(1, n_bus)
+    ]
+    return make_network(buses, branches, v_min=0.9, v_max=1.1, base_kv=base_kv)
+
+
 def reduction_cost_oracle(features: np.ndarray, weights: np.ndarray, candidate: int) -> float:
     """Deletion cost of one scenario: its weight times the distance to its
     nearest other scenario, everything recomputed from raw features."""

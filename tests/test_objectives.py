@@ -173,6 +173,12 @@ class TestPenalty:
             ScheduleEvaluator(two_bus, weights={name: -1.0})
         assert merge_penalty_weights({name: 0.0})[name] == 0.0
 
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PENALTY_WEIGHTS))
+    def test_evaluator_rejects_infinite_weight(self, two_bus, name):
+        # inf times a zero overshoot would make every clean candidate's penalty NaN
+        with pytest.raises(ValueError, match=f"penalty weight '{name}' must be finite"):
+            ScheduleEvaluator(two_bus, weights={name: float("inf")})
+
 
 def dg_test_network():
     """Near-lossless feeder with one 150 kW load and a DG at the load bus."""

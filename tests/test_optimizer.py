@@ -250,7 +250,10 @@ class TestRuns:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("archive_capacity", 0), ("c1", -0.1), ("c2", -1.0), ("mu_high", -0.5), ("mu_low", float("nan"))],
+        [
+            ("archive_capacity", 0), ("c1", -0.1), ("c2", -1.0), ("mu_high", -0.5), ("mu_low", float("nan")),
+            ("c1", float("inf")), ("c2", float("inf")), ("mu_high", float("inf")), ("mu_low", float("inf")),
+        ],
     )
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

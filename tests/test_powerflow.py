@@ -1,9 +1,20 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dnems.network import Branch, Bus, make_network
-from dnems.powerflow import check_limits, solve_batch
-from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network
+from dnems.network import Branch, Bus, Network, make_network
+from dnems.powerflow import (
+    _TOUR_MIN_BUSES,
+    _DenseProduct,
+    _SweepModel,
+    _TourProduct,
+    _model,
+    check_limits,
+    solve_batch,
+)
+from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network, trunk_feeder
 
 
 def load_injections(net):
@@ -245,3 +256,105 @@ class TestCheckLimits:
             assert np.allclose(report.voltage_overshoot_pu[:, i], single.voltage_overshoot_pu, atol=1e-12)
         assert report.flow_overshoot_kva[0, 0] == 0.0 < report.flow_overshoot_kva[0, 1]
         assert report.voltage_overshoot_pu[1, 1] == 0.0 < report.voltage_overshoot_pu[1, 2]
+
+
+def _tree(parents, rng, substation=1):
+    """Network on buses 1..n whose bus i + 2 hangs off bus parents[i] + 1,
+    with its branches listed in random order and random orientation."""
+    n = len(parents) + 1
+    branches = []
+    for i, par in enumerate(parents):
+        ends = (par + 1, i + 2) if rng.random() < 0.5 else (i + 2, par + 1)
+        branches.append(Branch(*ends, r=float(rng.uniform(0.01, 1.0)), x=float(rng.uniform(0.01, 1.0))))
+    order = rng.permutation(len(branches))
+    return make_network(
+        [Bus(id=i + 1) for i in range(n)], [branches[k] for k in order], substation_bus=substation
+    )
+
+
+def _dense_reference(net: Network, rows: np.ndarray):
+    """The shared-path impedance matrix and the branch-path incidence, with
+    non-slack buses as ``rows``, built from a breadth-first walk."""
+    z_base = net.base_kv**2 / net.base_mva
+    adj = {b.id - 1: [] for b in net.buses}
+    for k, br in enumerate(net.branches):
+        adj[br.from_bus - 1].append((br.to_bus - 1, k))
+        adj[br.to_bus - 1].append((br.from_bus - 1, k))
+    paths = {net.substation_bus - 1: []}
+    queue = deque([net.substation_bus - 1])
+    while queue:
+        u = queue.popleft()
+        for v, k in adj[u]:
+            if v not in paths:
+                paths[v] = paths[u] + [k]
+                queue.append(v)
+    path = np.zeros((len(net.branches), len(rows)))
+    for c, bus in enumerate(rows):
+        path[paths[bus], c] = 1.0
+    z = np.array([(br.r + 1j * br.x) / z_base for br in net.branches])
+    return path.T @ (z[:, None] * path), path
+
+
+class TestTourProduct:
+    """The O(n) tree product that feeders from ``_TOUR_MIN_BUSES`` buses use
+    in place of the dense path-impedance products."""
+
+    def test_product_chosen_by_bus_count(self, ieee69):
+        rng = np.random.default_rng(7)
+        assert isinstance(_model(ieee69).product, _DenseProduct)
+        assert isinstance(_model(trunk_feeder(rng, _TOUR_MIN_BUSES - 1)).product, _DenseProduct)
+        big = _model(trunk_feeder(rng, _TOUR_MIN_BUSES)).product
+        assert isinstance(big, _TourProduct) and not hasattr(big, "dlf")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "chain", "star"]),
+        n=st.integers(2, 40),
+        m=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_dense_products(self, shape, n, m, seed):
+        rng = np.random.default_rng(seed)
+        parents = {
+            "random": [int(rng.integers(0, i + 1)) for i in range(n - 1)],
+            "chain": list(range(n - 1)),
+            "star": [0] * (n - 1),
+        }[shape]
+        net = _tree(parents, rng, substation=int(rng.integers(1, n + 1)))
+        tour = _TourProduct(_SweepModel(net))
+        dlf, path = _dense_reference(net, tour.nonslack)
+        i = rng.normal(size=(n - 1, m)) + 1j * rng.normal(size=(n - 1, m))
+        product = tour.sweeper(m)
+        for _ in range(2):  # the work buffers are reused between sweeps
+            got, ref = product(i), dlf @ i
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
+        got, ref = tour.branch_currents(i), -(path @ i)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
+
+    @pytest.mark.parametrize("seed, n", [(0, _TOUR_MIN_BUSES), (1, 260), (2, 400)])
+    def test_newton_oracle(self, seed, n):
+        rng = np.random.default_rng(seed)
+        net = trunk_feeder(rng, n)
+        assert isinstance(_model(net).product, _TourProduct)
+        p, q = load_injections(net)
+        p[int(rng.integers(1, n))] += 2000.0  # a generator pushes power back
+        sol = solve_batch(net, p, q, tol=1e-10)
+        v_ref, ok = pf_oracle_newton(net, p, q)
+        assert sol.converged and ok
+        assert np.max(np.abs(sol.v - np.abs(v_ref))) < 1e-6
+
+    def test_width_invariance(self, rng):
+        # two or more columns solved inside a block of any width, a multiple
+        # of 4 or not, are bit-identical to the same columns solved alone (a
+        # single column sums its losses over branches pairwise, not in order)
+        net = trunk_feeder(rng, 250)
+        assert isinstance(_model(net).product, _TourProduct)
+        p, q = load_injections(net)
+        for width in (2, 3, 5, 7, 13, 24, 50, 97):
+            factors = rng.uniform(0.3, 1.9, size=width)
+            at = int(rng.integers(width - 1))
+            cols = slice(at, at + int(rng.integers(2, width - at + 1)))
+            block = solve_batch(net, p[:, None] * factors, q[:, None] * factors)
+            alone = solve_batch(net, p[:, None] * factors[cols], q[:, None] * factors[cols])
+            for name in ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch"):
+                assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (width, name)
