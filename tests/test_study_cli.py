@@ -297,11 +297,6 @@ class TestCli:
             ({"optimizer": {"archive_capacity": 0}}, "archive_capacity must be >= 1"),
             ({"optimizer": {"c1": -1.0}}, "c1 must be >= 0"),
             ({"optimizer": {"mu_low": -0.1}}, "mu_low must be >= 0"),
-            ({"optimizer": {"c1": float("inf")}}, "c1 must be finite"),
-            ({"optimizer": {"c2": float("inf")}}, "c2 must be finite"),
-            ({"optimizer": {"mu_high": float("inf")}}, "mu_high must be finite"),
-            ({"optimizer": {"mu_low": float("inf")}}, "mu_low must be finite"),
-            ({"optimizer": {"penalty_weights": {"flow": float("inf")}}}, "penalty weight 'flow' must be finite"),
             ({"optimizer": {"seed": 3}}, "top-level 'seed'"),
             ({"optimizer": {"objective_weights": [1.0, 0.0]}}, "top-level 'weights'"),
             ({"optimizer": 5}, "optimizer must be an object"),
@@ -319,6 +314,11 @@ class TestCli:
             ({"investment": "5"}, "investment must be a finite number"),
             ({"c_npv": float("nan")}, "c_npv must be a finite number"),
             ({"profit_years": 0}, "profit_years must be >= 1"),
+            ({"optimizer": {"c1": float("inf")}}, "c1 must be finite"),
+            ({"optimizer": {"c2": float("inf")}}, "c2 must be finite"),
+            ({"optimizer": {"mu_high": float("inf")}}, "mu_high must be finite"),
+            ({"optimizer": {"mu_low": float("inf")}}, "mu_low must be finite"),
+            ({"optimizer": {"penalty_weights": {"flow": float("inf")}}}, "penalty weight 'flow' must be finite"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
