@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -227,18 +229,144 @@ def _optimize(
     return hybrid_run(cfg, space, objective)
 
 
+@dataclass(frozen=True)
+class _Task:
+    """One independent optimization of a study: ``mode`` on ``sset`` from the
+    optimizer seed ``seed``.  Mode ``"baseline"`` is the cost run on the
+    feeder stripped of PV and storage, which the profit projection needs."""
+
+    label: str
+    rep: int
+    mode: str
+    seed: int
+    sset: ScenarioSet
+
+
+@dataclass(frozen=True)
+class _Found:
+    """What a successful task sends back: the selected position and its
+    objectives, the archive of a ``multi`` run, and the task's wall time."""
+
+    x: np.ndarray
+    f: ObjectiveVector
+    archive: ParetoArchive | None
+    seconds: float
+
+
+@dataclass(frozen=True)
+class _TaskRunner:
+    """Runs a study's tasks against its network and evaluator."""
+
+    net: Network
+    cfg: StudyConfig
+    evaluator: ScheduleEvaluator
+
+    def __call__(self, task: _Task) -> _Found | str | Exception:
+        """The task's result; a failed optimization as its text, which always
+        pickles, and a failed baseline as its exception, which the study
+        re-raises."""
+        t0 = time.perf_counter()
+        try:
+            if task.mode == "baseline":
+                net = replace(self.net, pvs=(), esss=())
+                evaluator, mode = _evaluator(net, self.cfg), "cost"
+            else:
+                net, evaluator, mode = self.net, self.evaluator, task.mode
+            opt_cfg = replace(self.cfg.optimizer, seed=task.seed)
+            archive, _log = _optimize(net, evaluator, task.sset, opt_cfg, mode, self.cfg.weights)
+            x, f = _select(archive, mode, self.cfg.weights)
+        except Exception as exc:  # noqa: BLE001 - folded into the report by the study
+            return exc if task.mode == "baseline" else str(exc)
+        kept = archive if mode == "multi" else None
+        return _Found(np.asarray(x), f, kept, time.perf_counter() - t0)
+
+
+def _evaluator(net: Network, cfg: StudyConfig) -> ScheduleEvaluator:
+    return ScheduleEvaluator(net, weights=cfg.optimizer.penalty_weights, export_credit=cfg.export_credit)
+
+
+# Start method of the worker processes; None runs every task in-process.
+_START_METHOD = "fork" if sys.platform.startswith("linux") else None
+
+_worker_runner: _TaskRunner | None = None  # set in each worker process
+
+
+def _init_worker(net: Network, cfg: StudyConfig) -> None:
+    global _worker_runner
+    _one_blas_thread()
+    _worker_runner = _TaskRunner(net, cfg, _evaluator(net, cfg))
+
+
+def _run_in_worker(task: _Task):
+    return _worker_runner(task)
+
+
+# thread-count setters of the OpenBLAS builds that numpy ships or links
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Run this process's OpenBLAS, if numpy loaded one, on one thread.
+
+    The workers already occupy every CPU.  A forked worker keeps the
+    parent's BLAS thread count, and BLAS threads on top of the workers
+    contend for the same cores: on a 2-core host acceptance criterion 8
+    took 362 s with two threads per worker against 70 s with one.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """One worker process per CPU this process may run on, at most one per task."""
+    return min(len(os.sched_getaffinity(0)), n_tasks) if _START_METHOD else 1
+
+
+def _run_tasks(runner: _TaskRunner, tasks: list[_Task]) -> list:
+    """Results of ``tasks`` in task order, from worker processes, or from
+    ``runner`` in-process when there is one worker."""
+    workers = _worker_count(len(tasks))
+    if workers <= 1:
+        return list(map(runner, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(_START_METHOD),
+        initializer=_init_worker,
+        initargs=(runner.net, runner.cfg),
+    ) as pool:
+        return list(pool.map(_run_in_worker, tasks))
+
+
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Execute the configured study and return its full report.
 
     Stochastic mode sweeps every scenario-count setting with ``repeats``
     independent runs (fresh scenario and optimizer sub-seeds per repeat);
     deterministic mode optimizes the zero-deviation singleton scenario.
+
+    The scenario sets are drawn here, in order; the optimizations, which
+    depend only on their seeds and sets, then run in worker processes (see
+    ``_run_tasks``), and their results are folded back in task order, so the
+    report does not depend on how many workers ran them.
     """
     t0 = time.perf_counter()
     net, forecast = _load_inputs(cfg)
-    evaluator = ScheduleEvaluator(
-        net, weights=cfg.optimizer.penalty_weights, export_credit=cfg.export_credit
-    )
+    evaluator = _evaluator(net, cfg)
     n_dg, n_ess = len(net.dgs), len(net.esss)
     modes = [cfg.objective] if cfg.objective != "multi" else ["cost", "ens", "multi"]
 
@@ -248,15 +376,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     else:
         settings = [(f"s{c}", c) for c in cfg.scenario_counts]
 
-    runs: list[RunRecord] = []
-    stats_rows: list[dict] = []
-    best: dict = {}
-    errors: list[str] = []
-    archive_for_front: ParetoArchive | None = None
-    timings: dict = {}
-
+    tasks: list[_Task] = []
     for s_idx, (label, count) in enumerate(settings):
-        per_mode: dict[str, list[tuple[float, float, float]]] = {m: [] for m in modes}
         for rep in range(cfg.repeats):
             scen_rep = rep if cfg.vary in ("both", "scenarios") else 0
             opt_rep = rep if cfg.vary in ("both", "optimizer") else 0
@@ -265,34 +386,50 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             else:
                 sset = _make_scenarios(cfg, forecast, count, _sub_seed(cfg.seed, 1, s_idx, scen_rep))
             for m_idx, mode in enumerate(modes):
-                opt_seed = _sub_seed(cfg.seed, 2, s_idx, opt_rep, m_idx)
-                try:
-                    archive, _log = _optimize(
-                        net, evaluator, sset, replace(cfg.optimizer, seed=opt_seed), mode, cfg.weights
-                    )
-                    x, f = _select(archive, mode, cfg.weights)
-                except Exception as exc:  # noqa: BLE001 - aborted repeat is reported, not fatal
-                    errors.append(f"{label}/{mode}/repeat{rep}: {exc}")
-                    continue
-                runs.append(RunRecord(label, mode, rep, f.f1, f.f2, f.penalty))
-                per_mode[mode].append((f.f1, f.f2, f.penalty))
-                metric = f.f2 if mode == "ens" else f.f1
-                prev = best.get(mode)
-                if prev is None or (f.penalty, metric) < (prev["penalty"], prev["metric"]):
-                    xvec = DecisionVector.from_flat(np.asarray(x), n_dg, n_ess)
-                    best[mode] = {
-                        "f1": f.f1,
-                        "f2": f.f2,
-                        "penalty": f.penalty,
-                        "metric": metric,
-                        "x": xvec,
-                        "sset": sset,
-                    }
-                    if mode == "multi":
-                        archive_for_front = archive
+                tasks.append(_Task(label, rep, mode, _sub_seed(cfg.seed, 2, s_idx, opt_rep, m_idx), sset))
+    if "cost" in modes:
+        tasks.append(_Task("bare", 0, "baseline", _sub_seed(cfg.seed, 3), det_set))
+    results = _run_tasks(_TaskRunner(net, cfg, evaluator), tasks)
 
+    runs: list[RunRecord] = []
+    stats_rows: list[dict] = []
+    best: dict = {}
+    errors: list[str] = []
+    archive_for_front: ParetoArchive | None = None
+    timings: dict = {}
+    baseline = None
+    per_mode: dict[str, dict[str, list[tuple[float, float, float]]]] = {
+        label: {m: [] for m in modes} for label, _ in settings
+    }
+
+    for task, out in zip(tasks, results):
+        mode = task.mode
+        if mode == "baseline":
+            baseline = out
+            continue
+        if isinstance(out, str):
+            errors.append(f"{task.label}/{mode}/repeat{task.rep}: {out}")
+            continue
+        f = out.f
+        runs.append(RunRecord(task.label, mode, task.rep, f.f1, f.f2, f.penalty))
+        per_mode[task.label][mode].append((f.f1, f.f2, f.penalty))
+        metric = f.f2 if mode == "ens" else f.f1
+        prev = best.get(mode)
+        if prev is None or (f.penalty, metric) < (prev["penalty"], prev["metric"]):
+            best[mode] = {
+                "f1": f.f1,
+                "f2": f.f2,
+                "penalty": f.penalty,
+                "metric": metric,
+                "x": DecisionVector.from_flat(out.x, n_dg, n_ess),
+                "sset": task.sset,
+            }
+            if mode == "multi":
+                archive_for_front = out.archive
+
+    for label, count in settings:
         for mode in modes:
-            recs = per_mode[mode]
+            recs = per_mode[label][mode]
             if len(recs) < 2:
                 continue
             f1s = [r[0] for r in recs]
@@ -343,9 +480,18 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 
     profit = None
     if "cost" in best:
-        t1 = time.perf_counter()
-        profit = _profit_from_baseline(cfg, net, det_set, breakdowns["cost"].cost_s)
-        timings["profit_s"] = time.perf_counter() - t1
+        # the deterministic cost of the retrofitted system against the bare
+        # feeder's, projected over the horizon
+        if isinstance(baseline, Exception):
+            raise baseline
+        profit = profit_analysis(
+            toc_old=baseline.f.f1,
+            toc_new=breakdowns["cost"].cost_s,
+            investment=cfg.investment,
+            years=cfg.profit_years,
+            c_npv=cfg.c_npv,
+        )
+        timings["profit_s"] = baseline.seconds  # the baseline task's own wall time
 
     timings["total_s"] = time.perf_counter() - t0
     return StudyReport(
@@ -359,28 +505,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         profit=profit,
         errors=errors,
         timings=timings,
-    )
-
-
-def _profit_from_baseline(cfg, net, det_set, toc_new: float) -> ProfitReport:
-    """Compare the deterministic cost ``toc_new`` of the retrofitted system
-    against the same feeder stripped of PV and storage, then project over
-    the horizon."""
-    bare = replace(net, pvs=(), esss=())
-    bare_eval = ScheduleEvaluator(
-        bare, weights=cfg.optimizer.penalty_weights, export_credit=cfg.export_credit
-    )
-    opt_seed = _sub_seed(cfg.seed, 3)
-    archive, _ = _optimize(
-        bare, bare_eval, det_set, replace(cfg.optimizer, seed=opt_seed), "cost", cfg.weights
-    )
-    _, f_old = _select(archive, "cost", cfg.weights)
-    return profit_analysis(
-        toc_old=f_old.f1,
-        toc_new=toc_new,
-        investment=cfg.investment,
-        years=cfg.profit_years,
-        c_npv=cfg.c_npv,
     )
 
 

@@ -1,0 +1,176 @@
+"""A study's optimizations run in worker processes; its report and artifacts
+must not depend on how many workers ran them, nor on how they were started."""
+
+import os
+from dataclasses import replace
+
+import pytest
+
+from dnems import study
+from dnems.cli import main
+from dnems.network import builtin_ieee69
+from dnems.objectives import ScheduleEvaluator
+from dnems.optimizer import EvaluatorFailure, HybridConfig
+from dnems.study import StudyConfig, emit_artifacts, run_study
+
+
+def workers(monkeypatch, n):
+    monkeypatch.setattr(study, "_worker_count", lambda n_tasks: min(n, n_tasks))
+
+
+def artifacts(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def study_artifacts(cfg, out):
+    report = run_study(cfg)
+    emit_artifacts(report, out)
+    return report, artifacts(out)
+
+
+DET_MULTI = StudyConfig(
+    mode="deterministic", objective="multi", repeats=2, seed=7, optimizer=HybridConfig(population=8, iterations=3)
+)
+STOCH_COST = StudyConfig(
+    mode="stochastic",
+    objective="cost",
+    scenario_counts=(4, 8),
+    repeats=2,
+    seed=1,
+    optimizer=HybridConfig(population=4, iterations=2),
+)
+
+
+def fail_on_wide_sets(monkeypatch):
+    """Every evaluation on a set of more than four scenarios raises."""
+    evaluate = ScheduleEvaluator.evaluate
+
+    def failing(self, x, sset):
+        if len(sset) > 4:
+            raise KeyError("flow")
+        return evaluate(self, x, sset)
+
+    monkeypatch.setattr(ScheduleEvaluator, "evaluate", failing)
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+class TestWorkerCount:
+    def test_tasks_run_in_worker_processes(self, monkeypatch):
+        workers(monkeypatch, 2)
+        monkeypatch.setattr(study._TaskRunner, "__call__", lambda self, task: (os.getpid(), task))
+        runner = study._TaskRunner(builtin_ieee69(), StudyConfig(), None)
+        results = study._run_tasks(runner, list(range(6)))
+        assert [task for _, task in results] == list(range(6))
+        assert os.getpid() not in {pid for pid, _ in results}
+
+    def test_workers_use_one_blas_thread(self, monkeypatch):
+        if not os.path.exists("/proc/self/maps") or blas_threads() is None:
+            pytest.skip("numpy does not use an OpenBLAS here")
+        workers(monkeypatch, 2)
+        monkeypatch.setattr(study._TaskRunner, "__call__", lambda self, task: blas_threads())
+        runner = study._TaskRunner(builtin_ieee69(), StudyConfig(), None)
+        assert study._run_tasks(runner, [0, 1]) == [1, 1]
+
+    def test_one_worker_runs_in_process(self, monkeypatch):
+        workers(monkeypatch, 1)
+        monkeypatch.setattr(study._TaskRunner, "__call__", lambda self, task: (os.getpid(), task))
+        results = study._run_tasks(study._TaskRunner(None, None, None), [0, 1])
+        assert results == [(os.getpid(), 0), (os.getpid(), 1)]
+
+    def test_never_more_workers_than_tasks(self):
+        assert study._worker_count(1) == 1
+        assert 1 <= study._worker_count(1000) <= os.cpu_count()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("cfg", [DET_MULTI, STOCH_COST], ids=["det-multi", "stoch-cost"])
+    def test_two_workers_match_one(self, cfg, monkeypatch, tmp_path):
+        workers(monkeypatch, 1)
+        one, files_one = study_artifacts(cfg, tmp_path / "one")
+        workers(monkeypatch, 2)
+        two, files_two = study_artifacts(cfg, tmp_path / "two")
+        assert "manifest.json" in files_one and "pareto_front.csv" in files_one
+        assert files_two == files_one
+        assert two.runs == one.runs and two.errors == one.errors == []
+        assert two.stats_rows == one.stats_rows
+
+    def test_failed_repeats_match(self, monkeypatch, tmp_path, capsys):
+        fail_on_wide_sets(monkeypatch)
+        argv = ["--mode", "stoch", "--objective", "multi", "--scenarios", "4,8", "--repeats", "2",
+                "--seed", "1", "--population", "4", "--iterations", "2"]
+        outcomes = []
+        for n in (1, 2):
+            workers(monkeypatch, n)
+            out = tmp_path / "out"  # the manifest names it
+            report = run_study(replace(STOCH_COST, objective="multi"))
+            code = main(argv + ["--out", str(out)])
+            err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("done in")]
+            outcomes.append((report.runs, report.errors, code, err, artifacts(out)))
+        assert outcomes[1] == outcomes[0]
+        runs, errors, code, _, _ = outcomes[0]
+        assert code == 0
+        assert [(r.setting, r.objective_mode, r.repeat) for r in runs] == [
+            ("s4", mode, rep) for rep in (0, 1) for mode in ("cost", "ens", "multi")
+        ]
+        assert [e.split(":")[0] for e in errors] == [
+            f"s8/{mode}/repeat{rep}" for rep in (0, 1) for mode in ("cost", "ens", "multi")
+        ]
+        assert all("KeyError: 'flow'" in e for e in errors)
+
+    def test_no_successful_repeat_exit_code_matches(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ScheduleEvaluator, "evaluate", lambda self, x, sset: {}["flow"])
+        outcomes = []
+        for n in (1, 2):
+            workers(monkeypatch, n)
+            out = tmp_path / "out"  # the manifest names it
+            code = main(["--mode", "det", "--objective", "cost", "--repeats", "2",
+                         "--population", "4", "--iterations", "1", "--out", str(out)])
+            outcomes.append((code, capsys.readouterr().err, artifacts(out)))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][0] == 2
+
+    def test_failed_baseline_raises_the_same(self, monkeypatch):
+        evaluate = ScheduleEvaluator.evaluate
+
+        def bare_fails(self, x, sset):
+            if not self.net.esss:
+                raise KeyError("flow")
+            return evaluate(self, x, sset)
+
+        monkeypatch.setattr(ScheduleEvaluator, "evaluate", bare_fails)
+        raised = []
+        for n in (1, 2):
+            workers(monkeypatch, n)
+            with pytest.raises(Exception) as err:
+                run_study(DET_MULTI)
+            raised.append((type(err.value), str(err.value)))
+        assert raised[1] == raised[0]
+        assert raised[0][0] is EvaluatorFailure
+        assert "KeyError: 'flow'" in raised[0][1]
+
+    def test_spawned_workers_match_in_process(self, monkeypatch, tmp_path):
+        cfg = StudyConfig(
+            mode="deterministic", objective="multi", repeats=1, seed=3, optimizer=HybridConfig(population=4, iterations=2)
+        )
+        workers(monkeypatch, 1)
+        _, files_one = study_artifacts(cfg, tmp_path / "one")
+        workers(monkeypatch, 2)
+        monkeypatch.setattr(study, "_START_METHOD", "spawn")
+        _, files_spawn = study_artifacts(cfg, tmp_path / "spawn")
+        assert files_spawn == files_one
