@@ -207,6 +207,14 @@ def _model(net: Network) -> _SweepModel:
     return m
 
 
+def _branch_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of an (n_branch, m) block over branches, added one branch after
+    another at every width, so a column's bits do not depend on the call.
+    numpy adds the rows of a wider block in order already, but sums a single
+    column pairwise, and ``cumsum`` along the rows is many times slower."""
+    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
+
+
 def solve_batch(
     net: Network,
     p_kw: np.ndarray,
@@ -298,10 +306,10 @@ def solve_batch(
     v_full[mdl.nonslack] = v
     j = mdl.product.branch_currents(i_inj)
     s_from = v_full[mdl.parent] * np.conj(j)
-    loss = (mdl.r_pu[:, None] * np.abs(j) ** 2).sum(axis=0) * mdl.s_base_kva
+    loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
     # slack power read off the sending-end flows of the branches leaving it
     root = mdl.parent == mdl.slack
-    s_slack = s_from[root].sum(axis=0) * mdl.s_base_kva
+    s_slack = _branch_sum(s_from[root]) * mdl.s_base_kva
     return BatchPowerFlow(
         v_complex=v_full.reshape(net.n_bus, *batch),
         s_flow=(np.abs(s_from) * mdl.s_base_kva).reshape(len(s_from), *batch),

@@ -199,6 +199,7 @@ def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> S
     the first of them, their weights summed in draw order, and the weights
     are renormalized to sum to one.  Deterministic for a given seed.
     """
+    n = _count("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -229,6 +230,14 @@ def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> S
     return ScenarioSet(load, pv, price, _renormalized(merged / sum(merged.tolist())))
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int if it is an integer (a numpy one included) and not
+    a bool, else ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _renormalized(probabilities: np.ndarray) -> np.ndarray:
     """``probabilities`` divided once more by their sum if they miss one by
     more than a set tolerates."""
@@ -254,34 +263,62 @@ def reduce(scenario_set: ScenarioSet, target: int) -> ScenarioSet:
 
     Repeatedly deletes the scenario with the smallest probability-weighted
     distance to its nearest surviving neighbour and hands its probability to
-    that neighbour, preserving the total probability mass.
+    that neighbour, preserving the total probability mass.  Ties go to the
+    lowest index: the first such scenario is deleted, and its mass goes to
+    the first of its equally near survivors.
+
+    This is the fast backward reduction of Heitsch & Roemisch (2003): each
+    scenario keeps its nearest survivor and the distance to it, and a
+    deletion rescans only the rows whose nearest survivor it was.  The
+    distances are built a block of rows at a time, so the memory is one
+    n x n float64 matrix; the time is typically O(n^2).
     """
     n = len(scenario_set)
+    target = _count("target", target)
     if not 1 <= target <= n:
         raise ValueError(f"target must be in [1, {n}], got {target}")
     if target == n:
         return scenario_set
 
-    feats = reduction_features(scenario_set)
-    diff = feats[:, None, :] - feats[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
+    dist = _distances(reduction_features(scenario_set))
+    nearest_of = dist.argmin(axis=1)
+    nearest = dist[np.arange(n), nearest_of]
 
     weights = scenario_set.probabilities.copy()
     alive = np.ones(n, dtype=bool)
     for _ in range(n - target):
-        idx_alive = np.flatnonzero(alive)
-        sub = dist[np.ix_(idx_alive, idx_alive)]
-        nearest = sub.min(axis=1)
-        victim_pos = int(np.argmin(weights[idx_alive] * nearest))
-        victim = idx_alive[victim_pos]
-        heir = idx_alive[int(np.argmin(sub[victim_pos]))]
-        weights[heir] += weights[victim]
-        weights[victim] = 0.0
+        # a deleted scenario's distance is infinite and its weight positive,
+        # so it never wins again
+        victim = int(np.argmin(weights * nearest))
+        weights[nearest_of[victim]] += weights[victim]
         alive[victim] = False
+        nearest[victim], nearest_of[victim] = np.inf, -1
+        dist[:, victim] = np.inf
+        orphans = np.flatnonzero(nearest_of == victim)
+        if len(orphans):
+            rows = dist[orphans]
+            nearest_of[orphans] = rows.argmin(axis=1)
+            nearest[orphans] = rows[np.arange(len(orphans)), nearest_of[orphans]]
 
     survivors = (a[alive] for a in (scenario_set.load_factor, scenario_set.pv_factor, scenario_set.price))
     return ScenarioSet(*survivors, _renormalized(weights[alive]))
+
+
+_BLOCK_ELEMENTS = 1 << 18  # bound on the difference array of one block of rows
+
+
+def _distances(feats: np.ndarray) -> np.ndarray:
+    """The (n, n) Euclidean distances between ``feats``' rows, infinite on
+    the diagonal.  Each entry sums the same contiguous squared differences
+    whatever the block size, so its bits do not depend on it."""
+    n = len(feats)
+    dist = np.empty((n, n))
+    step = max(1, _BLOCK_ELEMENTS // feats.size)
+    for lo in range(0, n, step):
+        diff = feats[lo : lo + step, None, :] - feats[None, :, :]
+        dist[lo : lo + step] = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return dist
 
 
 @dataclass(frozen=True)

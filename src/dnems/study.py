@@ -294,6 +294,7 @@ _worker_runner: _TaskRunner | None = None  # set in each worker process
 def _init_worker(net: Network, cfg: StudyConfig) -> None:
     global _worker_runner
     _one_blas_thread()
+    _reuse_freed_arrays()
     _worker_runner = _TaskRunner(net, cfg, _evaluator(net, cfg))
 
 
@@ -327,6 +328,33 @@ def _one_blas_thread() -> None:
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
             setter(1)
+
+
+# glibc's mallopt parameters, and the ceiling of its own dynamic mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _reuse_freed_arrays() -> None:
+    """Serve this process's allocations of up to 32 MB from glibc's heap.
+
+    glibc maps every block above its mmap threshold afresh and unmaps it on
+    free, so each such power-flow temporary faults its pages in again on
+    every call.  The threshold starts at 128 kB and rises only once the
+    process frees a larger mapped block, so a forked worker's speed would
+    hang on what its parent happened to free before the fork.  Setting it
+    fixes the threshold, and the heap's trim threshold beside it (glibc
+    keeps the two at a 1:2 ratio).
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:  # not glibc
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 def _worker_count(n_tasks: int) -> int:

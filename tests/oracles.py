@@ -3,10 +3,13 @@
 Nothing here may import from the solver paths it verifies: the power-flow
 oracles build the bus admittance matrix and solve the injection equations
 directly (Newton via scipy.optimize.root, and a separately coded textbook
-sweep), and the reduction oracle re-derives the deletion cost from scratch.
-The scenario-draw oracle is the one-draw-at-a-time loop that the vectorized
-``generate`` replaced; it takes only the bin probabilities from the package
-(``discretize_normal``, itself checked against scipy.stats).
+sweep), and the reduction-cost oracle re-derives the deletion cost from
+scratch.  The scenario-draw oracle is the one-draw-at-a-time loop that the
+vectorized ``generate`` replaced; it takes only the bin probabilities from the
+package (``discretize_normal``, itself checked against scipy.stats).  The
+reduction oracle is the O(n^3) loop that the fast backward ``reduce``
+replaced; it takes only the distance features from the package
+(``reduction_features``).
 """
 
 from collections import deque
@@ -15,7 +18,7 @@ import numpy as np
 from scipy.optimize import root
 
 from dnems.network import Branch, Bus, Network, make_network
-from dnems.scenarios import discretize_normal
+from dnems.scenarios import discretize_normal, reduction_features
 
 
 def ybus(net: Network) -> np.ndarray:
@@ -181,6 +184,38 @@ def reduction_cost_oracle(features: np.ndarray, weights: np.ndarray, candidate: 
         d = float(np.sqrt(((features[candidate] - features[j]) ** 2).sum()))
         best = min(best, d)
     return float(weights[candidate]) * best
+
+
+def reduce_oracle(scenario_set, target: int):
+    """Backward reduction that rebuilds the alive x alive distance submatrix
+    for every deletion, from an n x n x 72 difference array: the survivors'
+    (load, pv, price) stacked (target, 24) arrays and probabilities
+    (target,), renormalized as a set is."""
+    n = len(scenario_set)
+    feats = reduction_features(scenario_set)
+    diff = feats[:, None, :] - feats[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+
+    weights = scenario_set.probabilities.copy()
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n - target):
+        idx_alive = np.flatnonzero(alive)
+        sub = dist[np.ix_(idx_alive, idx_alive)]
+        nearest = sub.min(axis=1)
+        victim_pos = int(np.argmin(weights[idx_alive] * nearest))
+        victim = idx_alive[victim_pos]
+        heir = idx_alive[int(np.argmin(sub[victim_pos]))]
+        weights[heir] += weights[victim]
+        weights[victim] = 0.0
+        alive[victim] = False
+
+    probabilities = weights[alive]
+    total = sum(probabilities.tolist())
+    if abs(total - 1.0) > 1e-12:
+        probabilities = probabilities / total
+    load, pv, price = (a[alive] for a in (scenario_set.load_factor, scenario_set.pv_factor, scenario_set.price))
+    return load, pv, price, probabilities
 
 
 def generate_oracle(forecast, n: int, seed: int, levels: int = 7):

@@ -344,17 +344,17 @@ class TestTourProduct:
         assert np.max(np.abs(sol.v - np.abs(v_ref))) < 1e-6
 
     def test_width_invariance(self, rng):
-        # two or more columns solved inside a block of any width, a multiple
-        # of 4 or not, are bit-identical to the same columns solved alone (a
-        # single column sums its losses over branches pairwise, not in order)
+        # any columns, a single one included, solved inside a block of any
+        # width, a multiple of 4 or not, are bit-identical to the same
+        # columns solved alone
         net = trunk_feeder(rng, 250)
         assert isinstance(_model(net).product, _TourProduct)
         p, q = load_injections(net)
         for width in (2, 3, 5, 7, 13, 24, 50, 97):
             factors = rng.uniform(0.3, 1.9, size=width)
-            at = int(rng.integers(width - 1))
-            cols = slice(at, at + int(rng.integers(2, width - at + 1)))
             block = solve_batch(net, p[:, None] * factors, q[:, None] * factors)
-            alone = solve_batch(net, p[:, None] * factors[cols], q[:, None] * factors[cols])
-            for name in ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch"):
-                assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (width, name)
+            at = int(rng.integers(width))
+            for cols in (slice(at, at + 1), slice(at, at + int(rng.integers(1, width - at + 1)))):
+                alone = solve_batch(net, p[:, None] * factors[cols], q[:, None] * factors[cols])
+                for name in ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch"):
+                    assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (width, cols, name)

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from dnems.scenarios import (
     reduction_features,
     stopping_rule,
 )
-from oracles import generate_oracle, reduction_cost_oracle
+from oracles import generate_oracle, reduce_oracle, reduction_cost_oracle
 
 # standard-normal CDF masses of sigma-wide bins at 0, +-1, +-2, +-3 sigma
 P7 = (0.0062096653, 0.0605975359, 0.2417303375, 0.3829249226)
@@ -123,6 +124,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="n must be"):
             generate(default_forecast(), n=0, seed=1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4"])
+    def test_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            generate(default_forecast(), n=n, seed=1)
+
+    def test_numpy_integer_n(self):
+        a, b = generate(default_forecast(), n=np.int64(12), seed=3), generate(default_forecast(), n=12, seed=3)
+        assert np.array_equal(profile_rows(a), profile_rows(b))
+        assert np.array_equal(a.probabilities, b.probabilities)
+
 
 class TestReduce:
     def test_identity(self):
@@ -179,6 +190,75 @@ class TestReduce:
             reduce(sset, 0)
         with pytest.raises(ValueError, match="target"):
             reduce(sset, len(sset) + 1)
+
+    @pytest.mark.parametrize("target", [True, False, 3.0, 2.5, np.float64(2.0), None])
+    def test_non_integer_target(self, target):
+        sset = generate(default_forecast(), n=5, seed=1)
+        with pytest.raises(ValueError, match="target must be an integer"):
+            reduce(sset, target)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
+    def test_numpy_integer_target(self, kind):
+        sset = generate(default_forecast(), n=8, seed=1)
+        a, b = reduce(sset, kind(3)), reduce(sset, 3)
+        assert np.array_equal(profile_rows(a), profile_rows(b))
+        assert np.array_equal(a.probabilities, b.probabilities)
+
+
+def assert_reduces_like_oracle(sset, target):
+    got = reduce(sset, target)
+    want = reduce_oracle(sset, target)
+    for name, ref in zip(("load_factor", "pv_factor", "price", "probabilities"), want):
+        assert np.array_equal(getattr(got, name), ref), name
+
+
+class TestReduceOracle:
+    """The fast backward reduction deletes the same scenarios, in the same
+    order, and hands their mass to the same heirs as the O(n^3) loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05, 0.2])] * 3),
+        levels=st.sampled_from([3, 5, 7]),
+        data=st.data(),
+    )
+    def test_equals_alive_submatrix_loop(self, n, seed, sigmas, levels, data):
+        # a zero sigma leaves whole profile blocks equal, so distances tie
+        fc = default_forecast()
+        sset = generate(ForecastProfile(fc.load_factor, fc.pv_factor, fc.price, *sigmas), n=n, seed=seed, levels=levels)
+        assert_reduces_like_oracle(sset, data.draw(st.integers(1, len(sset)), label="target"))
+
+    @pytest.mark.parametrize("draws, target", [(60, 30), (240, 120)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_workload_shapes(self, draws, target, seed):
+        assert_reduces_like_oracle(generate(default_forecast(), n=draws, seed=seed), target)
+
+    def test_thousand_draws(self):
+        assert_reduces_like_oracle(generate(default_forecast(), n=1000, seed=0), 500)
+
+    def test_equal_distances(self):
+        # four corners of a square around a centre: every tie goes to the
+        # lowest index, for the victim and for its heir
+        load = np.array([1.0, 1.5, 0.5, 1.0, 1.0])[:, None].repeat(24, axis=1)
+        pv = np.array([0.5, 0.5, 0.5, 0.75, 0.25])[:, None].repeat(24, axis=1)
+        sset = ScenarioSet(load, pv, np.full((5, 24), 0.1), [0.2] * 5)
+        for target in range(1, 6):
+            assert_reduces_like_oracle(sset, target)
+
+
+def test_reduce_memory_is_one_distance_matrix():
+    # 2,000 draws: the (n, n) float64 distances are 32 MB; an (n, n, 72)
+    # difference array would be 2.3 GB
+    sset = generate(default_forecast(), n=2000, seed=1)
+    tracemalloc.start()
+    try:
+        reduce(sset, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 class TestStatistics:

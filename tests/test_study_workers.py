@@ -1,8 +1,12 @@
 """A study's optimizations run in worker processes; its report and artifacts
 must not depend on how many workers ran them, nor on how they were started."""
 
+import ctypes
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,40 @@ class TestWorkerCount:
     def test_never_more_workers_than_tasks(self):
         assert study._worker_count(1) == 1
         assert 1 <= study._worker_count(1000) <= os.cpu_count()
+
+
+# In a fresh process, the number of blocks that glibc maps with mmap to hold
+# a 4 MB array, then a 16 MB one after the worker set-up's malloc tuning.
+# Freeing the first raises glibc's own threshold to 4 MB, not to 16.
+MAPPED_BLOCKS = """
+import ctypes, numpy as np
+from dnems.study import _reuse_freed_arrays
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Info
+def mapped_by_allocation(n_bytes):
+    before = mallinfo2().hblks
+    block = np.ones(n_bytes // 8)
+    return mallinfo2().hblks - before
+first = mapped_by_allocation(4 << 20)
+_reuse_freed_arrays()
+print(first, mapped_by_allocation(16 << 20))
+"""
+
+
+def test_worker_heap_serves_large_arrays():
+    # a worker serves blocks of up to 32 MB from the heap, whatever its
+    # parent freed before the fork
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("no glibc mallinfo2 here")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MAPPED_BLOCKS], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0"]
 
 
 class TestByteIdentity:
