@@ -77,7 +77,10 @@ def _config_from_args(args) -> StudyConfig:
             for k, v in (("population", args.population), ("iterations", args.iterations))
             if v is not None
         }
-        overrides["optimizer"] = replace(base.optimizer, **opt_overrides)
+        try:
+            overrides["optimizer"] = replace(base.optimizer, **opt_overrides)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     return replace(base, **overrides)
 

@@ -62,6 +62,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="oversample must be >= 1"):
             StudyConfig(oversample=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            StudyConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "opt, top",
+        [({"seed": 3}, "seed"), ({"objective_weights": (1.0, 0.0)}, "weights")],
+        ids=["seed", "objective_weights"],
+    )
+    def test_optimizer_setting_a_study_overrides_rejected(self, opt, top):
+        # the study sets these for each run; a config holding them would not
+        # read back from its manifest
+        key = next(iter(opt))
+        with pytest.raises(ConfigError, match=f"optimizer.{key} has no effect in a study; set the top-level '{top}'"):
+            StudyConfig(optimizer=HybridConfig(**opt))
+
     def test_from_json(self, tmp_path):
         doc = {
             "mode": "stochastic",
@@ -249,6 +265,21 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--population", "3"], "config error: population must be even and >= 2"),
+            (["--iterations", "0"], "config error: iterations must be >= 1"),
+            (["--seed", "-1"], "config error: seed must be >= 0, got -1"),
+        ],
+        ids=["population", "iterations", "seed"],
+    )
+    def test_bad_flag_exit_one(self, tmp_path, capsys, flags, line):
+        code = main(["--mode", "det", "--repeats", "1", *flags, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(
             ["--network", "/no/such/net.json", "--mode", "det", "--repeats", "1",
@@ -319,6 +350,7 @@ class TestCli:
             ({"optimizer": {"mu_high": float("inf")}}, "mu_high must be finite"),
             ({"optimizer": {"mu_low": float("inf")}}, "mu_low must be finite"),
             ({"optimizer": {"penalty_weights": {"flow": float("inf")}}}, "penalty weight 'flow' must be finite"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):

@@ -43,6 +43,8 @@ STOCH_COST = StudyConfig(
     seed=1,
     optimizer=HybridConfig(population=4, iterations=2),
 )
+# every mode's EV rows, the bare run, and repeats that share their optimizer seed
+STOCH_MULTI_VARY = replace(STOCH_COST, objective="multi", repeats=3, vary="scenarios")
 
 
 def fail_on_wide_sets(monkeypatch):
@@ -97,6 +99,23 @@ class TestWorkerCount:
         results = study._run_tasks(study._TaskRunner(None, None, None), [0, 1])
         assert results == [(os.getpid(), 0), (os.getpid(), 1)]
 
+    def test_study_process_builds_no_evaluator(self, monkeypatch):
+        # the tasks evaluate their own schedules, so with workers the study
+        # process only plans and folds
+        if study._START_METHOD is None:
+            pytest.skip("tasks run in-process here")
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(os.getpid())
+            return ScheduleEvaluator(*args, **kwargs)
+
+        monkeypatch.setattr(study, "ScheduleEvaluator", counting)
+        workers(monkeypatch, 2)
+        report = run_study(DET_MULTI)
+        assert len(report.runs) == 6 and report.profit is not None
+        assert built == []
+
     def test_never_more_workers_than_tasks(self):
         assert study._worker_count(1) == 1
         assert 1 <= study._worker_count(1000) <= os.cpu_count()
@@ -137,7 +156,9 @@ def test_worker_heap_serves_large_arrays():
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("cfg", [DET_MULTI, STOCH_COST], ids=["det-multi", "stoch-cost"])
+    @pytest.mark.parametrize(
+        "cfg", [DET_MULTI, STOCH_COST, STOCH_MULTI_VARY], ids=["det-multi", "stoch-cost", "stoch-multi-vary"]
+    )
     def test_two_workers_match_one(self, cfg, monkeypatch, tmp_path):
         workers(monkeypatch, 1)
         one, files_one = study_artifacts(cfg, tmp_path / "one")
