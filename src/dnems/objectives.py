@@ -15,6 +15,10 @@ its 2,880 scenario-hours.  Column results are gathered back to
 scenario-hours before any sum, so every total is the same bits as when each
 scenario-hour has a column of its own.  This is what makes population search
 over hundreds of scenarios affordable.
+
+Energy not supplied needs no power flow.  Only the few buses that host a
+device differ between candidates, so their unserved load is computed per
+candidate and the bare load of every bus once per block.
 """
 
 from __future__ import annotations
@@ -237,6 +241,12 @@ class ScheduleEvaluator:
         self.ess_rate_max = np.array(
             [[e.p_charge_max, e.p_discharge_max] for e in net.esss]
         ).reshape(-1, 2) if net.esss else np.zeros((0, 2))
+        # the buses that host a device, and the row of each device among them
+        # (not a plain np.unique, which imports numpy.ma: 1 MB of RSS)
+        self.dev_idx = np.array(sorted({*self.pv_idx, *self.dg_idx, *self.ess_idx}), dtype=int)
+        self.pv_row, self.dg_row, self.ess_row = (
+            np.searchsorted(self.dev_idx, idx) for idx in (self.pv_idx, self.dg_idx, self.ess_idx)
+        )
 
         order = radial_order(net)
         times = np.array([br.at_repair + br.at_restoration for br in net.branches])
@@ -263,8 +273,9 @@ class ScheduleEvaluator:
 
     def _day(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> _Day:
         """The evaluation kernel: the grid states of a block of candidates in
-        as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, then hourly
-        costs and per-candidate, per-scenario totals."""
+        as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, ENS for the
+        whole block, then hourly costs and per-candidate, per-scenario
+        totals."""
         k = len(dg)
         w = self.weights
 
@@ -299,8 +310,9 @@ class ScheduleEvaluator:
             self._network(dg[a : a + per_call], ess[a : a + per_call], sset, width)
             for a in range(0, k, per_call)
         ]
-        p_slack, p_loss, converged, pen, ens = (np.concatenate(arrs) for arrs in zip(*parts))
+        p_slack, p_loss, converged, pen = (np.concatenate(arrs) for arrs in zip(*parts))
         pen = pen + static_pen[:, None]
+        ens = self._ens(dg, ess, sset)
         billed = p_slack if self.export_credit else np.maximum(p_slack, 0.0)
         grid_cost = sset.price * billed
         cost = grid_cost.sum(axis=2) + dg_cost_s[:, None] + pv_cost_s
@@ -320,7 +332,7 @@ class ScheduleEvaluator:
         """One power-flow call for c candidates over ``width`` columns each
         (the set's grid states, cyclically padded): slack power, losses and
         convergence per scenario-hour (c, n_s, 24), and the (c, n_s) network
-        penalty (voltage, flow, convergence) and ENS.
+        penalty (voltage, flow, convergence).
 
         Column results are gathered back to scenario-hours before any sum, so
         every total runs over the same values in the same order as if each
@@ -360,31 +372,41 @@ class ScheduleEvaluator:
         if over.flow_overshoot_kva.any():
             pen += w["flow"] * hours((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2).sum(axis=(1, 3))
         pen += w["convergence"] * (~converged).sum(axis=2).astype(float)
-        return p_slack, p_loss, converged, pen, self._ens(dg, ess, sset)
+        return p_slack, p_loss, converged, pen
 
     def _ens(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> np.ndarray:
-        """Energy not supplied (c, n_s) of c candidates: each bus's mean
-        unserved load, weighted by the repair plus restoration hours along its
-        feed path.
+        """Energy not supplied (k, n_s) of a block of k candidates: each bus's
+        mean unserved load, weighted by the repair plus restoration hours
+        along its feed path.
 
         Local generation and storage discharge offset a bus's load hour by
         hour; surplus hours do not bank credit against deficit hours, so the
         unserved level responds to when devices run, not just how much.
+
+        Only the rows of buses that host a device differ between candidates:
+        those are computed per candidate, the bare load's rows once for the
+        block.  Each candidate's sum over buses then runs on the same
+        (n_bus, n_s) values in the same order as for a block of one.
         """
         hour, load_f, pv_f, state_of = sset.grid_states
-        # unserved load per grid state, candidate-major (c, n_bus, u); the
-        # hourly mean and the sum over buses then run on scenario-hours in the
-        # same order as for a block of one
-        net_load = np.empty((len(dg), self.net.n_bus, len(hour)))
-        np.multiply(self.p_load[:, None], load_f, out=net_load)
-        for i, b in enumerate(self.pv_idx):
-            net_load[:, b] -= self.pv_capacity[i] * pv_f
-        for j, b in enumerate(self.dg_idx):
-            net_load[:, b] -= dg[:, j, hour]
-        for j, b in enumerate(self.ess_idx):
-            net_load[:, b] -= np.maximum(0.0, -ess[:, j, hour])
-        unserved = _scenario_hours(np.maximum(0.0, net_load), state_of, len(sset))
-        return (self.path_time[:, None] * unserved.mean(axis=3)).sum(axis=1)
+        n_s = len(sset)
+
+        def mean_unserved(net_load):  # per grid state (..., u) -> hourly mean per scenario (..., n_s)
+            return _scenario_hours(np.maximum(0.0, net_load), state_of, n_s).mean(axis=-1)
+
+        weighted = np.empty((len(dg), self.net.n_bus, n_s))
+        weighted[:] = self.path_time[:, None] * mean_unserved(self.p_load[:, None] * load_f)
+        dev = self.dev_idx
+        net_load = np.empty((len(dg), len(dev), len(hour)))
+        np.multiply(self.p_load[dev, None], load_f, out=net_load)
+        for i, r in enumerate(self.pv_row):
+            net_load[:, r] -= self.pv_capacity[i] * pv_f
+        for j, r in enumerate(self.dg_row):
+            net_load[:, r] -= dg[:, j, hour]
+        for j, r in enumerate(self.ess_row):
+            net_load[:, r] -= np.maximum(0.0, -ess[:, j, hour])
+        weighted[:, dev] = self.path_time[dev, None] * mean_unserved(net_load)
+        return weighted.sum(axis=1)
 
     def per_scenario(self, x, sset: ScenarioSet) -> ScenarioOutcomes:
         """Cost, ENS and penalty of a schedule (or of each row of a block)

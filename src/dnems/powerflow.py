@@ -261,6 +261,7 @@ def solve_batch(
     s_conj = np.conj(s_pu)
     s_abs = np.abs(s_pu)
     v = np.ones((net.n_bus - 1, m), dtype=complex)
+    v_abs = np.ones(v.shape)  # |v|, kept beside v
     i_inj = np.zeros_like(v)
     mismatch = np.full(m, np.inf)
     alive = np.ones(m, dtype=bool)  # columns not diverged
@@ -274,24 +275,29 @@ def solve_batch(
         # frozen (batch solves bit-match single solves) without the cost of
         # gathering shrinking column subsets
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v_abs = np.abs(v)
-            i_new = s_conj * v / np.square(v_abs)  # conj(s / v)
+            # conj(s / v) = conj(s) v / |v|^2.  numpy divides by a real c as
+            # by c + 0j, which works out to a product with 1 / c: the same
+            # bits, bar the signs of zero currents
+            i_new = s_conj * v
+            i_new *= 1.0 / np.square(v_abs)
             if not np.isfinite(i_new.sum()):  # a NaN or inf anywhere shows in the sum
                 # diverged columns: zero currents give v = 1, then they freeze
                 diverged = ~np.isfinite(i_new).all(axis=0)
                 i_new[:, diverged] = 0.0
                 alive &= ~diverged
             v_new = 1.0 + drop(i_new)
+            v_new_abs = np.abs(v_new)  # the collapse check's, then the next sweep's divisor
             check = it >= 3 or it == max_iter  # nothing converges in 2 sweeps
             if check:
                 mis = (s_abs * (np.abs(v_new - v) / v_abs)).max(axis=0)
-                mismatch[active] = mis[active]
-                alive &= ~(active & (np.abs(v_new).min(axis=0) <= _V_COLLAPSE))
+                np.copyto(mismatch, mis, where=active)
+                alive &= ~(active & (v_new_abs.min(axis=0) <= _V_COLLAPSE))
         if active.all():
-            i_inj, v = i_new, v_new
+            i_inj, v, v_abs = i_new, v_new, v_new_abs
         else:
-            i_inj[:, active] = i_new[:, active]
-            v[:, active] = v_new[:, active]
+            np.copyto(i_inj, i_new, where=active)
+            np.copyto(v, v_new, where=active)
+            np.copyto(v_abs, v_new_abs, where=active)
         active &= alive
         if check:
             active &= mismatch > tol

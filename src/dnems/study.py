@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -225,27 +226,33 @@ def _select(archive: ParetoArchive, mode: str, weights) -> tuple[np.ndarray, Obj
 
 @dataclass(frozen=True)
 class _Task:
-    """One independent optimization of a study: ``mode`` on ``sset`` from the
-    optimizer seed ``seed``.  A ``bare`` task is the cost run on the feeder
-    stripped of PV and storage, which the profit projection needs."""
+    """One independent optimization of a study: ``mode`` from the optimizer
+    seed ``seed``, on the reduced set of ``count`` scenarios drawn from the
+    sub-seed ``scenario_seed``, or with no such seed on the forecast's
+    one-scenario set.  The task's runner draws the set.  A ``bare`` task is
+    the cost run on the feeder stripped of PV and storage, which the profit
+    projection needs."""
 
     label: str
     rep: int
     mode: str
     seed: int
-    sset: ScenarioSet
+    count: int = 1
+    scenario_seed: int | None = None
     bare: bool = False
 
 
 @dataclass(frozen=True)
 class _Found:
     """What a successful task sends back: the selected schedule and its
-    objectives, its outcomes under each scenario of the task's set and its
-    hourly breakdown under the forecast (neither for a bare task), the
-    archive of a ``multi`` run, and the task's wall time."""
+    objectives, the scenario set it was optimized on, its outcomes under each
+    scenario of that set and its hourly breakdown under the forecast (neither
+    for a bare task), the archive of a ``multi`` run, and the task's wall
+    time."""
 
     x: DecisionVector
     f: ObjectiveVector
+    sset: ScenarioSet
     outcomes: ScenarioOutcomes | None
     breakdown: EvaluationBreakdown | None
     archive: ParetoArchive | None
@@ -254,13 +261,24 @@ class _Found:
 
 @dataclass(frozen=True)
 class _TaskRunner:
-    """Runs a study's tasks against its network; ``forecast_set`` is the
-    forecast's one-scenario set, under which each schedule is broken down."""
+    """Runs a study's tasks against its network and forecast: draws each
+    task's scenario set, optimizes on it, and breaks the schedule down under
+    the forecast's one-scenario set."""
 
     net: Network
     cfg: StudyConfig
-    forecast_set: ScenarioSet
+    forecast: ForecastProfile
     _evaluators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def forecast_set(self) -> ScenarioSet:
+        return deterministic_set(self.forecast)
+
+    def scenarios(self, task: _Task) -> ScenarioSet:
+        """The task's scenario set, drawn afresh for a stochastic task."""
+        if task.scenario_seed is None:
+            return self.forecast_set
+        return _make_scenarios(self.cfg, self.forecast, task.count, task.scenario_seed)
 
     def evaluator(self, bare: bool) -> ScheduleEvaluator:
         """The feeder's evaluator, or the bare feeder's, built once per process."""
@@ -274,22 +292,23 @@ class _TaskRunner:
         pickles, and a failed bare run as its exception, which the study
         re-raises."""
         t0 = time.perf_counter()
+        sset = self.scenarios(task)
         try:
             evaluator = self.evaluator(task.bare)
             run_weights = tuple(_MODE_WEIGHTS.get(task.mode, self.cfg.weights))
             opt_cfg = replace(self.cfg.optimizer, seed=task.seed, objective_weights=run_weights)
             space = SearchSpace(*decision_bounds(evaluator.net))
-            archive, _log = hybrid_run(opt_cfg, space, lambda positions: evaluator.evaluate(positions, task.sset))
+            archive, _log = hybrid_run(opt_cfg, space, lambda positions: evaluator.evaluate(positions, sset))
             x, f = _select(archive, task.mode, self.cfg.weights)
         except Exception as exc:  # noqa: BLE001 - folded into the report by the study
             return exc if task.bare else str(exc)
         x = DecisionVector.from_flat(x, len(evaluator.net.dgs), len(evaluator.net.esss))
         outcomes = breakdown = None
         if not task.bare:
-            outcomes = evaluator.per_scenario(x, task.sset)
+            outcomes = evaluator.per_scenario(x, sset)
             breakdown = evaluator.breakdown(x, self.forecast_set)
         kept = archive if task.mode == "multi" else None
-        return _Found(x, f, outcomes, breakdown, kept, time.perf_counter() - t0)
+        return _Found(x, f, sset, outcomes, breakdown, kept, time.perf_counter() - t0)
 
 
 # Start method of the worker processes; None runs every task in-process.
@@ -352,6 +371,10 @@ def _reuse_freed_arrays() -> None:
     hang on what its parent happened to free before the fork.  Setting it
     fixes the threshold, and the heap's trim threshold beside it (glibc
     keeps the two at a 1:2 ratio).
+
+    Each worker calls it, and so does the CLI before its study, for the
+    tasks that run in-process; ``run_study`` itself leaves its caller's
+    malloc as it is.
     """
     import ctypes
 
@@ -398,24 +421,23 @@ def _settings(cfg: StudyConfig) -> list[tuple[str, int]]:
     return [(f"s{c}", c) for c in cfg.scenario_counts]
 
 
-def _plan(cfg: StudyConfig, forecast: ForecastProfile, det_set: ScenarioSet) -> list[_Task]:
+def _plan(cfg: StudyConfig) -> list[_Task]:
     """The study's tasks, in the order the report lists them: one per
-    (setting, repeat, mode), each scenario set drawn in that order, and the
-    bare-feeder cost run last when a profit is to be projected."""
+    (setting, repeat, mode), and the bare-feeder cost run last when a profit
+    is to be projected.  Planning draws no scenarios; each task carries the
+    sub-seed of its set."""
     modes = _modes(cfg)
     tasks: list[_Task] = []
     for s_idx, (label, count) in enumerate(_settings(cfg)):
         for rep in range(cfg.repeats):
             scen_rep = rep if cfg.vary in ("both", "scenarios") else 0
             opt_rep = rep if cfg.vary in ("both", "optimizer") else 0
-            if cfg.mode == "deterministic":
-                sset = det_set
-            else:
-                sset = _make_scenarios(cfg, forecast, count, _sub_seed(cfg.seed, 1, s_idx, scen_rep))
+            scenario_seed = None if cfg.mode == "deterministic" else _sub_seed(cfg.seed, 1, s_idx, scen_rep)
             for m_idx, mode in enumerate(modes):
-                tasks.append(_Task(label, rep, mode, _sub_seed(cfg.seed, 2, s_idx, opt_rep, m_idx), sset))
+                seed = _sub_seed(cfg.seed, 2, s_idx, opt_rep, m_idx)
+                tasks.append(_Task(label, rep, mode, seed, count, scenario_seed))
     if "cost" in modes:
-        tasks.append(_Task("bare", 0, "cost", _sub_seed(cfg.seed, 3), det_set, bare=True))
+        tasks.append(_Task("bare", 0, "cost", _sub_seed(cfg.seed, 3), bare=True))
     return tasks
 
 
@@ -429,7 +451,7 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
     """The study's report from its tasks and their results, in task order."""
     runs: list[RunRecord] = []
     errors: list[str] = []
-    best_runs: dict[str, tuple[_Task, _Found]] = {}  # mode -> its best run
+    best_runs: dict[str, _Found] = {}  # mode -> its best run
     bare = None
     for task, out in zip(tasks, results):
         if task.bare:
@@ -439,8 +461,8 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
         else:
             runs.append(RunRecord(task.label, task.mode, task.rep, out.f.f1, out.f.f2, out.f.penalty))
             prev = best_runs.get(task.mode)
-            if prev is None or _rank(task.mode, out.f) < _rank(task.mode, prev[1].f):
-                best_runs[task.mode] = (task, out)
+            if prev is None or _rank(task.mode, out.f) < _rank(task.mode, prev.f):
+                best_runs[task.mode] = out
 
     stats_rows: list[dict] = []
     for label, count in _settings(cfg):
@@ -467,14 +489,14 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
                 )
 
     best = {
-        mode: {"f1": out.f.f1, "f2": out.f.f2, "penalty": out.f.penalty, "x": out.x, "sset": task.sset,
+        mode: {"f1": out.f.f1, "f2": out.f.f2, "penalty": out.f.penalty, "x": out.x, "sset": out.sset,
                "outcomes": out.outcomes}
-        for mode, (task, out) in best_runs.items()
+        for mode, out in best_runs.items()
     }
     kind_of = {"cost": "cost", "ens": "ens", "multi": "bcs"}
     schedules = {
         kind_of[mode]: {"dg": out.x.dg_power, "ess": out.x.ess_power, "p_slack": out.breakdown.p_slack}
-        for mode, (_, out) in best_runs.items()
+        for mode, out in best_runs.items()
     }
 
     bcs = None
@@ -494,7 +516,7 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
             raise bare
         profit = profit_analysis(
             toc_old=bare.f.f1,
-            toc_new=best_runs["cost"][1].breakdown.cost_s,
+            toc_new=best_runs["cost"].breakdown.cost_s,
             investment=cfg.investment,
             years=cfg.profit_years,
             c_npv=cfg.c_npv,
@@ -507,7 +529,7 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
         stats_rows=stats_rows,
         best=best,
         schedules=schedules,
-        archive=best_runs["multi"][1].archive if "multi" in best_runs else None,
+        archive=best_runs["multi"].archive if "multi" in best_runs else None,
         bcs=bcs,
         profit=profit,
         errors=errors,
@@ -522,16 +544,15 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     independent runs (fresh scenario and optimizer sub-seeds per repeat);
     deterministic mode optimizes the zero-deviation singleton scenario.
 
-    The study is planned here, every scenario set drawn in order; the
-    tasks, which depend only on their seeds and sets, then run in worker
-    processes (see ``_run_tasks``), and their results are folded back in
-    task order, so the report does not depend on how many workers ran them.
+    The study is planned here; the tasks, which depend only on their seeds,
+    then draw their scenario sets and run in worker processes (see
+    ``_run_tasks``), and their results are folded back in task order, so the
+    report does not depend on how many workers ran them.
     """
     t0 = time.perf_counter()
     net, forecast = _load_inputs(cfg)
-    det_set = deterministic_set(forecast)
-    tasks = _plan(cfg, forecast, det_set)
-    report = _fold(cfg, tasks, _run_tasks(_TaskRunner(net, cfg, det_set), tasks))
+    tasks = _plan(cfg)
+    report = _fold(cfg, tasks, _run_tasks(_TaskRunner(net, cfg, forecast), tasks))
     report.timings["total_s"] = time.perf_counter() - t0
     return report
 

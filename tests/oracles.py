@@ -9,7 +9,11 @@ vectorized ``generate`` replaced; it takes only the bin probabilities from the
 package (``discretize_normal``, itself checked against scipy.stats).  The
 reduction oracle is the O(n^3) loop that the fast backward ``reduce``
 replaced; it takes only the distance features from the package
-(``reduction_features``).
+(``reduction_features``).  The sweep oracle is the fixed-point loop that
+``solve_batch`` ran before its sweep kept ``|v|`` and multiplied by
+``1 / |v|^2``; it takes the feeder's sweep model from the package.  The ENS
+oracle is the all-bus formulation that the per-block ENS replaced; it takes
+the evaluator's per-bus data (loads, device buses, path times).
 """
 
 from collections import deque
@@ -18,6 +22,7 @@ import numpy as np
 from scipy.optimize import root
 
 from dnems.network import Branch, Bus, Network, make_network
+from dnems.powerflow import _V_COLLAPSE, BatchPowerFlow, _branch_sum, _model
 from dnems.scenarios import discretize_normal, reduction_features
 
 
@@ -282,3 +287,85 @@ def nondominated_filter(points):
         return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
     return {p for p in uniq if not any(dom(q, p) for q in uniq if q != p)}
+
+
+def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 100) -> BatchPowerFlow:
+    """``solve_batch`` of (n_bus, m) injections as the loop ran before it
+    kept ``|v|`` between sweeps: ``|v|`` taken twice a sweep, the currents
+    divided by ``|v|^2`` as complex numbers, and frozen columns written by
+    boolean indexing."""
+    mdl = _model(net)
+    p, q = np.asarray(p_kw, dtype=float), np.asarray(q_kvar, dtype=float)
+    m = p.shape[1]
+    s_pu = (p[mdl.nonslack] + 1j * q[mdl.nonslack]) / mdl.s_base_kva
+    s_conj = np.conj(s_pu)
+    s_abs = np.abs(s_pu)
+    v = np.ones((net.n_bus - 1, m), dtype=complex)
+    i_inj = np.zeros_like(v)
+    mismatch = np.full(m, np.inf)
+    alive = np.ones(m, dtype=bool)
+    active = np.ones(m, dtype=bool)
+    drop = mdl.product.sweeper(m)
+    it = 0
+    for it in range(1, max_iter + 1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v_abs = np.abs(v)
+            i_new = s_conj * v / np.square(v_abs)
+            if not np.isfinite(i_new.sum()):
+                diverged = ~np.isfinite(i_new).all(axis=0)
+                i_new[:, diverged] = 0.0
+                alive &= ~diverged
+            v_new = 1.0 + drop(i_new)
+            check = it >= 3 or it == max_iter
+            if check:
+                mis = (s_abs * (np.abs(v_new - v) / v_abs)).max(axis=0)
+                mismatch[active] = mis[active]
+                alive &= ~(active & (np.abs(v_new).min(axis=0) <= _V_COLLAPSE))
+        if active.all():
+            i_inj, v = i_new, v_new
+        else:
+            i_inj[:, active] = i_new[:, active]
+            v[:, active] = v_new[:, active]
+        active &= alive
+        if check:
+            active &= mismatch > tol
+        if not active.any():
+            break
+    converged = alive & (mismatch <= tol)
+    v_full = np.ones((net.n_bus, m), dtype=complex)
+    v_full[mdl.nonslack] = v
+    j = mdl.product.branch_currents(i_inj)
+    s_from = v_full[mdl.parent] * np.conj(j)
+    loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
+    s_slack = _branch_sum(s_from[mdl.parent == mdl.slack]) * mdl.s_base_kva
+    return BatchPowerFlow(
+        v_complex=v_full,
+        s_flow=np.abs(s_from) * mdl.s_base_kva,
+        p_loss=loss,
+        p_slack=s_slack.real,
+        q_slack=s_slack.imag,
+        converged=converged,
+        iterations=it,
+        mismatch=mismatch,
+    )
+
+
+def ens_oracle(ev, dg, ess, sset):
+    """ENS (k, n_s) of a block of k candidates, from every bus's net load per
+    candidate: DG setpoints (k, n_dg, 24) and storage powers (k, n_ess, 24)
+    against the set's grid states, with the per-bus data of the
+    ScheduleEvaluator ``ev``."""
+    hour, load_f, pv_f, state_of = sset.grid_states
+    net_load = np.empty((len(dg), ev.net.n_bus, len(hour)))
+    np.multiply(ev.p_load[:, None], load_f, out=net_load)
+    for i, b in enumerate(ev.pv_idx):
+        net_load[:, b] -= ev.pv_capacity[i] * pv_f
+    for j, b in enumerate(ev.dg_idx):
+        net_load[:, b] -= dg[:, j, hour]
+    for j, b in enumerate(ev.ess_idx):
+        net_load[:, b] -= np.maximum(0.0, -ess[:, j, hour])
+    unserved = np.maximum(0.0, net_load)
+    if state_of is not None:
+        unserved = unserved.take(state_of, axis=-1)
+    unserved = np.ascontiguousarray(unserved).reshape(len(dg), ev.net.n_bus, len(sset), 24)
+    return (ev.path_time[:, None] * unserved.mean(axis=3)).sum(axis=1)

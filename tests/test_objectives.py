@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from dnems.objectives import (
     profit_analysis,
 )
 from dnems.scenarios import ScenarioSet, default_forecast, deterministic_set, generate, reduce
+from oracles import ens_oracle
 
 
 def spec(**kw):
@@ -481,6 +484,46 @@ class TestGridStates:
             assert all(w % per_candidate == 0 and w % 4 == 0 for w in widths)
         assert len(pair.grid_states[0]) == 25
         assert len(reduced.grid_states[0]) < 10 * 24
+
+
+# the built-in feeder with its first PV+storage pair and two of its DGs on
+# its most heavily loaded bus, whose net load then changes sign hour by hour
+_SHARED_BUS = 61
+_SHARED_NET = replace(
+    _NET,
+    pvs=(replace(_NET.pvs[0], bus=_SHARED_BUS), *_NET.pvs[1:]),
+    esss=(replace(_NET.esss[0], bus=_SHARED_BUS), *_NET.esss[1:]),
+    dgs=(replace(_NET.dgs[0], bus=_SHARED_BUS), *_NET.dgs[1:3], replace(_NET.dgs[3], bus=_SHARED_BUS)),
+)
+
+
+class TestEnsOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        set_name=st.sampled_from(["deterministic", "ten_scenarios", "repeating"]),
+        shared=st.booleans(),
+    )
+    def test_block_equals_all_bus_formulation(self, k, seed, set_name, shared):
+        # device rows per candidate and bare rows once per block give the
+        # bits of every bus's unserved load computed per candidate
+        net = _SHARED_NET if shared else _NET
+        sset = _repeating_set(seed, 6, 1.0) if set_name == "repeating" else _SETS[set_name]
+        assert (sset.grid_states[3] is None) == (set_name == "deterministic")
+        ev = ScheduleEvaluator(net)
+        lower, upper = decision_bounds(net)
+        positions = lower + np.random.default_rng(seed).random((k, lower.size)) * (upper - lower)
+        positions[0] = lower  # every storage unit discharges at full rate
+        dg, ess = ev._block(positions)
+        # ... which on bus 69 is more than the bus's load
+        assert ev.ess_idx[-1] == _NET.bus_index(69)
+        assert np.all(-ess[0, -1] > ev.p_load[ev.ess_idx[-1]] * sset.load_factor.max())
+        if shared:
+            shared_row = _NET.bus_index(_SHARED_BUS)
+            assert ev.pv_idx[0] == ev.ess_idx[0] == shared_row and list(ev.dg_idx).count(shared_row) == 2
+        got = ev.per_scenario(positions, sset).ens
+        assert got.tobytes() == ens_oracle(ev, dg, ess, sset).tobytes()
 
 
 class TestDecisionBounds:

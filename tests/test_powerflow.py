@@ -14,7 +14,7 @@ from dnems.powerflow import (
     check_limits,
     solve_batch,
 )
-from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network, trunk_feeder
+from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network, sweep_oracle, trunk_feeder
 
 
 def load_injections(net):
@@ -358,3 +358,31 @@ class TestTourProduct:
                 alone = solve_batch(net, p[:, None] * factors[cols], q[:, None] * factors[cols])
                 for name in ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch"):
                     assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (width, cols, name)
+
+
+class TestSweepOracle:
+    """The sweep keeps |v| between sweeps and multiplies the currents by
+    1 / |v|^2: every result keeps the bits of the loop it replaced."""
+
+    FIELDS = ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch")
+
+    @pytest.mark.parametrize("max_iter", [4, 100])
+    @pytest.mark.parametrize("n_bus", [69, 250])  # the dense product, then the tour
+    def test_fields_match(self, n_bus, max_iter, ieee69):
+        rng = np.random.default_rng(n_bus)
+        net = ieee69 if n_bus == 69 else trunk_feeder(rng, n_bus)
+        assert isinstance(_model(net).product, _DenseProduct if n_bus == 69 else _TourProduct)
+        p, q = load_injections(net)
+        # no injection; load that collapses the voltage; load that needs more
+        # than 4 sweeps; generation; ordinary load
+        factors = np.concatenate([[0.0, 12.0, 3.0, -0.5], rng.uniform(0.3, 1.9, 20)])
+        p, q = p[:, None] * factors, q[:, None] * factors
+        sol = solve_batch(net, p, q, max_iter=max_iter)
+        ref = sweep_oracle(net, p, q, max_iter=max_iter)
+        for name in self.FIELDS:
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert sol.iterations == ref.iterations
+        assert sol.p_slack[0] == 0.0 and sol.p_loss[0] == 0.0
+        assert not sol.converged[1] and sol.v[:, 1].min() < 0.3
+        assert sol.converged[2] == (max_iter == 100)
+        assert sol.converged[3:].all() == (max_iter == 100)

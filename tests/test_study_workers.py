@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dnems import study
+from dnems import cli, study
 from dnems.cli import main
 from dnems.network import builtin_ieee69
 from dnems.objectives import ScheduleEvaluator
@@ -116,6 +116,29 @@ class TestWorkerCount:
         assert len(report.runs) == 6 and report.profit is not None
         assert built == []
 
+    @pytest.mark.parametrize("cfg", [STOCH_COST, DET_MULTI], ids=["stoch", "det"])
+    def test_tasks_draw_their_own_sets(self, cfg, monkeypatch, tmp_path):
+        # the study process plans without drawing; a stochastic task draws
+        # its set where it runs, and a deterministic study draws none
+        if study._START_METHOD is None:
+            pytest.skip("tasks run in-process here")
+        log = tmp_path / "draws"
+        log.touch()
+        make_scenarios = study._make_scenarios
+
+        def recording(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return make_scenarios(*args)
+
+        monkeypatch.setattr(study, "_make_scenarios", recording)
+        workers(monkeypatch, 2)
+        report = run_study(cfg)
+        assert report.runs and not report.errors
+        pids = [int(line) for line in log.read_text().split()]
+        assert os.getpid() not in pids
+        assert len(pids) == (len(report.runs) if cfg.mode == "stochastic" else 0)
+
     def test_never_more_workers_than_tasks(self):
         assert study._worker_count(1) == 1
         assert 1 <= study._worker_count(1000) <= os.cpu_count()
@@ -153,6 +176,19 @@ def test_worker_heap_serves_large_arrays():
     proc = subprocess.run([sys.executable, "-c", MAPPED_BLOCKS], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "0"]
+
+
+def test_cli_reuses_freed_arrays_once(monkeypatch, tmp_path):
+    # the CLI owns its process: its in-process tasks get the workers' malloc
+    # setting, set once before the study runs
+    calls = []
+    monkeypatch.setattr(cli, "_reuse_freed_arrays", lambda: calls.append("malloc"))
+    monkeypatch.setattr(cli, "run_study", lambda cfg: calls.append("study") or run_study(cfg))
+    workers(monkeypatch, 1)
+    code = main(["--mode", "det", "--objective", "ens", "--repeats", "1", "--population", "4",
+                 "--iterations", "1", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == ["malloc", "study"]
 
 
 class TestByteIdentity:
