@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .study import ConfigError, StudyConfig, _reuse_freed_arrays, emit_artifacts, run_study
+from .study import ConfigError, StudyConfig, emit_artifacts, run_study
 
 _MODE_ALIASES = {"det": "deterministic", "stoch": "stochastic"}
 
@@ -93,9 +93,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    # the CLI owns its process, so it may tune malloc the way the workers do;
-    # a study that runs in-process is then as fast as one in a worker
-    _reuse_freed_arrays()
     try:
         report = run_study(cfg)
         manifest = emit_artifacts(report, cfg.out_dir)

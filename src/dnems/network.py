@@ -255,6 +255,44 @@ def save_network(net: Network, path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net), indent=1, sort_keys=True))
 
 
+def _csv_rows(path: Path, parse) -> list:
+    """``parse(row)`` of each row of the CSV file at ``path``.  A missing
+    column, a short or long row or a malformed number raises a NetworkError
+    that names the file and the row's line."""
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row:  # the fields past the header's end
+                raise NetworkError(f"{path}, line {reader.line_num}: too many fields")
+            try:
+                out.append(parse(row))
+            except KeyError as exc:
+                raise NetworkError(f"{path}, line {reader.line_num}: missing column {exc}") from None
+            except TypeError:  # a field that a short row lacks reads as None
+                raise NetworkError(f"{path}, line {reader.line_num}: too few fields") from None
+            except ValueError as exc:
+                raise NetworkError(f"{path}, line {reader.line_num}: {exc}") from None
+    return out
+
+
+def _bus_row(row: dict) -> Bus:
+    return Bus(id=int(row["id"]), p_load=float(row.get("p_load") or 0.0), q_load=float(row.get("q_load") or 0.0))
+
+
+def _branch_row(row: dict) -> Branch:
+    kwargs = {
+        "from_bus": int(row["from_bus"]),
+        "to_bus": int(row["to_bus"]),
+        "r": float(row["r"]),
+        "x": float(row["x"]),
+    }
+    for opt in ("s_max", "at_repair", "at_restoration"):
+        if row.get(opt):
+            kwargs[opt] = float(row[opt])
+    return Branch(**kwargs)
+
+
 def _load_csv_pair(directory: Path) -> Network:
     """Bare feeder from buses.csv / branches.csv (no devices)."""
     buses_path = directory / "buses.csv"
@@ -262,26 +300,7 @@ def _load_csv_pair(directory: Path) -> Network:
     for p in (buses_path, branches_path):
         if not p.exists():
             raise NetworkError(f"missing {p.name} in {directory}")
-    buses = []
-    with open(buses_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            buses.append(
-                Bus(id=int(row["id"]), p_load=float(row.get("p_load") or 0.0), q_load=float(row.get("q_load") or 0.0))
-            )
-    branches = []
-    with open(branches_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            kwargs = {
-                "from_bus": int(row["from_bus"]),
-                "to_bus": int(row["to_bus"]),
-                "r": float(row["r"]),
-                "x": float(row["x"]),
-            }
-            for opt in ("s_max", "at_repair", "at_restoration"):
-                if row.get(opt):
-                    kwargs[opt] = float(row[opt])
-            branches.append(Branch(**kwargs))
-    return make_network(buses, branches)
+    return make_network(_csv_rows(buses_path, _bus_row), _csv_rows(branches_path, _branch_row))
 
 
 def load_network(path) -> Network:

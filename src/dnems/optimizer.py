@@ -50,8 +50,8 @@ class SearchSpace:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("lower/upper must be 1-d arrays of equal length")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("need lower < upper componentwise")
+        if not np.all(self.lower <= self.upper):
+            raise ValueError("need lower <= upper componentwise")
 
     @property
     def dimension(self) -> int:

@@ -137,19 +137,26 @@ class ScenarioSet:
 
 
 def _parse_forecast(text: str, source) -> ForecastProfile:
-    """Forecast document: three hourly profiles plus optional sigmas."""
-    doc = json.loads(text)
+    """Forecast document: three hourly profiles plus optional sigmas.  Every
+    error names ``source``."""
+    try:
+        return _forecast_from_doc(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"forecast {source}: {exc}") from exc
+
+
+def _forecast_from_doc(doc) -> ForecastProfile:
     if not isinstance(doc, dict):
-        raise ValueError(f"forecast {source}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     for key in ("load_factor", "pv_factor", "price"):
         if key not in doc:
-            raise ValueError(f"forecast {source}: missing key {key!r}")
+            raise ValueError(f"missing key {key!r}")
         if not (isinstance(doc[key], list) and all(type(v) in (int, float) for v in doc[key])):
-            raise ValueError(f"forecast {source}: {key} must be a list of numbers")
+            raise ValueError(f"{key} must be a list of numbers")
     sigmas = {k: doc[k] for k in ("sigma_load", "sigma_pv", "sigma_price") if k in doc}
     for key, value in sigmas.items():
         if type(value) not in (int, float):
-            raise ValueError(f"forecast {source}: {key} must be a number, got {value!r}")
+            raise ValueError(f"{key} must be a number, got {value!r}")
         sigmas[key] = float(value)
     return ForecastProfile(doc["load_factor"], doc["pv_factor"], doc["price"], **sigmas)
 

@@ -126,6 +126,9 @@ class StudyConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.scenario_counts or min(self.scenario_counts) < 1:
             raise ConfigError("scenario counts must all be >= 1")
+        repeated = next((c for c in self.scenario_counts if self.scenario_counts.count(c) > 1), None)
+        if repeated is not None:
+            raise ConfigError(f"scenario counts must be distinct, got {repeated} more than once")
         if self.levels < 3 or self.levels % 2 == 0:
             raise ConfigError(f"levels must be odd and >= 3, got {self.levels}")
         if self.oversample < 1:
@@ -311,7 +314,8 @@ class _TaskRunner:
         return _Found(x, f, sset, outcomes, breakdown, kept, time.perf_counter() - t0)
 
 
-# Start method of the worker processes; None runs every task in-process.
+# Start method of the worker processes.  None, off Linux, runs every task in
+# the study process instead.
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 _worker_runner: _TaskRunner | None = None  # set in each worker process
@@ -372,9 +376,8 @@ def _reuse_freed_arrays() -> None:
     fixes the threshold, and the heap's trim threshold beside it (glibc
     keeps the two at a 1:2 ratio).
 
-    Each worker calls it, and so does the CLI before its study, for the
-    tasks that run in-process; ``run_study`` itself leaves its caller's
-    malloc as it is.
+    Only the workers call it; the study process, and so the caller of
+    ``run_study`` or the ``dnems`` command, keeps its malloc as it is.
     """
     import ctypes
 
@@ -389,20 +392,19 @@ def _reuse_freed_arrays() -> None:
 
 def _worker_count(n_tasks: int) -> int:
     """One worker process per CPU this process may run on, at most one per task."""
-    return min(len(os.sched_getaffinity(0)), n_tasks) if _START_METHOD else 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
 def _run_tasks(runner: _TaskRunner, tasks: list[_Task]) -> list:
-    """Results of ``tasks`` in task order, from worker processes, or from
-    ``runner`` in-process when there is one worker."""
-    workers = _worker_count(len(tasks))
-    if workers <= 1:
+    """Results of ``tasks`` in task order, from worker processes, even from
+    one, or from ``runner`` in-process where there is no start method."""
+    if _START_METHOD is None:
         return list(map(runner, tasks))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=_worker_count(len(tasks)),
         mp_context=multiprocessing.get_context(_START_METHOD),
         initializer=_init_worker,
         initargs=(runner,),

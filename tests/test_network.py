@@ -117,6 +117,23 @@ class TestLoadNetwork:
         assert net.branches[0].s_max == 5000.0
         assert net.buses[1].p_load == 100.0
 
+    @pytest.mark.parametrize(
+        "branches, message",
+        [
+            ("from_bus,to_bus,x\n1,2,0.1\n2,3,0.1\n", "line 2: missing column 'r'"),
+            ("from_bus,to_bus,r,x\n1,2,0.1,0.1\n2,3,0.2\n", "line 3: too few fields"),
+            ("from_bus,to_bus,r,x\n1,2,0.1,0.1,9\n2,3,0.2,0.1\n", "line 2: too many fields"),
+            ("from_bus,to_bus,r,x\n1,2,0.1,0.1\n2,3,abc,0.1\n", "line 3: could not convert string to float: 'abc'"),
+        ],
+        ids=["missing-column", "short-row", "long-row", "non-numeric"],
+    )
+    def test_malformed_csv_pair(self, tmp_path, branches, message):
+        (tmp_path / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n3,40,10\n")
+        (tmp_path / "branches.csv").write_text(branches)
+        with pytest.raises(NetworkError) as err:
+            load_network(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'branches.csv'}, {message}"
+
 
 class TestValidation:
     def test_noncontiguous_ids(self):

@@ -196,6 +196,23 @@ class TestRuns:
         assert np.all(arr[:, 0] >= -1.0) and np.all(arr[:, 0] <= 1.0)
         assert np.all(arr[:, 1] >= 0.0) and np.all(arr[:, 1] <= 5.0)
 
+    def test_fixed_coordinate_stays_fixed(self):
+        # equal bounds pin a coordinate, as a DG with p_min == p_max does
+        space = SearchSpace(np.array([-5.0, 3.0]), np.array([5.0, 3.0]))
+        seen = []
+
+        def recording(x):
+            seen.append(x.copy())
+            return sphere(x)
+
+        archive, _ = hybrid_run(HybridConfig(population=8, iterations=10, seed=3), space, rowwise(recording))
+        assert archive.entries and all(e.x[1] == 3.0 for e in archive.entries)
+        assert all(x[1] == 3.0 for x in seen)
+
+    def test_inverted_bounds_rejected(self):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            SearchSpace(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
     def test_archive_best_monotone(self):
         space = wide_space(6, 50.0)
         _, log = hybrid_run(HybridConfig(population=12, iterations=30, seed=5), space, rowwise(sphere))

@@ -78,6 +78,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"optimizer.{key} has no effect in a study; set the top-level '{top}'"):
             StudyConfig(optimizer=HybridConfig(**opt))
 
+    def test_duplicate_scenario_counts_rejected(self):
+        # two settings of one count would share a label and merge in stats.csv
+        with pytest.raises(ConfigError, match="scenario counts must be distinct, got 8 more than once"):
+            StudyConfig(scenario_counts=(4, 8, 8))
+
     def test_from_json(self, tmp_path):
         doc = {
             "mode": "stochastic",
@@ -398,6 +403,7 @@ class TestCli:
             ({"load_factor": {}}, "load_factor must be a list of numbers"),
             ({"pv_factor": ["0"] * 24}, "pv_factor must be a list of numbers"),
             ({"price": 0.1}, "price must be a list of numbers"),
+            ({"load_factor": [1.0]}, "load_factor must have 24 hourly entries"),
         ],
     )
     def test_mistyped_forecast_exit_one(self, tmp_path, capsys, change, message):
@@ -408,7 +414,8 @@ class TestCli:
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "config error" in err and message in err
+        assert f"config error: forecast {forecast}: {message}" in err
+        assert err.count(str(forecast)) == 1
 
     def test_no_successful_repeat_exit_two(self, tmp_path, capsys, monkeypatch):
         def failing(self, x, sset):
@@ -425,6 +432,46 @@ class TestCli:
         assert len(summary["errors"]) == 6
         assert all(len(e) < 200 for e in summary["errors"])
         assert "KeyError: 'flow'" in summary["errors"][0]
+
+    def test_duplicate_scenarios_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--mode", "stoch", "--scenarios", "4,4", "--repeats", "2",
+                     "--population", "4", "--iterations", "1", "--out", str(out)])
+        assert code == 1
+        assert "config error: scenario counts must be distinct, got 4 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_csv_network_exit_one(self, tmp_path, capsys):
+        feeder = tmp_path / "feeder"
+        feeder.mkdir()
+        (feeder / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n")
+        (feeder / "branches.csv").write_text("from_bus,to_bus,x\n1,2,0.1\n")
+        code = main(["--network", str(feeder), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config error: {feeder / 'branches.csv'}, line 2: missing column 'r'" in capsys.readouterr().err
+
+    def test_malformed_forecast_json_named(self, tmp_path, capsys):
+        forecast = tmp_path / "forecast.json"
+        forecast.write_text("{load_factor: []}")
+        code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config error: forecast {forecast}: Expecting property name" in capsys.readouterr().err
+
+    def test_fixed_output_dg(self, tmp_path):
+        # p_min == p_max is a valid DG: it runs at that output every hour
+        doc = network_to_dict(builtin_ieee69())
+        doc["dgs"][0].update(p_min=200.0, p_max=200.0)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["--network", str(path), "--mode", "det", "--objective", "cost", "--repeats", "2",
+                     "--population", "4", "--iterations", "2", "--out", str(out)])
+        assert code == 0
+        header, *rows = (out / "schedules_cost.csv").read_text().splitlines()
+        column = header.split(",").index("dg_1_kw")
+        assert [row.split(",")[column] for row in rows] == ["200.0"] * 24
 
     def test_config_file_with_overrides(self, tmp_path):
         doc = {"mode": "deterministic", "objective": "cost", "repeats": 1,

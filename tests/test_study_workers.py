@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dnems import cli, study
+from dnems import study
 from dnems.cli import main
 from dnems.network import builtin_ieee69
 from dnems.objectives import ScheduleEvaluator
@@ -85,16 +85,30 @@ class TestWorkerCount:
         assert [task for _, task in results] == list(range(6))
         assert os.getpid() not in {pid for pid, _ in results}
 
-    def test_workers_use_one_blas_thread(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_workers_use_one_blas_thread(self, n, monkeypatch):
         if not os.path.exists("/proc/self/maps") or blas_threads() is None:
             pytest.skip("numpy does not use an OpenBLAS here")
-        workers(monkeypatch, 2)
+        workers(monkeypatch, n)
         monkeypatch.setattr(study._TaskRunner, "__call__", lambda self, task: blas_threads())
         runner = study._TaskRunner(builtin_ieee69(), StudyConfig(), None)
         assert study._run_tasks(runner, [0, 1]) == [1, 1]
 
-    def test_one_worker_runs_in_process(self, monkeypatch):
+    def test_one_worker_runs_in_a_child(self, monkeypatch):
+        if study._START_METHOD is None:
+            pytest.skip("tasks run in-process here")
         workers(monkeypatch, 1)
+        monkeypatch.setattr(study._TaskRunner, "__call__", lambda self, task: (os.getpid(), task))
+        results = study._run_tasks(study._TaskRunner(None, None, None), [0, 1])
+        assert [task for _, task in results] == [0, 1]
+        assert len({pid for pid, _ in results}) == 1
+        assert results[0][0] != os.getpid()
+
+    def test_no_start_method_runs_in_process(self, monkeypatch):
+        # off Linux there is no start method, and every task runs in the
+        # study process whatever the worker count
+        monkeypatch.setattr(study, "_START_METHOD", None)
+        workers(monkeypatch, 2)
         monkeypatch.setattr(study._TaskRunner, "__call__", lambda self, task: (os.getpid(), task))
         results = study._run_tasks(study._TaskRunner(None, None, None), [0, 1])
         assert results == [(os.getpid(), 0), (os.getpid(), 1)]
@@ -178,17 +192,26 @@ def test_worker_heap_serves_large_arrays():
     assert proc.stdout.split() == ["1", "0"]
 
 
-def test_cli_reuses_freed_arrays_once(monkeypatch, tmp_path):
-    # the CLI owns its process: its in-process tasks get the workers' malloc
-    # setting, set once before the study runs
-    calls = []
-    monkeypatch.setattr(cli, "_reuse_freed_arrays", lambda: calls.append("malloc"))
-    monkeypatch.setattr(cli, "run_study", lambda cfg: calls.append("study") or run_study(cfg))
+def test_cli_leaves_its_own_malloc_alone(monkeypatch, tmp_path):
+    # only the workers tune malloc, even when the CLI's study has one worker
+    if study._START_METHOD is None:
+        pytest.skip("tasks run in-process here")
+    log = tmp_path / "malloc"
+    log.touch()
+    reuse_freed_arrays = study._reuse_freed_arrays
+
+    def recording():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        reuse_freed_arrays()
+
+    monkeypatch.setattr(study, "_reuse_freed_arrays", recording)
     workers(monkeypatch, 1)
     code = main(["--mode", "det", "--objective", "ens", "--repeats", "1", "--population", "4",
                  "--iterations", "1", "--out", str(tmp_path / "out")])
     assert code == 0
-    assert calls == ["malloc", "study"]
+    pids = [int(line) for line in log.read_text().split()]
+    assert pids and os.getpid() not in pids
 
 
 class TestByteIdentity:
