@@ -33,7 +33,7 @@ from .objectives import (
     profit_analysis,
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run, rowwise, single_run
-from .pareto import ParetoArchive, best_compromise, dominates, membership
+from .pareto import ParetoArchive, best_compromise, dominates
 from .powerflow import check_limits, solve_batch
 from .scenarios import (
     ForecastProfile,
@@ -76,7 +76,6 @@ __all__ = [
     "generate",
     "hybrid_run",
     "load_network",
-    "membership",
     "profit_analysis",
     "radial_order",
     "reduce",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "hybrid_run",
     "single_run",
     "rowwise",
-    "convergence_log_to_csv",
 ]
 
 
@@ -337,12 +335,3 @@ def single_run(algorithm: str, cfg: HybridConfig, space: SearchSpace, evaluator)
     """Undivided-population baseline: the whole population moves by one rule."""
     return _run(algorithm, cfg, space, evaluator)
 
-
-def convergence_log_to_csv(log, path) -> None:
-    lines = ["iteration,best_scalar,archive_size,best_f1,best_f2"]
-    for row in log:
-        lines.append(
-            f"{row['iteration']},{row['best_scalar']:.10g},{row['archive_size']},"
-            f"{row['best_f1']:.10g},{row['best_f2']:.10g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -13,47 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "MembershipScaler",
-    "ArchiveEntry",
-    "ParetoArchive",
-    "membership",
-    "dominates",
-    "best_compromise",
-]
-
-
-def membership(f: float, f_min: float, f_max: float) -> float:
-    """Degree to which an objective value is satisfactory: 1 at the best
-    attainable value, 0 at the worst, linear in between."""
-    if not f_min < f_max:
-        raise ValueError(f"need f_min < f_max, got [{f_min}, {f_max}]")
-    if f <= f_min:
-        return 1.0
-    if f >= f_max:
-        return 0.0
-    return (f_max - f) / (f_max - f_min)
-
-
-@dataclass(frozen=True)
-class MembershipScaler:
-    """Normalization bounds per objective, usually the archive's extremes."""
-
-    f1_min: float
-    f1_max: float
-    f2_min: float
-    f2_max: float
-
-    @classmethod
-    def from_entries(cls, entries) -> "MembershipScaler":
-        f1 = [e.f.f1 for e in entries]
-        f2 = [e.f.f2 for e in entries]
-        return cls(min(f1), max(f1), min(f2), max(f2))
-
-    def of(self, f) -> tuple[float, float]:
-        m1 = membership(f.f1, self.f1_min, self.f1_max) if self.f1_min < self.f1_max else 1.0
-        m2 = membership(f.f2, self.f2_min, self.f2_max) if self.f2_min < self.f2_max else 1.0
-        return (m1, m2)
+__all__ = ["ArchiveEntry", "ParetoArchive", "dominates", "best_compromise"]
 
 
 def dominates(a, b) -> bool:
@@ -112,35 +72,43 @@ class ParetoArchive:
         nn[int(np.argmin(f2))] = np.inf
         del self.entries[int(np.argmin(nn))]
 
-    def to_csv(self, path) -> None:
-        scaler = MembershipScaler.from_entries(self.entries)
-        psi = [scaler.of(e.f) for e in self.entries]
-        num = np.array([sum(m) for m in psi])
-        denom = num.sum() or 1.0
+    def to_csv(self, path, weights: tuple[float, float]) -> None:
+        """Write each entry's objectives, memberships and normalized score
+        ``y = score / sum of scores`` under ``weights`` (see ``_scores``)."""
+        psi, score = _scores(self.entries, weights)
         lines = ["f1,f2,psi1,psi2,y"]
-        for e, (m1, m2), y in zip(self.entries, psi, num / denom):
+        for e, (m1, m2), y in zip(self.entries, psi, score / score.sum()):
             lines.append(f"{e.f.f1:.10g},{e.f.f2:.10g},{m1:.10g},{m2:.10g},{y:.10g}")
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def best_compromise(arch: ParetoArchive, weights: tuple[float, float] = (0.5, 0.5)) -> ArchiveEntry:
-    """Entry with the highest weighted-membership score; ties go to lower f1.
+def _scores(entries, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Fuzzy memberships ``psi`` (n, 2) of the entries and their weighted
+    scores ``w1 psi1 + w2 psi2`` (n,).
 
-    The score of entry q is sum_h w_h * psi_qh normalized by the total over
-    the archive; the normalization is common to all entries, so the argmax is
-    invariant to scaling both weights by the same positive constant.
+    An objective's membership is 1 at the entries' best (lowest) value, 0 at
+    their worst and ``(max - f) / (max - min)`` in between; it is 1 for every
+    entry when all share one value.
     """
-    if not arch.entries:
+    if not entries:
         raise ValueError("archive is empty")
     w1, w2 = weights
     if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
         raise ValueError("weights must be nonnegative and not both zero")
-    scaler = MembershipScaler.from_entries(arch.entries)
-    best = None
-    best_score = -1.0
-    for e in arch.entries:
-        m1, m2 = scaler.of(e.f)
-        score = w1 * m1 + w2 * m2
-        if score > best_score or (score == best_score and best is not None and e.f.f1 < best.f.f1):
-            best, best_score = e, score
-    return best
+    f = np.array([(e.f.f1, e.f.f2) for e in entries], dtype=float)
+    lo, hi = f.min(axis=0), f.max(axis=0)
+    flat = hi == lo
+    psi = np.where(flat, 1.0, (hi - f) / np.where(flat, 1.0, hi - lo))
+    return psi, w1 * psi[:, 0] + w2 * psi[:, 1]
+
+
+def best_compromise(arch: ParetoArchive, weights: tuple[float, float] = (0.5, 0.5)) -> ArchiveEntry:
+    """Entry with the highest weighted-membership score (``_scores``); equal
+    scores go to the lower f1, then to the earlier entry.
+
+    Scaling both weights by the same positive constant scales every score
+    alike, so the choice does not change.
+    """
+    _, score = _scores(arch.entries, weights)
+    best = max(range(len(score)), key=lambda i: (score[i], -arch.entries[i].f.f1, -i))
+    return arch.entries[best]

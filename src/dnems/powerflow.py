@@ -44,7 +44,7 @@ class BatchPowerFlow:
     v_complex: np.ndarray  # (n_bus, *batch) phasors; magnitude derived lazily
     s_flow: np.ndarray  # (n_branch, *batch) apparent power at the sending end, kVA
     p_loss: np.ndarray  # batch, kW
-    p_slack: np.ndarray  # batch, substation active power, kW (positive = import)
+    p_slack: np.ndarray  # batch, grid import at the substation, its own bus's load included, kW
     q_slack: np.ndarray  # batch, kvar
     converged: np.ndarray  # batch, bool
     iterations: int  # sweeps of the whole call
@@ -243,14 +243,14 @@ def solve_batch(
     batch = p.shape[1:]
     m = math.prod(batch)
 
-    if net.n_bus == 1:  # bare substation: nothing to solve
+    if net.n_bus == 1:  # bare substation: the grid meets its own bus's net injection
         zeros = np.zeros(batch)
         return BatchPowerFlow(
             v_complex=np.ones((1, *batch), dtype=complex),
             s_flow=np.zeros((0, *batch)),
             p_loss=zeros,
-            p_slack=zeros.copy(),
-            q_slack=zeros.copy(),
+            p_slack=(0.0 - p).reshape(batch),
+            q_slack=(0.0 - q).reshape(batch),
             converged=np.ones(batch, dtype=bool),
             iterations=0,
             mismatch=zeros.copy(),
@@ -313,15 +313,16 @@ def solve_batch(
     j = mdl.product.branch_currents(i_inj)
     s_from = v_full[mdl.parent] * np.conj(j)
     loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
-    # slack power read off the sending-end flows of the branches leaving it
+    # slack power: the sending-end flows of the branches leaving the slack
+    # bus, less that bus's own net injection
     root = mdl.parent == mdl.slack
     s_slack = _branch_sum(s_from[root]) * mdl.s_base_kva
     return BatchPowerFlow(
         v_complex=v_full.reshape(net.n_bus, *batch),
         s_flow=(np.abs(s_from) * mdl.s_base_kva).reshape(len(s_from), *batch),
         p_loss=loss.reshape(batch),
-        p_slack=s_slack.real.reshape(batch),
-        q_slack=s_slack.imag.reshape(batch),
+        p_slack=(s_slack.real - p[mdl.slack]).reshape(batch),
+        q_slack=(s_slack.imag - q[mdl.slack]).reshape(batch),
         converged=converged.reshape(batch),
         iterations=it,
         mismatch=mismatch.reshape(batch),

@@ -135,6 +135,11 @@ class StudyConfig:
             raise ConfigError(f"oversample must be >= 1, got {self.oversample}")
         if self.vary not in ("both", "scenarios", "optimizer"):
             raise ConfigError(f"vary must be both|scenarios|optimizer, got {self.vary!r}")
+        if self.mode == "deterministic" and self.vary == "scenarios":
+            raise ConfigError(
+                "vary 'scenarios' needs mode 'stochastic': a deterministic study has one scenario, "
+                "so its repeats would all be the same run"
+            )
         if self.profit_years < 1:
             raise ConfigError(f"profit_years must be >= 1, got {self.profit_years}")
         if min(self.weights) < 0 or max(self.weights) <= 0:
@@ -599,6 +604,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+_OPTIONAL_ARTIFACTS = frozenset({"profit.csv", "schedules_cost.csv", "schedules_ens.csv", "schedules_bcs.csv"})
+
+
 def emit_artifacts(report: StudyReport, out_dir) -> dict:
     """Write every study artifact under ``out_dir`` and return the manifest."""
     out = Path(out_dir)
@@ -618,7 +626,7 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
         written.append(name)
 
     if report.archive is not None:
-        emit("pareto_front.csv", report.archive.to_csv)
+        emit("pareto_front.csv", lambda p: report.archive.to_csv(p, report.config["weights"]))
     else:
         emit("pareto_front.csv", lambda p: p.write_text("f1,f2,psi1,psi2,y\n"))
 
@@ -658,6 +666,11 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
             for y in range(len(pr.cumulative))
         ]
         emit("profit.csv", lambda p: _write_csv(p, ["year", "cumulative", "investment", "net"], rows))
+
+    # a study of another objective, or without a profit, writes fewer of
+    # these: an earlier study's copies in the same directory would be stale
+    for name in _OPTIONAL_ARTIFACTS.difference(written):
+        (out / name).unlink(missing_ok=True)
 
     manifest = {
         "config": report.config,

@@ -205,6 +205,16 @@ class TestEvaluateScenario:
         assert hour_cost == pytest.approx(14.0, abs=1e-3)
         assert bd.cost_s == pytest.approx(24 * 14.0, abs=0.05)
 
+    def test_dg_at_substation_bus(self):
+        # 300 kW of DG at the substation bus against the 150 kW load: the
+        # grid takes 150 kW back, billed at -0.10, and the DG costs 0.08
+        net = replace(dg_test_network(), dgs=(DgSpec(bus=1, p_min=300.0, p_max=300.0, marginal_cost=0.08),))
+        x = DecisionVector(np.full((1, 24), 300.0), np.zeros((0, 24)))
+        bd = breakdown(net, x, flat_scenario(price=0.1))
+        assert bd.p_slack == pytest.approx(np.full(24, -150.0), abs=0.01)
+        assert bd.dg_cost == pytest.approx(np.full(24, 24.0))
+        assert bd.cost_s == pytest.approx(24 * (24.0 - 15.0), abs=0.05)
+
     def test_empty_system(self):
         net = make_network(
             [Bus(id=1), Bus(id=2, p_load=0.0)],

@@ -11,7 +11,6 @@ from dnems.optimizer import (
     PsoState,
     SearchSpace,
     bound_repair,
-    convergence_log_to_csv,
     epsilon_schedule,
     gwo_step,
     hybrid_run,
@@ -294,10 +293,3 @@ class TestRuns:
         with pytest.raises(ValueError, match="population"):
             HybridConfig(population=7)
 
-    def test_log_csv(self, tmp_path):
-        _, log = hybrid_run(HybridConfig(population=6, iterations=4, seed=1), wide_space(2), rowwise(sphere))
-        path = tmp_path / "log.csv"
-        convergence_log_to_csv(log, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "iteration,best_scalar,archive_size,best_f1,best_f2"
-        assert len(lines) == 5

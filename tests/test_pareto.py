@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnems.objectives import ObjectiveVector
-from dnems.pareto import (
-    ArchiveEntry,
-    MembershipScaler,
-    ParetoArchive,
-    best_compromise,
-    dominates,
-    membership,
-)
+from dnems.pareto import ArchiveEntry, ParetoArchive, _scores, best_compromise, dominates
 from oracles import nondominated_filter
 
 
@@ -18,28 +11,44 @@ def ov(f1, f2, pen=0.0):
     return ObjectiveVector(f1=f1, f2=f2, penalty=pen)
 
 
+def entries(*points):
+    return [ArchiveEntry(x=None, f=ov(f1, f2)) for f1, f2 in points]
+
+
+def psi_of(points):
+    psi, _ = _scores(entries(*points), (0.5, 0.5))
+    return [tuple(row) for row in psi]
+
+
 class TestMembership:
+    """psi is 1 at the entries' best value of an objective, 0 at the worst."""
+
+    POINTS = ((1.0, 20.0), (3.0, 10.0), (2.0, 15.0))
+
     def test_best_attainable(self):
-        assert membership(1.0, 1.0, 2.0) == 1.0
+        psi = psi_of(self.POINTS)
+        assert psi[0][0] == 1.0 and psi[1][1] == 1.0
 
     def test_worst_attainable(self):
-        assert membership(2.0, 1.0, 2.0) == 0.0
+        psi = psi_of(self.POINTS)
+        assert psi[1][0] == 0.0 and psi[0][1] == 0.0
 
     def test_midpoint(self):
-        assert membership(1.5, 1.0, 2.0) == 0.5
-
-    def test_outside_clamps(self):
-        assert membership(0.0, 1.0, 2.0) == 1.0
-        assert membership(99.0, 1.0, 2.0) == 0.0
+        assert psi_of(self.POINTS)[2] == (0.5, 0.5)
 
     def test_monotone(self, rng):
         values = np.sort(rng.uniform(0, 10, size=30))
-        degrees = [membership(v, 2.0, 8.0) for v in values]
+        degrees = [m1 for m1, _ in psi_of([(v, 1.0) for v in values])]
         assert all(a >= b for a, b in zip(degrees, degrees[1:]))
 
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError, match="f_min < f_max"):
-            membership(1.0, 2.0, 2.0)
+    def test_degenerate_span(self):
+        # every entry shares f1: each is the best there is
+        assert psi_of(((1.0, 10.0), (1.0, 20.0), (1.0, 15.0))) == [(1.0, 1.0), (1.0, 0.0), (1.0, 0.5)]
+        assert psi_of(((4.0, 4.0),)) == [(1.0, 1.0)]
+
+    def test_weighted_score(self):
+        _, score = _scores(entries(*self.POINTS), (0.25, 2.0))
+        assert list(score) == [0.25, 2.0, 0.25 * 0.5 + 2.0 * 0.5]
 
 
 class TestDominates:
@@ -162,16 +171,27 @@ class TestBestCompromise:
         arch.insert(ArchiveEntry(x="only", f=ov(3, 4)))
         assert best_compromise(arch).x == "only"
 
-    def test_hand_scores(self):
+    def test_hand_scores(self, tmp_path):
         arch = self.make_archive()
         entry = best_compromise(arch, weights=(1.0, 1.0))
-        scaler = MembershipScaler.from_entries(arch.entries)
-        assert scaler.of(entry.f) == (pytest.approx(0.9), pytest.approx(0.4))
+        i = arch.entries.index(entry)
+        psi, _ = _scores(arch.entries, (1.0, 1.0))
+        assert tuple(psi[i]) == (pytest.approx(0.9), pytest.approx(0.4))
         assert entry.f.f1 == pytest.approx(0.1)
-        # normalized score of the winner over the four entries
+        # normalized score of the winner over the four entries, as written
         num = 0.9 + 0.4
         denom = (1.0 + 0.0) + (0.0 + 1.0) + (0.9 + 0.4) + (0.5 + 0.5)
-        assert num / denom == pytest.approx(1.3 / 4.3)
+        assert front_y(arch, (1.0, 1.0), tmp_path)[i] == pytest.approx(num / denom)
+
+    def test_equal_scores_go_to_lower_f1_then_earlier(self):
+        arch = ParetoArchive(capacity=10)
+        for f1, f2 in ((1.0, 0.0), (0.0, 1.0)):  # both score 0.5
+            arch.insert(ArchiveEntry(x=(f1, f2), f=ov(f1, f2)))
+        assert best_compromise(arch).f.f1 == 0.0
+        arch = ParetoArchive(capacity=10)
+        for x in ("first", "second"):
+            arch.entries.append(ArchiveEntry(x=x, f=ov(1.0, 1.0)))  # duplicates, bypassing insert
+        assert best_compromise(arch).x == "first"
 
     def test_weight_scale_invariance(self):
         arch = self.make_archive()
@@ -198,26 +218,54 @@ class TestBestCompromise:
             best_compromise(arch, weights=(-1.0, 2.0))
 
 
-class TestScaler:
-    def test_from_entries(self):
-        entries = [ArchiveEntry(x=None, f=ov(1, 20)), ArchiveEntry(x=None, f=ov(3, 10))]
-        scaler = MembershipScaler.from_entries(entries)
-        assert (scaler.f1_min, scaler.f1_max) == (1, 3)
-        assert scaler.of(ov(2, 15)) == (pytest.approx(0.5), pytest.approx(0.5))
+def front_y(arch, weights, tmp_path):
+    """The ``y`` column that ``to_csv`` writes for ``arch``."""
+    path = tmp_path / "front.csv"
+    arch.to_csv(path, weights)
+    return [float(line.split(",")[-1]) for line in path.read_text().splitlines()[1:]]
 
-    def test_degenerate_span(self):
-        entries = [ArchiveEntry(x=None, f=ov(1, 10)), ArchiveEntry(x=None, f=ov(1, 20))]
-        scaler = MembershipScaler.from_entries(entries)
-        assert scaler.of(ov(1, 15)) == (1.0, pytest.approx(0.5))
 
+objective_values = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 7.25])
+weight_values = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0.0, 10.0))
+
+
+class TestFrontCsv:
     def test_csv_dump(self, tmp_path):
         arch = ParetoArchive(capacity=5)
         arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
         arch.insert(ArchiveEntry(x=None, f=ov(2, 1)))
         path = tmp_path / "front.csv"
-        arch.to_csv(path)
+        arch.to_csv(path, (0.5, 0.5))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "f1,f2,psi1,psi2,y"
-        assert len(lines) == 3
-        ys = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert lines[1:] == ["1,2,1,0,0.5", "2,1,0,1,0.5"]
+
+    def test_y_weighted(self, tmp_path):
+        arch = ParetoArchive(capacity=5)
+        for f1, f2 in ((1, 2), (2, 1), (1.5, 1.5)):
+            arch.insert(ArchiveEntry(x=None, f=ov(f1, f2)))
+        # scores 0.95, 0.05 and 0.5 of a total 1.5
+        assert front_y(arch, (0.95, 0.05), tmp_path) == pytest.approx([0.95 / 1.5, 0.05 / 1.5, 0.5 / 1.5])
+
+    def test_empty_archive_and_bad_weights(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            ParetoArchive().to_csv(tmp_path / "front.csv", (0.5, 0.5))
+        arch = ParetoArchive(capacity=5)
+        arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
+        with pytest.raises(ValueError, match="weights"):
+            arch.to_csv(tmp_path / "front.csv", (0.0, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.tuples(objective_values, objective_values, st.sampled_from([0.0, 0.0, 1.0])),
+                        min_size=1, max_size=12),
+        weights=st.tuples(weight_values, weight_values).filter(lambda w: max(w) > 0),
+    )
+    def test_highest_y_is_best_compromise(self, points, weights, tmp_path_factory):
+        arch = ParetoArchive(capacity=8)
+        for f1, f2, pen in points:
+            arch.insert(ArchiveEntry(x=None, f=ov(f1, f2, pen)))
+        ys = front_y(arch, weights, tmp_path_factory.getbasetemp())
+        bcs = best_compromise(arch, weights)
+        assert ys[next(i for i, e in enumerate(arch.entries) if e is bcs)] == max(ys)
         assert sum(ys) == pytest.approx(1.0)

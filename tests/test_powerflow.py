@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,14 @@ def load_injections(net):
     p = np.array([-b.p_load for b in net.buses])
     q = np.array([-b.q_load for b in net.buses])
     return p, q
+
+
+def substation_loaded(net, p_kw, q_kvar):
+    """``net`` with a load of ``p_kw`` + j``q_kvar`` at its substation bus."""
+    root = net.bus_index(net.substation_bus)
+    buses = list(net.buses)
+    buses[root] = replace(buses[root], p_load=p_kw, q_load=q_kvar)
+    return replace(net, buses=tuple(buses))
 
 
 class TestFlatAndTrivial:
@@ -114,14 +123,32 @@ class TestNewtonOracle:
 class TestConservationAndMonotonicity:
     def test_power_conservation(self, ieee69, rng):
         tol = 1e-6
-        for _ in range(5):
-            scale = rng.uniform(0.3, 1.2)
-            p = np.array([-b.p_load * scale for b in ieee69.buses])
-            q = np.array([-b.q_load * scale for b in ieee69.buses])
-            sol = solve_batch(ieee69, p, q, tol=tol)
-            assert sol.converged
-            residual = sol.p_slack + p.sum() - sol.p_loss
-            assert abs(residual) <= 10 * tol * ieee69.base_mva * 1000
+        for net in (ieee69, substation_loaded(ieee69, 500.0, 200.0)):
+            for _ in range(5):
+                scale = rng.uniform(0.3, 1.2)
+                p = np.array([-b.p_load * scale for b in net.buses])
+                q = np.array([-b.q_load * scale for b in net.buses])
+                sol = solve_batch(net, p, q, tol=tol)
+                assert sol.converged
+                residual = sol.p_slack + p.sum() - sol.p_loss
+                assert abs(residual) <= 10 * tol * net.base_mva * 1000
+
+    def test_substation_load_is_imported(self, ieee69):
+        p, q = load_injections(ieee69)
+        base = solve_batch(ieee69, p, q)
+        net = substation_loaded(ieee69, 500.0, 200.0)
+        loaded = solve_batch(net, *load_injections(net))
+        # the slack bus is pinned at 1 pu, so the rest of the feeder is untouched
+        assert np.array_equal(loaded.v_complex, base.v_complex)
+        assert loaded.p_slack == base.p_slack + 500.0
+        assert loaded.q_slack == base.q_slack + 200.0
+
+    def test_one_bus(self):
+        net = make_network([Bus(id=1, p_load=100.0, q_load=30.0)], [])
+        sol = solve_batch(net, np.array([[-100.0, 40.0]]), np.array([[-30.0, 0.0]]))
+        assert sol.p_slack.tolist() == [100.0, -40.0]
+        assert sol.q_slack.tolist() == [30.0, 0.0]
+        assert sol.p_loss.tolist() == [0.0, 0.0] and sol.converged.all()
 
     def test_loss_nonnegative(self, rng):
         for _ in range(10):

@@ -83,6 +83,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scenario counts must be distinct, got 8 more than once"):
             StudyConfig(scenario_counts=(4, 8, 8))
 
+    def test_deterministic_vary_scenarios_rejected(self):
+        # one scenario and one optimizer seed: every repeat would be the same run
+        with pytest.raises(ConfigError, match="vary 'scenarios' needs mode 'stochastic'"):
+            StudyConfig(mode="deterministic", vary="scenarios")
+        StudyConfig(mode="stochastic", vary="scenarios")
+        StudyConfig(mode="deterministic", vary="optimizer")
+
     def test_from_json(self, tmp_path):
         doc = {
             "mode": "stochastic",
@@ -218,6 +225,28 @@ class TestEmitArtifacts:
         )
         emit_artifacts(bare, tmp_path / "e")
         assert (tmp_path / "e" / "pareto_front.csv").read_text() == "f1,f2,psi1,psi2,y\n"
+
+    def test_front_highest_y_is_bcs(self, tmp_path):
+        # y is weighted by the study's weights, as the best compromise is
+        cfg = tiny_config(objective="multi", repeats=1, weights=(0.95, 0.05),
+                          optimizer=HybridConfig(population=20, iterations=6))
+        manifest = emit_artifacts(run_study(cfg), tmp_path / "w")
+        rows = [[float(v) for v in line.split(",")]
+                for line in (tmp_path / "w" / "pareto_front.csv").read_text().splitlines()[1:]]
+        assert len(rows) > 1
+        top = max(rows, key=lambda r: r[4])
+        bcs = manifest["summary"]["best"]["multi"]
+        assert top[:2] == [float(f"{bcs['f1']:.10g}"), float(f"{bcs['f2']:.10g}")]
+
+    def test_stale_artifacts_removed(self, tmp_path):
+        out = tmp_path / "o"
+        (out / "notes.txt").parent.mkdir()
+        (out / "notes.txt").write_text("kept")
+        emit_artifacts(run_study(tiny_config(objective="multi", repeats=1)), out)
+        assert {"profit.csv", "schedules_cost.csv", "schedules_bcs.csv"} <= {p.name for p in out.iterdir()}
+        manifest = emit_artifacts(run_study(tiny_config(objective="ens", repeats=1)), out)
+        assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json", "notes.txt"])
+        assert "schedules_ens.csv" in manifest["files"] and "profit.csv" not in manifest["files"]
 
     def test_byte_determinism(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path / "a"))
@@ -439,6 +468,15 @@ class TestCli:
                      "--population", "4", "--iterations", "1", "--out", str(out)])
         assert code == 1
         assert "config error: scenario counts must be distinct, got 4 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deterministic_vary_scenarios_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--mode", "det", "--objective", "cost", "--repeats", "3", "--vary", "scenarios",
+                     "--population", "4", "--iterations", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: vary 'scenarios' needs mode 'stochastic'")
         assert not out.exists()
 
     def test_malformed_csv_network_exit_one(self, tmp_path, capsys):

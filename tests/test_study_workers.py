@@ -214,6 +214,23 @@ def test_cli_leaves_its_own_malloc_alone(monkeypatch, tmp_path):
     assert pids and os.getpid() not in pids
 
 
+class TestNoStartMethod:
+    """Off Linux there is no start method, and the tasks run in the study
+    process: that path must write the same bytes as the workers."""
+
+    @pytest.mark.parametrize("cfg", [DET_MULTI, STOCH_MULTI_VARY], ids=["det-multi", "stoch-multi-vary"])
+    def test_in_process_matches_workers(self, cfg, monkeypatch, tmp_path):
+        if study._START_METHOD is None:
+            pytest.skip("no worker processes here")
+        workers(monkeypatch, 2)
+        _, files_workers = study_artifacts(cfg, tmp_path / "workers")
+        monkeypatch.setattr(study, "_START_METHOD", None)
+        monkeypatch.setattr(study, "_run_in_worker", None)  # nothing may reach a worker
+        report, files_in_process = study_artifacts(cfg, tmp_path / "in_process")
+        assert files_in_process == files_workers
+        assert report.errors == []
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize(
         "cfg", [DET_MULTI, STOCH_COST, STOCH_MULTI_VARY], ids=["det-multi", "stoch-cost", "stoch-multi-vary"]
