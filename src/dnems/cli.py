@@ -40,14 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> StudyConfig:
-    base = StudyConfig.from_json(args.config) if args.config else StudyConfig()
+    base = StudyConfig.from_json(args.config) if args.config is not None else StudyConfig()
 
     overrides: dict = {}
     if args.mode:
         overrides["mode"] = _MODE_ALIASES[args.mode]
     if args.objective:
         overrides["objective"] = args.objective
-    if args.scenarios:
+    if args.scenarios is not None:
         try:
             overrides["scenario_counts"] = tuple(int(c) for c in args.scenarios.split(","))
         except ValueError as exc:
@@ -56,13 +56,13 @@ def _config_from_args(args) -> StudyConfig:
         overrides["repeats"] = args.repeats
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.out:
+    if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.network:
+    if args.network is not None:
         overrides["network"] = args.network
-    if args.forecast:
+    if args.forecast is not None:
         overrides["forecast"] = args.forecast
-    if args.weights:
+    if args.weights is not None:
         try:
             w1, w2 = (float(w) for w in args.weights.split(","))
         except ValueError as exc:

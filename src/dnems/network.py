@@ -248,6 +248,9 @@ def network_from_dict(doc: dict) -> Network:
         scalars = {k: doc[k] for k in _SCALARS if k in doc}
     except (KeyError, TypeError) as exc:
         raise NetworkError(f"malformed network document: {exc}") from exc
+    unknown = doc.keys() - {"buses", "branches", "dgs", "pvs", "esss", *_SCALARS}
+    if unknown:
+        raise NetworkError(f"unknown network keys: {sorted(unknown)}")
     return make_network(buses, branches, dgs, pvs, esss, **scalars)
 
 

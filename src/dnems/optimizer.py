@@ -29,7 +29,6 @@ __all__ = [
     "EvaluatorFailure",
     "epsilon_schedule",
     "mu_schedule",
-    "bound_repair",
     "gwo_step",
     "pso_step",
     "hybrid_run",
@@ -106,6 +105,14 @@ class HybridConfig:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        w = self.objective_weights
+        two_numbers = isinstance(w, (list, tuple)) and len(w) == 2 and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in w
+        )
+        if not two_numbers or min(w) < 0 or max(w) <= 0:
+            raise ValueError(
+                f"objective_weights must be two finite numbers, nonnegative and not both zero, got {w!r}"
+            )
 
 
 class EvaluatorFailure(RuntimeError):
@@ -144,10 +151,6 @@ def mu_schedule(iteration: int, total: int, high: float = 0.9, low: float = 0.4)
     return high - (high - low) * iteration / (total - 1)
 
 
-def bound_repair(position: np.ndarray, space: SearchSpace) -> np.ndarray:
-    return np.clip(position, space.lower, space.upper)
-
-
 def gwo_step(state: GwoState, space: SearchSpace, rng) -> np.ndarray:
     """One pack move: every wolf averages three leader-relative candidates.
 
@@ -162,7 +165,7 @@ def gwo_step(state: GwoState, space: SearchSpace, rng) -> np.ndarray:
         zeta = state.epsilon * (2.0 * rng.random(x.shape) - 1.0)
         dis = np.abs(eta * leader[None, :] - x)
         new += leader[None, :] - zeta * dis
-    return bound_repair(new / 3.0, space)
+    return np.clip(new / 3.0, space.lower, space.upper)
 
 
 def pso_step(state: PsoState, space: SearchSpace, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -174,31 +177,8 @@ def pso_step(state: PsoState, space: SearchSpace, rng) -> tuple[np.ndarray, np.n
     v_new = state.mu * v + state.c1 * r1 * (state.pbest - x) + state.c2 * r2 * (state.gbest[None, :] - x)
     width = space.upper - space.lower
     v_new = np.clip(v_new, -width, width)
-    x_new = bound_repair(x + v_new, space)
+    x_new = np.clip(x + v_new, space.lower, space.upper)
     return x_new, v_new
-
-
-@dataclass
-class _Scaler:
-    """Running objective extremes over everything evaluated so far."""
-
-    f1_min: float = np.inf
-    f1_max: float = -np.inf
-    f2_min: float = np.inf
-    f2_max: float = -np.inf
-
-    def update(self, fs) -> None:
-        for f in fs:
-            self.f1_min = min(self.f1_min, f.f1)
-            self.f1_max = max(self.f1_max, f.f1)
-            self.f2_min = min(self.f2_min, f.f2)
-            self.f2_max = max(self.f2_max, f.f2)
-
-    def scalar(self, f, weights) -> float:
-        w1, w2 = weights
-        s1 = (f.f1 - self.f1_min) / (self.f1_max - self.f1_min) if self.f1_max > self.f1_min else 0.0
-        s2 = (f.f2 - self.f2_min) / (self.f2_max - self.f2_min) if self.f2_max > self.f2_min else 0.0
-        return w1 * s1 + w2 * s2 + f.penalty
 
 
 def rowwise(fn):
@@ -231,59 +211,58 @@ def _evaluate_all(evaluator, positions):
     return fs
 
 
+def _objective_rows(fs) -> np.ndarray:
+    return np.array([(f.f1, f.f2, f.penalty) for f in fs], dtype=float)
+
+
+def _scalars(f: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights) -> np.ndarray:
+    """Search ranking of (n, 3) rows of (f1, f2, penalty), lower is better:
+    ``w1 s1 + w2 s2 + penalty``, where each objective is scaled to the running
+    extremes, ``s = (f - lo) / (hi - lo)``, and is 0 where they coincide."""
+    spread = hi > lo
+    s = np.where(spread, (f[:, :2] - lo) / np.where(spread, hi - lo, 1.0), 0.0)
+    return weights[0] * s[:, 0] + weights[1] * s[:, 1] + f[:, 2]
+
+
+def _incumbent(archive: ParetoArchive, lo, hi, weights) -> tuple[ArchiveEntry, float]:
+    """The archive entry with the lowest ``_scalars`` score (the earliest of
+    equals) and that score."""
+    scores = _scalars(_objective_rows(e.f for e in archive.entries), lo, hi, weights)
+    best = int(np.argmin(scores))
+    return archive.entries[best], float(scores[best])
+
+
 def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
     if mode not in ("gwo", "pso", "hybrid"):
         raise ValueError(f"unknown algorithm {mode!r}")
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.population, space.dimension
-    width = space.upper - space.lower
-
-    x = space.lower + rng.random((n, d)) * width
-    v = np.zeros((n, d))
-    fs = _evaluate_all(evaluator, x)
-
-    scaler = _Scaler()
-    scaler.update(fs)
-    archive = ParetoArchive(capacity=cfg.archive_capacity)
-    for row, f in zip(x, fs):
-        archive.insert(ArchiveEntry(x=row.copy(), f=f))
-
-    pbest_x = x.copy()
-    pbest_f = list(fs)
-
+    split = {"hybrid": n // 2, "gwo": n, "pso": 0}[mode]  # rows that move as wolves
     weights = cfg.objective_weights
 
-    def incumbent():
-        best = min(
-            enumerate(archive.entries),
-            key=lambda t: (scaler.scalar(t[1].f, weights), t[0]),
-        )[1]
-        return best.x, best.f
-
-    def leaders():
-        # archive scalar-best plus the current population, ranked together
-        best_x, best_f = incumbent()
-        cand = [(scaler.scalar(best_f, weights), -1, best_x)]
-        cand += [(scaler.scalar(f, weights), i, x[i]) for i, f in enumerate(fs)]
-        cand.sort(key=lambda t: (t[0], t[1]))
-        return cand[0][2], cand[1][2], cand[2][2]
+    x = space.lower + rng.random((n, d)) * (space.upper - space.lower)
+    v = np.zeros((n, d))
+    fs = _evaluate_all(evaluator, x)
+    f = _objective_rows(fs)
+    # running objective extremes over everything evaluated so far
+    lo, hi = f[:, :2].min(axis=0), f[:, :2].max(axis=0)
+    archive = ParetoArchive(capacity=cfg.archive_capacity)
+    for row, fv in zip(x, fs):
+        archive.insert(ArchiveEntry(x=row.copy(), f=fv))
+    pbest_x, pbest_f = x.copy(), f.copy()
+    best, best_score = _incumbent(archive, lo, hi, weights)
 
     log = []
     for it in range(cfg.iterations):
         eps = epsilon_schedule(it, cfg.iterations)
         mu = mu_schedule(it, cfg.iterations, cfg.mu_high, cfg.mu_low)
-        gbest_x, _ = incumbent()
-
         perm = rng.permutation(n)
-        if mode == "hybrid":
-            gwo_rows, pso_rows = perm[: n // 2], perm[n // 2 :]
-        elif mode == "gwo":
-            gwo_rows, pso_rows = perm, perm[:0]
-        else:
-            gwo_rows, pso_rows = perm[:0], perm
-
+        gwo_rows, pso_rows = perm[:split], perm[split:]
         if gwo_rows.size:
-            a, b, c = leaders()
+            # the incumbent and the population ranked together; the incumbent
+            # goes first among equals
+            order = np.argsort(np.append(best_score, _scalars(f, lo, hi, weights)), kind="stable")[:3]
+            a, b, c = (best.x if i == 0 else x[i - 1] for i in order)
             gs = GwoState(positions=x[gwo_rows], alpha=a, beta=b, delta=c, epsilon=eps)
             x[gwo_rows] = gwo_step(gs, space, rng)
         if pso_rows.size:
@@ -291,7 +270,7 @@ def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
                 positions=x[pso_rows],
                 velocities=v[pso_rows],
                 pbest=pbest_x[pso_rows],
-                gbest=gbest_x,
+                gbest=best.x,
                 mu=mu,
                 c1=cfg.c1,
                 c2=cfg.c2,
@@ -299,19 +278,18 @@ def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
             x[pso_rows], v[pso_rows] = pso_step(ps, space, rng)
 
         fs = _evaluate_all(evaluator, x)
-        scaler.update(fs)
-        for row, f in zip(x, fs):
-            archive.insert(ArchiveEntry(x=row.copy(), f=f))
-        for i in range(n):
-            if scaler.scalar(fs[i], weights) < scaler.scalar(pbest_f[i], weights):
-                pbest_x[i] = x[i].copy()
-                pbest_f[i] = fs[i]
+        f = _objective_rows(fs)
+        lo, hi = np.minimum(lo, f[:, :2].min(axis=0)), np.maximum(hi, f[:, :2].max(axis=0))
+        for row, fv in zip(x, fs):
+            archive.insert(ArchiveEntry(x=row.copy(), f=fv))
+        better = _scalars(f, lo, hi, weights) < _scalars(pbest_f, lo, hi, weights)
+        pbest_x[better], pbest_f[better] = x[better], f[better]
 
-        _, best_f = incumbent()
+        best, best_score = _incumbent(archive, lo, hi, weights)
         log.append(
             {
                 "iteration": it,
-                "best_scalar": scaler.scalar(best_f, weights),
+                "best_scalar": best_score,
                 "archive_size": len(archive),
                 "best_f1": min(e.f.f1 for e in archive.entries),
                 "best_f2": min(e.f.f2 for e in archive.entries),

@@ -145,15 +145,22 @@ def _parse_forecast(text: str, source) -> ForecastProfile:
         raise ValueError(f"forecast {source}: {exc}") from exc
 
 
+_PROFILE_KEYS = ("load_factor", "pv_factor", "price")
+_SIGMA_KEYS = ("sigma_load", "sigma_pv", "sigma_price")
+
+
 def _forecast_from_doc(doc) -> ForecastProfile:
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
-    for key in ("load_factor", "pv_factor", "price"):
+    unknown = doc.keys() - {*_PROFILE_KEYS, *_SIGMA_KEYS}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    for key in _PROFILE_KEYS:
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
         if not (isinstance(doc[key], list) and all(type(v) in (int, float) for v in doc[key])):
             raise ValueError(f"{key} must be a list of numbers")
-    sigmas = {k: doc[k] for k in ("sigma_load", "sigma_pv", "sigma_price") if k in doc}
+    sigmas = {k: doc[k] for k in _SIGMA_KEYS if k in doc}
     for key, value in sigmas.items():
         if type(value) not in (int, float):
             raise ValueError(f"{key} must be a number, got {value!r}")

@@ -116,6 +116,8 @@ class StudyConfig:
                 raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         object.__setattr__(self, "scenario_counts", tuple(map(int, self.scenario_counts)))
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.mode not in ("deterministic", "stochastic"):
             raise ConfigError(f"mode must be deterministic|stochastic, got {self.mode!r}")
         if self.objective not in ("cost", "ens", "multi"):

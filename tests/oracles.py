@@ -13,15 +13,31 @@ replaced; it takes only the distance features from the package
 ``solve_batch`` ran before its sweep kept ``|v|`` and multiplied by
 ``1 / |v|^2``; it takes the feeder's sweep model from the package.  The ENS
 oracle is the all-bus formulation that the per-block ENS replaced; it takes
-the evaluator's per-bus data (loads, device buses, path times).
+the evaluator's per-bus data (loads, device buses, path times).  The search
+oracle is the optimizer loop that ranked one candidate at a time before the
+ranking became one array function; it takes the moves, schedules, evaluation
+wrapper and archive from the package.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
 
 from dnems.network import Branch, Bus, Network, make_network
+from dnems.optimizer import (
+    GwoState,
+    HybridConfig,
+    PsoState,
+    SearchSpace,
+    _evaluate_all,
+    epsilon_schedule,
+    gwo_step,
+    mu_schedule,
+    pso_step,
+)
+from dnems.pareto import ArchiveEntry, ParetoArchive
 from dnems.powerflow import _V_COLLAPSE, BatchPowerFlow, _branch_sum, _model
 from dnems.scenarios import discretize_normal, reduction_features
 
@@ -369,3 +385,118 @@ def ens_oracle(ev, dg, ess, sset):
         unserved = unserved.take(state_of, axis=-1)
     unserved = np.ascontiguousarray(unserved).reshape(len(dg), ev.net.n_bus, len(sset), 24)
     return (ev.path_time[:, None] * unserved.mean(axis=3)).sum(axis=1)
+
+
+@dataclass
+class _Scaler:
+    """Running objective extremes over everything evaluated so far."""
+
+    f1_min: float = np.inf
+    f1_max: float = -np.inf
+    f2_min: float = np.inf
+    f2_max: float = -np.inf
+
+    def update(self, fs) -> None:
+        for f in fs:
+            self.f1_min = min(self.f1_min, f.f1)
+            self.f1_max = max(self.f1_max, f.f1)
+            self.f2_min = min(self.f2_min, f.f2)
+            self.f2_max = max(self.f2_max, f.f2)
+
+    def scalar(self, f, weights) -> float:
+        w1, w2 = weights
+        s1 = (f.f1 - self.f1_min) / (self.f1_max - self.f1_min) if self.f1_max > self.f1_min else 0.0
+        s2 = (f.f2 - self.f2_min) / (self.f2_max - self.f2_min) if self.f2_max > self.f2_min else 0.0
+        return w1 * s1 + w2 * s2 + f.penalty
+
+
+def search_oracle(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
+    """``hybrid_run`` (mode "hybrid") or ``single_run(mode, ...)`` as the loop
+    ran before it ranked arrays: every candidate scored by ``_Scaler.scalar``
+    one at a time, the incumbent and the leaders found by closures."""
+    if mode not in ("gwo", "pso", "hybrid"):
+        raise ValueError(f"unknown algorithm {mode!r}")
+    rng = np.random.default_rng(cfg.seed)
+    n, d = cfg.population, space.dimension
+    width = space.upper - space.lower
+
+    x = space.lower + rng.random((n, d)) * width
+    v = np.zeros((n, d))
+    fs = _evaluate_all(evaluator, x)
+
+    scaler = _Scaler()
+    scaler.update(fs)
+    archive = ParetoArchive(capacity=cfg.archive_capacity)
+    for row, f in zip(x, fs):
+        archive.insert(ArchiveEntry(x=row.copy(), f=f))
+
+    pbest_x = x.copy()
+    pbest_f = list(fs)
+
+    weights = cfg.objective_weights
+
+    def incumbent():
+        best = min(
+            enumerate(archive.entries),
+            key=lambda t: (scaler.scalar(t[1].f, weights), t[0]),
+        )[1]
+        return best.x, best.f
+
+    def leaders():
+        # archive scalar-best plus the current population, ranked together
+        best_x, best_f = incumbent()
+        cand = [(scaler.scalar(best_f, weights), -1, best_x)]
+        cand += [(scaler.scalar(f, weights), i, x[i]) for i, f in enumerate(fs)]
+        cand.sort(key=lambda t: (t[0], t[1]))
+        return cand[0][2], cand[1][2], cand[2][2]
+
+    log = []
+    for it in range(cfg.iterations):
+        eps = epsilon_schedule(it, cfg.iterations)
+        mu = mu_schedule(it, cfg.iterations, cfg.mu_high, cfg.mu_low)
+        gbest_x, _ = incumbent()
+
+        perm = rng.permutation(n)
+        if mode == "hybrid":
+            gwo_rows, pso_rows = perm[: n // 2], perm[n // 2 :]
+        elif mode == "gwo":
+            gwo_rows, pso_rows = perm, perm[:0]
+        else:
+            gwo_rows, pso_rows = perm[:0], perm
+
+        if gwo_rows.size:
+            a, b, c = leaders()
+            gs = GwoState(positions=x[gwo_rows], alpha=a, beta=b, delta=c, epsilon=eps)
+            x[gwo_rows] = gwo_step(gs, space, rng)
+        if pso_rows.size:
+            ps = PsoState(
+                positions=x[pso_rows],
+                velocities=v[pso_rows],
+                pbest=pbest_x[pso_rows],
+                gbest=gbest_x,
+                mu=mu,
+                c1=cfg.c1,
+                c2=cfg.c2,
+            )
+            x[pso_rows], v[pso_rows] = pso_step(ps, space, rng)
+
+        fs = _evaluate_all(evaluator, x)
+        scaler.update(fs)
+        for row, f in zip(x, fs):
+            archive.insert(ArchiveEntry(x=row.copy(), f=f))
+        for i in range(n):
+            if scaler.scalar(fs[i], weights) < scaler.scalar(pbest_f[i], weights):
+                pbest_x[i] = x[i].copy()
+                pbest_f[i] = fs[i]
+
+        _, best_f = incumbent()
+        log.append(
+            {
+                "iteration": it,
+                "best_scalar": scaler.scalar(best_f, weights),
+                "archive_size": len(archive),
+                "best_f1": min(e.f.f1 for e in archive.entries),
+                "best_f2": min(e.f.f2 for e in archive.entries),
+            }
+        )
+    return archive, log

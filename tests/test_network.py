@@ -9,6 +9,7 @@ from dnems.network import (
     NetworkError,
     load_network,
     make_network,
+    network_from_dict,
     network_to_dict,
     radial_order,
     save_network,
@@ -100,6 +101,11 @@ class TestLoadNetwork:
     def test_missing_file(self, tmp_path):
         with pytest.raises(NetworkError, match="no such file"):
             load_network(tmp_path / "nope.json")
+
+    def test_unknown_key_rejected(self, ieee69):
+        doc = {**network_to_dict(ieee69), "substation": 5}
+        with pytest.raises(NetworkError, match=r"unknown network keys: \['substation'\]"):
+            network_from_dict(doc)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnems.objectives import ObjectiveVector
 from dnems.optimizer import (
@@ -10,7 +11,6 @@ from dnems.optimizer import (
     HybridConfig,
     PsoState,
     SearchSpace,
-    bound_repair,
     epsilon_schedule,
     gwo_step,
     hybrid_run,
@@ -19,6 +19,7 @@ from dnems.optimizer import (
     rowwise,
     single_run,
 )
+from oracles import search_oracle
 
 
 class SequenceRng:
@@ -45,6 +46,17 @@ def rastrigin(x):
 
 def wide_space(dim=1, half=100.0):
     return SearchSpace(-half * np.ones(dim), half * np.ones(dim))
+
+
+def tied(x):
+    """Objectives rounded to whole numbers and a box penalty in tenths, so
+    that candidates often score alike."""
+    x = np.asarray(x)
+    return ObjectiveVector(
+        f1=float(np.round(np.sum(x * x))),
+        f2=float(np.round(np.sum((x - 1.0) ** 2))),
+        penalty=float(np.round(np.sum(np.maximum(0.0, np.abs(x) - 2.0)), 1)),
+    )
 
 
 class TestSchedules:
@@ -159,17 +171,6 @@ class TestPsoStep:
         assert 0.0 <= x_new[0, 0] <= 1.0
 
 
-class TestBoundRepair:
-    def test_identity_inside(self):
-        space = wide_space(3, half=2.0)
-        x = np.array([0.5, -1.0, 1.5])
-        assert np.array_equal(bound_repair(x, space), x)
-
-    def test_clamps(self):
-        space = SearchSpace(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        assert np.array_equal(bound_repair(np.array([6.0, -1.0]), space), np.array([1.0, 0.0]))
-
-
 class TestRuns:
     def test_determinism(self):
         space = wide_space(5, 10.0)
@@ -279,6 +280,11 @@ class TestRuns:
         [
             ("archive_capacity", 0), ("c1", -0.1), ("c2", -1.0), ("mu_high", -0.5), ("mu_low", float("nan")),
             ("c1", float("inf")), ("c2", float("inf")), ("mu_high", float("inf")), ("mu_low", float("inf")),
+            *(
+                ("objective_weights", w)
+                for w in [(float("nan"), 1.0), (-1.0, 0.0), (0.0, 0.0), (1.0,), (1.0, 0.0, 0.0), ("1", 0.0),
+                          (True, 0.0), (float("inf"), 0.0)]
+            ),
         ],
     )
     def test_bad_config_rejected(self, field, value):
@@ -293,3 +299,30 @@ class TestRuns:
         with pytest.raises(ValueError, match="population"):
             HybridConfig(population=7)
 
+
+class TestSearchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["hybrid", "gwo", "pso"]),
+        seed=st.integers(0, 2**32 - 1),
+        half=st.integers(1, 6),
+        iterations=st.integers(1, 6),
+        capacity=st.integers(1, 8),
+        weights=st.one_of(
+            st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda w: max(w) > 0),
+        ),
+    )
+    def test_matches_one_candidate_at_a_time_ranking(self, mode, seed, half, iterations, capacity, weights):
+        cfg = HybridConfig(
+            population=2 * half, iterations=iterations, seed=seed, archive_capacity=capacity, objective_weights=weights
+        )
+        space = wide_space(3, half=3.0)
+        if mode == "hybrid":
+            archive, log = hybrid_run(cfg, space, rowwise(tied))
+        else:
+            archive, log = single_run(mode, cfg, space, rowwise(tied))
+        want_archive, want_log = search_oracle(mode, cfg, space, rowwise(tied))
+        assert [(e.x.tobytes(), e.f) for e in archive.entries] == [(e.x.tobytes(), e.f) for e in want_archive.entries]
+        assert log == want_log
+        assert all(type(row[key]) is float for row in log for key in ("best_scalar", "best_f1", "best_f2"))

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 import subprocess
@@ -19,6 +20,7 @@ from dnems.scenarios import (
     deterministic_set,
     discretize_normal,
     generate,
+    load_forecast,
     reduce,
     reduction_features,
     stopping_rule,
@@ -317,6 +319,14 @@ class TestForecastValidation:
     def test_nonfinite_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigmas must be finite"):
             flat_forecast(sig=(0.05, float("nan"), 0.05))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        fc = default_forecast()
+        doc = {"load_factor": fc.load_factor.tolist(), "pv_factor": fc.pv_factor.tolist(), "price": fc.price.tolist()}
+        path = tmp_path / "forecast.json"
+        path.write_text(json.dumps({**doc, "sigma_loads": 0.3}))
+        with pytest.raises(ValueError, match=r"^forecast .*forecast\.json: unknown keys \['sigma_loads'\]$"):
+            load_forecast(path)
 
 
 class TestSerialization:

@@ -305,14 +305,23 @@ class TestCli:
             (["--population", "3"], "config error: population must be even and >= 2"),
             (["--iterations", "0"], "config error: iterations must be >= 1"),
             (["--seed", "-1"], "config error: seed must be >= 0, got -1"),
+            # an empty value is an error, not the default
+            (["--scenarios", ""], "config error: bad --scenarios value ''"),
+            (["--weights", ""], "config error: bad --weights value ''"),
+            (["--out", ""], "config error: out_dir must not be empty"),
+            (["--network", ""], "config error: missing buses.csv in ."),
+            (["--forecast", ""], "config error: [Errno 21] Is a directory: '.'"),
         ],
-        ids=["population", "iterations", "seed"],
+        ids=["population", "iterations", "seed", "empty-scenarios", "empty-weights", "empty-out", "empty-network",
+             "empty-forecast"],
     )
-    def test_bad_flag_exit_one(self, tmp_path, capsys, flags, line):
-        code = main(["--mode", "det", "--repeats", "1", *flags, "--out", str(tmp_path / "o")])
+    def test_bad_flag_exit_one(self, tmp_path, capsys, monkeypatch, flags, line):
+        monkeypatch.chdir(tmp_path)  # where an empty path points
+        code = main(["--mode", "det", "--repeats", "1", "--population", "4", "--iterations", "1",
+                     "--out", str(tmp_path / "o"), *flags])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
-        assert not (tmp_path / "o").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(
@@ -385,6 +394,7 @@ class TestCli:
             ({"optimizer": {"mu_low": float("inf")}}, "mu_low must be finite"),
             ({"optimizer": {"penalty_weights": {"flow": float("inf")}}}, "penalty weight 'flow' must be finite"),
             ({"seed": -3}, "seed must be >= 0, got -3"),
+            ({"out_dir": ""}, "out_dir must not be empty"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
@@ -402,6 +412,7 @@ class TestCli:
             (lambda doc: doc["buses"][4].update(p_load=float("nan")), "bus 5: p_load must be finite"),
             (lambda doc: doc["branches"][2].update(x=float("inf")), "x must be finite"),
             (lambda doc: doc["branches"][2].update(r=0.0, x=0.0), "zero-impedance branch"),
+            (lambda doc: doc.update(substation=5), "unknown network keys: ['substation']"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
@@ -433,6 +444,7 @@ class TestCli:
             ({"pv_factor": ["0"] * 24}, "pv_factor must be a list of numbers"),
             ({"price": 0.1}, "price must be a list of numbers"),
             ({"load_factor": [1.0]}, "load_factor must have 24 hourly entries"),
+            ({"sigma_loads": 0.3}, "unknown keys ['sigma_loads']"),
         ],
     )
     def test_mistyped_forecast_exit_one(self, tmp_path, capsys, change, message):
