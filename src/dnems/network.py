@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+import numbers
+from dataclasses import dataclass, fields, asdict
 from importlib import resources
 from pathlib import Path
 
@@ -104,16 +105,21 @@ class Network:
         return bus_id - 1
 
 
-def _check_finite(what: str, item, names=None) -> None:
-    """NetworkError unless each named numeric field (default: all) is finite."""
-    for name in names or [f.name for f in fields(item)]:
-        value = getattr(item, name)
+def _check_numbers(what: str, item, names=None) -> None:
+    """NetworkError unless each named numeric field (default: all) is finite,
+    and an integer (not a bool) where the field is declared ``int``."""
+    for f in fields(item):
+        if names and f.name not in names:
+            continue
+        value = getattr(item, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, numbers.Integral))):
+            raise NetworkError(f"{what}: {f.name} must be an integer, got {value!r}")
         try:
             finite = math.isfinite(value)
         except TypeError:
-            raise NetworkError(f"{what}: {name} must be a number, got {value!r}") from None
+            raise NetworkError(f"{what}: {f.name} must be a number, got {value!r}") from None
         if not finite:
-            raise NetworkError(f"{what}: {name} must be finite, got {value}")
+            raise NetworkError(f"{what}: {f.name} must be finite, got {value}")
 
 
 def _validate(net: Network) -> Network:
@@ -121,14 +127,14 @@ def _validate(net: Network) -> Network:
     if n == 0:
         raise NetworkError("network has no buses")
 
-    _check_finite("network", net, _SCALARS)
+    _check_numbers("network", net, _SCALARS)
     for b in net.buses:
-        _check_finite(f"bus {b.id}", b)
+        _check_numbers(f"bus {b.id}", b)
     for br in net.branches:
-        _check_finite(f"branch ({br.from_bus},{br.to_bus})", br)
+        _check_numbers(f"branch ({br.from_bus},{br.to_bus})", br)
     for kind, devices in (("DG", net.dgs), ("PV", net.pvs), ("ESS", net.esss)):
         for dev in devices:
-            _check_finite(f"{kind} at bus {dev.bus}", dev)
+            _check_numbers(f"{kind} at bus {dev.bus}", dev)
 
     ids = [b.id for b in net.buses]
     if sorted(ids) != list(range(1, n + 1)):
@@ -151,15 +157,6 @@ def _validate(net: Network) -> Network:
     if len(net.branches) != n - 1:
         raise NetworkError(f"radial network needs {n - 1} branches for {n} buses, got {len(net.branches)}")
 
-    # Union-find both proves connectivity and names the first cycle-closing branch.
-    parent = list(range(n + 1))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     for br in net.branches:
         for end in (br.from_bus, br.to_bus):
             if end not in id_set:
@@ -172,15 +169,7 @@ def _validate(net: Network) -> Network:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): s_max must be positive")
         if br.at_repair < 0 or br.at_restoration < 0:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): negative reliability time")
-        ru, rv = find(br.from_bus), find(br.to_bus)
-        if ru == rv:
-            raise NetworkError(f"branch ({br.from_bus},{br.to_bus}) closes a cycle")
-        parent[ru] = rv
-
-    root = find(net.substation_bus)
-    for b in net.buses:
-        if find(b.id) != root:
-            raise NetworkError(f"bus {b.id} is not connected to the substation")
+    radial_order(net)  # proves the branches form a tree that spans every bus
 
     for dg in net.dgs:
         if dg.bus not in id_set:
@@ -343,48 +332,59 @@ def builtin_ieee69() -> Network:
 
 @dataclass(frozen=True, eq=False)
 class RadialOrder:
-    """Breadth-first branch ordering of a radial feeder.
+    """Depth-first pre-order of a radial feeder from its substation, each
+    bus's children in branch-list order.
 
-    ``order`` lists original branch indices parent-first; ``from_bus`` /
-    ``to_bus`` give each ordered branch re-oriented away from the substation.
-    ``paths`` maps every bus id to the tuple of original branch indices on its
-    unique path to the substation (empty for the substation itself).
+    Row k is bus position ``bus[k]``, fed by branch ``branch[k]`` from the bus
+    of row ``parent[k]``; its subtree is the rows ``[k, end[k])``.  Row 0 is
+    the substation, whose ``branch`` and ``parent`` are -1.  ``row`` maps each
+    bus position back to its row.
     """
 
-    order: tuple[int, ...]
-    from_bus: tuple[int, ...]
-    to_bus: tuple[int, ...]
-    paths: dict[int, tuple[int, ...]] = field(repr=False)
+    bus: tuple[int, ...]
+    branch: tuple[int, ...]
+    parent: tuple[int, ...]
+    end: tuple[int, ...]
+    row: tuple[int, ...]
 
     def path(self, bus_id: int) -> tuple[int, ...]:
-        return self.paths[bus_id]
+        """Branch indices from the substation to bus ``bus_id``, root first."""
+        path = []
+        k = self.row[bus_id - 1]
+        while k > 0:
+            path.append(self.branch[k])
+            k = self.parent[k]
+        return tuple(reversed(path))
 
 
 def radial_order(net: Network) -> RadialOrder:
-    """Order branches so every branch appears after its parent (BFS from the
-    substation) and expose each bus's branch path back to the substation."""
-    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
-    for idx, br in enumerate(net.branches):
-        adj[br.from_bus].append((br.to_bus, idx))
-        adj[br.to_bus].append((br.from_bus, idx))
-
-    order: list[int] = []
-    from_bus: list[int] = []
-    to_bus: list[int] = []
-    paths: dict[int, tuple[int, ...]] = {net.substation_bus: ()}
-    queue = [net.substation_bus]
-    seen = {net.substation_bus}
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for v, idx in adj[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                order.append(idx)
-                from_bus.append(u)
-                to_bus.append(v)
-                paths[v] = paths[u] + (idx,)
-                nxt.append(v)
-        queue = nxt
-    return RadialOrder(order=tuple(order), from_bus=tuple(from_bus), to_bus=tuple(to_bus), paths=paths)
+    """Walk the feeder depth-first from the substation.  NetworkError if a
+    branch leads back to a bus already reached (a cycle) or a bus is never
+    reached.  Expects bus ids 1..N and known branch ends, as ``_validate``
+    checks before it walks."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in net.buses]  # (branch, far bus) per bus
+    for k, br in enumerate(net.branches):
+        adj[br.from_bus - 1].append((k, br.to_bus - 1))
+        adj[br.to_bus - 1].append((k, br.from_bus - 1))
+    row = [-1] * len(net.buses)
+    bus: list[int] = []
+    branch: list[int] = []
+    parent: list[int] = []
+    stack = [(net.bus_index(net.substation_bus), -1, -1)]  # (bus, feeding branch, parent row)
+    while stack:
+        u, b, p = stack.pop()
+        if row[u] >= 0:
+            br = net.branches[b]
+            raise NetworkError(f"branch ({br.from_bus},{br.to_bus}) closes a cycle")
+        row[u] = k = len(bus)
+        bus.append(u)
+        branch.append(b)
+        parent.append(p)
+        stack.extend((v, c, k) for c, v in reversed(adj[u]) if c != b)
+    if len(bus) < len(row):
+        raise NetworkError(f"bus {row.index(-1) + 1} is not connected to the substation")
+    size = [1] * len(bus)
+    for k in range(len(bus) - 1, 0, -1):
+        size[parent[k]] += size[k]
+    end = tuple(k + s for k, s in enumerate(size))
+    return RadialOrder(bus=tuple(bus), branch=tuple(branch), parent=tuple(parent), end=end, row=tuple(row))

@@ -250,9 +250,7 @@ class ScheduleEvaluator:
 
         order = radial_order(net)
         times = np.array([br.at_repair + br.at_restoration for br in net.branches])
-        self.path_time = np.array(
-            [times[list(order.paths[b.id])].sum() for b in net.buses]
-        )
+        self.path_time = np.array([times[list(order.path(b.id))].sum() for b in net.buses])
 
     def _block(self, x) -> tuple[np.ndarray, np.ndarray]:
         """DG setpoints (k, n_dg, 24) and storage powers (k, n_ess, 24) of a

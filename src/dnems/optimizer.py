@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pareto import ArchiveEntry, ParetoArchive
+from .pareto import ArchiveEntry, ParetoArchive, _check_weights
 
 __all__ = [
     "SearchSpace",
@@ -105,14 +105,7 @@ class HybridConfig:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        w = self.objective_weights
-        two_numbers = isinstance(w, (list, tuple)) and len(w) == 2 and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in w
-        )
-        if not two_numbers or min(w) < 0 or max(w) <= 0:
-            raise ValueError(
-                f"objective_weights must be two finite numbers, nonnegative and not both zero, got {w!r}"
-            )
+        _check_weights(self.objective_weights, "objective_weights")
 
 
 class EvaluatorFailure(RuntimeError):

@@ -8,6 +8,8 @@ the most crowded region of normalized objective space when full.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +84,16 @@ class ParetoArchive:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_weights(weights, name: str = "weights") -> None:
+    """ValueError naming the field ``name`` unless ``weights`` are two finite
+    numbers, nonnegative and not both zero."""
+    two_numbers = isinstance(weights, (list, tuple)) and len(weights) == 2 and all(
+        isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w) for w in weights
+    )
+    if not two_numbers or min(weights) < 0 or max(weights) <= 0:
+        raise ValueError(f"{name} must be two finite numbers, nonnegative and not both zero, got {weights!r}")
+
+
 def _scores(entries, weights) -> tuple[np.ndarray, np.ndarray]:
     """Fuzzy memberships ``psi`` (n, 2) of the entries and their weighted
     scores ``w1 psi1 + w2 psi2`` (n,).
@@ -92,9 +104,8 @@ def _scores(entries, weights) -> tuple[np.ndarray, np.ndarray]:
     """
     if not entries:
         raise ValueError("archive is empty")
+    _check_weights(weights)
     w1, w2 = weights
-    if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-        raise ValueError("weights must be nonnegative and not both zero")
     f = np.array([(e.f.f1, e.f.f2) for e in entries], dtype=float)
     lo, hi = f.min(axis=0), f.max(axis=0)
     flat = hi == lo

@@ -66,7 +66,7 @@ class _SweepModel:
     """Per-network factorization shared by all solves against that network."""
 
     def __init__(self, net: Network):
-        order = radial_order(net)
+        self.order = order = radial_order(net)
         z_base = net.base_kv**2 / net.base_mva  # ohm
         self.n_bus = net.n_bus
         self.z_pu = np.array([(br.r + 1j * br.x) / z_base for br in net.branches])
@@ -74,11 +74,9 @@ class _SweepModel:
         self.slack = net.bus_index(net.substation_bus)
         # sending-end (parent-side) and receiving-end bus position of each
         # original branch
-        parent = np.empty(len(net.branches), dtype=int)
-        child = np.empty(len(net.branches), dtype=int)
-        for f, t, b in zip(order.from_bus, order.to_bus, order.order):
-            parent[b], child[b] = net.bus_index(f), net.bus_index(t)
-        self.parent, self.child = parent, child
+        bus, parent = np.array(order.bus), np.array(order.parent)
+        rows = np.argsort(order.branch[1:]) + 1  # the row each branch feeds
+        self.parent, self.child = bus[parent[rows]], bus[rows]
         self.s_base_kva = net.base_mva * 1000.0
         self.s_max = np.array([br.s_max for br in net.branches])  # kVA
         product = _TourProduct if net.n_bus >= _TOUR_MIN_BUSES else _DenseProduct
@@ -95,17 +93,13 @@ class _DenseProduct:
     Non-slack buses are rows in index order."""
 
     def __init__(self, mdl: _SweepModel):
-        n = mdl.n_bus
-        self.nonslack = np.array([i for i in range(n) if i != mdl.slack])
-        feeder = np.empty(n, dtype=int)  # branch feeding each non-slack bus
-        feeder[mdl.child] = np.arange(len(mdl.child))
-        path = np.zeros((len(mdl.child), n - 1))
-        bus, col = self.nonslack, np.arange(n - 1)
-        while len(bus):  # one step up every unfinished path at a time
-            path[feeder[bus], col] = 1.0
-            bus = mdl.parent[feeder[bus]]
-            up = bus != mdl.slack
-            bus, col = bus[up], col[up]
+        n, order = mdl.n_bus, mdl.order
+        self.nonslack = np.delete(np.arange(n), mdl.slack)
+        path = np.zeros((len(mdl.child), n))  # column j: the branches on bus j's path
+        for k in range(1, n):  # parents first: a bus's path is its parent's plus its branch
+            path[:, order.bus[k]] = path[:, order.bus[order.parent[k]]]
+            path[order.branch[k], order.bus[k]] = 1.0
+        path = np.delete(path, mdl.slack, axis=1)
         self.dlf = path.T @ (mdl.z_pu[:, None] * path)
         self.path = path.astype(complex)  # cast once, not on every solve
 
@@ -123,9 +117,10 @@ class _TourProduct:
     tour of the feeder (the backward/forward sweep of Shirmohammadi et al.
     1988 without a per-branch loop).
 
-    Non-slack buses are rows in preorder, so each subtree is a contiguous
-    range ``[k, end[k])``.  With ``C`` the cumulative sum of the currents
-    down the rows (``C[0] = 0``), the current into the subtree of row k is
+    Non-slack buses are rows in the feeder's depth-first pre-order
+    (``radial_order``), so each subtree is a contiguous range
+    ``[k, end[k])``.  With ``C`` the cumulative sum of the currents down the
+    rows (``C[0] = 0``), the current into the subtree of row k is
     ``C[end[k]] - C[k]``.  The tour visits each row twice: its entry slot
     carries ``+z J`` of the branch feeding it and its exit slot ``-z J``, so
     the cumulative sum over the tour, read at a row's entry slot, is the
@@ -134,37 +129,23 @@ class _TourProduct:
     do not depend on the width of its call."""
 
     def __init__(self, mdl: _SweepModel):
-        n1 = mdl.n_bus - 1
-        kids = [[] for _ in range(mdl.n_bus)]
-        for b, f in enumerate(mdl.parent):
-            kids[f].append(b)
-        pos = np.empty(n1, dtype=int)  # row of each original branch's bus
-        feeder = []  # branch feeding each row
-        end = np.empty(n1, dtype=int)
-        rows, signs = [], []  # the row each tour slot reads, and its sign
-        entry = []  # each row's entry slot
-        stack = [(b, True) for b in reversed(kids[mdl.slack])]
-        while stack:
-            b, entering = stack.pop()
-            if entering:
-                pos[b] = k = len(feeder)
-                feeder.append(b)
-                entry.append(len(rows))
-                rows.append(k)
-                signs.append(1.0)
-                stack.append((b, False))
-                stack.extend((c, True) for c in reversed(kids[mdl.child[b]]))
-            else:
-                end[pos[b]] = len(feeder)
-                rows.append(pos[b])
-                signs.append(-1.0)
-        self.nonslack = mdl.child[feeder]
-        self.end = end
-        self.tour = np.array(rows)
-        self.z_slot = (np.array(signs) * mdl.z_pu[feeder][self.tour])[:, None]
-        self.entry = np.array(entry)
-        self.branch_rows = pos  # branch b feeds the subtree [pos[b], end[pos[b]])
-        self.branch_ends = end[pos]
+        order = mdl.order
+        feeder = np.array(order.branch[1:])  # branch feeding each row
+        row = np.arange(len(feeder))
+        self.nonslack = np.array(order.bus[1:])
+        self.end = np.array(order.end[1:]) - 1
+        # row k is entered after the k rows before it, and after the exits of
+        # those whose subtree ends by k; a row exits once its subtree's rows
+        # have each been entered and left
+        self.entry = row + np.searchsorted(np.sort(self.end), row, side="right")
+        exit_slot = self.entry + 2 * (self.end - row) - 1
+        self.tour = np.empty(2 * len(row), dtype=int)  # the row each tour slot reads
+        self.tour[self.entry] = self.tour[exit_slot] = row
+        signs = np.ones(len(self.tour))
+        signs[exit_slot] = -1.0
+        self.z_slot = (signs * mdl.z_pu[feeder][self.tour])[:, None]
+        self.branch_rows = np.argsort(feeder)  # branch b feeds the subtree [branch_rows[b], branch_ends[b])
+        self.branch_ends = self.end[self.branch_rows]
 
     def sweeper(self, m: int):
         """The voltage drop of (n - 1, m) injection currents, with its work

@@ -169,7 +169,11 @@ def _forecast_from_doc(doc) -> ForecastProfile:
 
 
 def load_forecast(path) -> ForecastProfile:
-    return _parse_forecast(Path(path).read_text(), path)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"forecast {path}: {exc.strerror}") from exc
+    return _parse_forecast(text, path)
 
 
 def default_forecast() -> ForecastProfile:

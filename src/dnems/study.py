@@ -36,7 +36,7 @@ from .objectives import (
     profit_analysis,
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run
-from .pareto import ParetoArchive, best_compromise
+from .pareto import ParetoArchive, _check_weights, best_compromise
 from .scenarios import (
     ForecastProfile,
     RunStatistics,
@@ -74,7 +74,6 @@ _FIELD_TYPES = {
     "export_credit": (lambda v: isinstance(v, bool), "true or false"),
     "optimizer": (lambda v: isinstance(v, HybridConfig), "an object of optimizer settings"),
     "scenario_counts": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
-    "weights": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)), "two finite numbers"),
 }
 
 
@@ -115,9 +114,14 @@ class StudyConfig:
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         object.__setattr__(self, "scenario_counts", tuple(map(int, self.scenario_counts)))
+        try:
+            _check_weights(self.weights)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        if not self.out_dir:
-            raise ConfigError("out_dir must not be empty")
+        for name in ("network", "forecast", "out_dir"):  # an empty path would name the working directory
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must not be empty")
         if self.mode not in ("deterministic", "stochastic"):
             raise ConfigError(f"mode must be deterministic|stochastic, got {self.mode!r}")
         if self.objective not in ("cost", "ens", "multi"):
@@ -144,8 +148,6 @@ class StudyConfig:
             )
         if self.profit_years < 1:
             raise ConfigError(f"profit_years must be >= 1, got {self.profit_years}")
-        if min(self.weights) < 0 or max(self.weights) <= 0:
-            raise ConfigError("weights must be nonnegative and not both zero")
         for key in _PER_RUN:
             if getattr(self.optimizer, key) != getattr(HybridConfig, key):
                 raise _per_run_error(key)

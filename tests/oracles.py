@@ -16,7 +16,10 @@ oracle is the all-bus formulation that the per-block ENS replaced; it takes
 the evaluator's per-bus data (loads, device buses, path times).  The search
 oracle is the optimizer loop that ranked one candidate at a time before the
 ranking became one array function; it takes the moves, schedules, evaluation
-wrapper and archive from the package.
+wrapper and archive from the package.  The tree oracle is the feeder-tree
+code that ran before one depth-first walk (``radial_order``) fed validation,
+the sweep model, both sweep products and the ENS path times; it takes only
+the network data.
 """
 
 from collections import deque
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from dnems.network import Branch, Bus, Network, make_network
+from dnems.network import Branch, Bus, Network, NetworkError, make_network
 from dnems.optimizer import (
     GwoState,
     HybridConfig,
@@ -193,6 +196,116 @@ def trunk_feeder(rng: np.random.Generator, n_bus: int, drop_pu: float = 0.05) ->
         for i in range(1, n_bus)
     ]
     return make_network(buses, branches, v_min=0.9, v_max=1.1, base_kv=base_kv)
+
+
+def tree_oracle(net: Network) -> dict:
+    """The feeder-tree arrays as four separate walks built them.
+
+    A union-find proves that the branches form a tree spanning every bus
+    (NetworkError naming the first cycle-closing branch or the first
+    unreached bus otherwise).  A breadth-first walk orients each branch away
+    from the substation and keeps every bus's branch path, which gives the
+    path times.  The dense product walks every bus up to the substation, and
+    the tour product runs a second, depth-first walk over per-bus child lists.
+    Returns ``parent``, ``child`` and ``path_time``, and each product's arrays
+    under ``"dense"`` and ``"tour"``.
+    """
+    n = net.n_bus
+    uf = list(range(n + 1))
+
+    def find(u: int) -> int:
+        while uf[u] != u:
+            uf[u] = uf[uf[u]]
+            u = uf[u]
+        return u
+
+    for br in net.branches:
+        ru, rv = find(br.from_bus), find(br.to_bus)
+        if ru == rv:
+            raise NetworkError(f"branch ({br.from_bus},{br.to_bus}) closes a cycle")
+        uf[ru] = rv
+    root = find(net.substation_bus)
+    for b in net.buses:
+        if find(b.id) != root:
+            raise NetworkError(f"bus {b.id} is not connected to the substation")
+
+    adj = {b.id: [] for b in net.buses}
+    for idx, br in enumerate(net.branches):
+        adj[br.from_bus].append((br.to_bus, idx))
+        adj[br.to_bus].append((br.from_bus, idx))
+    parent = np.empty(len(net.branches), dtype=int)
+    child = np.empty(len(net.branches), dtype=int)
+    paths = {net.substation_bus: ()}
+    queue = [net.substation_bus]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v, idx in adj[u]:
+                if v in paths:
+                    continue
+                parent[idx], child[idx] = u - 1, v - 1
+                paths[v] = paths[u] + (idx,)
+                nxt.append(v)
+        queue = nxt
+    times = np.array([br.at_repair + br.at_restoration for br in net.branches])
+    out = {
+        "parent": parent,
+        "child": child,
+        "path_time": np.array([times[list(paths[b.id])].sum() for b in net.buses]),
+    }
+    slack = net.substation_bus - 1
+    z_base = net.base_kv**2 / net.base_mva
+    z_pu = np.array([(br.r + 1j * br.x) / z_base for br in net.branches])
+
+    nonslack = np.array([i for i in range(n) if i != slack])
+    feeder = np.empty(n, dtype=int)
+    feeder[child] = np.arange(len(child))
+    path = np.zeros((len(child), n - 1))
+    bus, col = nonslack, np.arange(n - 1)
+    while len(bus):
+        path[feeder[bus], col] = 1.0
+        bus = parent[feeder[bus]]
+        up = bus != slack
+        bus, col = bus[up], col[up]
+    out["dense"] = {
+        "nonslack": nonslack,
+        "dlf": path.T @ (z_pu[:, None] * path),
+        "path": path.astype(complex),
+    }
+
+    kids = [[] for _ in range(n)]
+    for b, f in enumerate(parent):
+        kids[f].append(b)
+    pos = np.empty(n - 1, dtype=int)
+    feeder = []
+    end = np.empty(n - 1, dtype=int)
+    rows, signs, entry = [], [], []
+    stack = [(b, True) for b in reversed(kids[slack])]
+    while stack:
+        b, entering = stack.pop()
+        if entering:
+            pos[b] = k = len(feeder)
+            feeder.append(b)
+            entry.append(len(rows))
+            rows.append(k)
+            signs.append(1.0)
+            stack.append((b, False))
+            stack.extend((c, True) for c in reversed(kids[child[b]]))
+        else:
+            end[pos[b]] = len(feeder)
+            rows.append(pos[b])
+            signs.append(-1.0)
+    tour = np.array(rows)
+    out["tour"] = {
+        "nonslack": child[feeder],
+        "end": end,
+        "tour": tour,
+        "z_slot": (np.array(signs) * z_pu[feeder][tour])[:, None],
+        "entry": np.array(entry),
+        "branch_rows": pos,
+        "branch_ends": end[pos],
+    }
+    return out
 
 
 def reduction_cost_oracle(features: np.ndarray, weights: np.ndarray, candidate: int) -> float:

@@ -1,11 +1,16 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnems.network import (
     Branch,
     Bus,
+    DgSpec,
     EssSpec,
+    Network,
     NetworkError,
     load_network,
     make_network,
@@ -13,8 +18,11 @@ from dnems.network import (
     network_to_dict,
     radial_order,
     save_network,
+    _validate,
 )
-from oracles import random_radial_network
+from dnems.objectives import ScheduleEvaluator
+from dnems.powerflow import _TOUR_MIN_BUSES, _SweepModel, _TourProduct
+from oracles import random_radial_network, tree_oracle
 
 
 class TestBuiltin:
@@ -167,6 +175,23 @@ class TestValidation:
         with pytest.raises(NetworkError, match="p_load must be a number"):
             make_network([Bus(id=1), Bus(id=2, p_load="ten")], [Branch(1, 2, 0.1, 0.1)])
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"buses": [Bus(id=1.0), Bus(id=2)]}, "bus 1.0: id must be an integer, got 1.0"),
+            ({"buses": [Bus(id=True), Bus(id=2)]}, "bus True: id must be an integer, got True"),
+            ({"branches": [Branch(1.0, 2.0, 0.1, 0.1)]}, r"branch \(1.0,2.0\): from_bus must be an integer, got 1.0"),
+            ({"branches": [Branch(1, True, 0.1, 0.1)]}, r"branch \(1,True\): to_bus must be an integer, got True"),
+            ({"dgs": [DgSpec(bus=2.0)]}, "DG at bus 2.0: bus must be an integer, got 2.0"),
+            ({"substation_bus": True}, "network: substation_bus must be an integer, got True"),
+        ],
+        ids=["float-id", "bool-id", "float-end", "bool-end", "float-device-bus", "bool-substation"],
+    )
+    def test_nonint_bus_reference(self, edit, message):
+        parts = {"buses": [Bus(id=1), Bus(id=2)], "branches": [Branch(1, 2, 0.1, 0.1)], **edit}
+        with pytest.raises(NetworkError, match=f"^{message}$"):
+            make_network(**parts)
+
     def test_inverted_voltage_bounds(self):
         with pytest.raises(NetworkError, match="voltage bounds"):
             make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], v_min=1.1, v_max=0.9)
@@ -185,7 +210,8 @@ class TestValidation:
 class TestRadialOrder:
     def test_chain(self, chain3):
         ro = radial_order(chain3)
-        assert ro.order == (0, 1)
+        assert (ro.bus, ro.branch, ro.parent) == ((0, 1, 2), (-1, 0, 1), (-1, 0, 1))
+        assert (ro.end, ro.row) == ((3, 3, 3), (0, 1, 2))
         assert ro.path(3) == (0, 1)
         assert ro.path(2) == (0,)
         assert ro.path(1) == ()
@@ -196,6 +222,7 @@ class TestRadialOrder:
             [Branch(1, 2, 0.1, 0.1), Branch(1, 3, 0.1, 0.1)],
         )
         ro = radial_order(net)
+        assert (ro.bus, ro.parent, ro.end) == ((0, 1, 2), (-1, 0, 0), (3, 2, 3))
         assert ro.path(2) == (0,)
         assert ro.path(3) == (1,)
 
@@ -203,10 +230,14 @@ class TestRadialOrder:
         nets = [ieee69] + [random_radial_network(rng, int(rng.integers(3, 16))) for _ in range(10)]
         for net in nets:
             ro = radial_order(net)
-            pos = {b: i for i, b in enumerate(ro.order)}
-            for bus in net.buses:
-                path = ro.path(bus.id)
-                assert list(path) == sorted(path, key=pos.__getitem__)
+            assert ro.bus[0] == net.bus_index(net.substation_bus) and ro.end[0] == net.n_bus
+            for k in range(1, net.n_bus):
+                p = ro.parent[k]
+                assert p < k < ro.end[k] <= ro.end[p]  # each subtree nests in its parent's
+                assert ro.row[ro.bus[k]] == k
+                assert ro.path(ro.bus[k] + 1) == ro.path(ro.bus[p] + 1) + (ro.branch[k],)
+                br = net.branches[ro.branch[k]]
+                assert {br.from_bus, br.to_bus} == {ro.bus[p] + 1, ro.bus[k] + 1}
 
     def test_69_paths_reach_substation(self, ieee69):
         ro = radial_order(ieee69)
@@ -217,3 +248,79 @@ class TestRadialOrder:
                 continue
             first = ieee69.branches[path[0]]
             assert ieee69.substation_bus in (first.from_bus, first.to_bus)
+
+
+def _shuffled_tree(rng, parents, substation: int) -> Network:
+    """Unvalidated network on buses 1..n whose bus i + 2 hangs off bus
+    parents[i] + 1, with random impedances and reliability times, its
+    branches in random order and random orientation."""
+    branches = []
+    for i, par in enumerate(parents):
+        ends = (par + 1, i + 2) if rng.random() < 0.5 else (i + 2, par + 1)
+        r, x, repair, restoration = rng.uniform(0.01, 1.0, 4)
+        branches.append(
+            Branch(*ends, r=float(r), x=float(x), at_repair=float(repair), at_restoration=float(restoration))
+        )
+    return Network(
+        buses=tuple(Bus(id=i + 1) for i in range(len(parents) + 1)),
+        branches=tuple(branches[k] for k in rng.permutation(len(branches))),
+        substation_bus=substation,
+    )
+
+
+# mostly small feeders (dense product), one in ten from _TOUR_MIN_BUSES (tour product)
+feeder_sizes = st.integers(0, 9).flatmap(lambda k: st.integers(200, 260) if k == 0 else st.integers(2, 40))
+
+
+class TestTreeOracle:
+    """One depth-first walk builds every tree array that a union-find, a
+    breadth-first walk, the tour's own walk and the dense walk-up built."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(shape=st.sampled_from(["random", "chain", "star"]), n=feeder_sizes, seed=st.integers(0, 2**32 - 1))
+    def test_arrays_equal_oracle(self, shape, n, seed):
+        rng = np.random.default_rng(seed)
+        parents = {
+            "random": [int(rng.integers(0, i + 1)) for i in range(n - 1)],
+            "chain": list(range(n - 1)),
+            "star": [0] * (n - 1),
+        }[shape]
+        net = _validate(_shuffled_tree(rng, parents, substation=int(rng.integers(1, n + 1))))
+        ref = tree_oracle(net)
+        mdl = _SweepModel(net)
+        assert isinstance(mdl.product, _TourProduct) == (n >= _TOUR_MIN_BUSES)
+        product = ref["tour" if n >= _TOUR_MIN_BUSES else "dense"]
+        want = {"parent": ref["parent"], "child": ref["child"], "path_time": ref["path_time"], **product}
+        got = {
+            "parent": mdl.parent,
+            "child": mdl.child,
+            "path_time": ScheduleEvaluator(net).path_time,
+            **{name: getattr(mdl.product, name) for name in product},
+        }
+        for name, value in got.items():
+            assert value.dtype == want[name].dtype and value.shape == want[name].shape, name
+            assert value.tobytes() == want[name].tobytes(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 40), rewired=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_accepts_what_union_find_accepts(self, n, rewired, seed):
+        # a random tree with up to three branches given random ends: n - 1
+        # branches that may close cycles, hang in islands or loop on one bus
+        rng = np.random.default_rng(seed)
+        tree = _shuffled_tree(rng, [int(rng.integers(0, i + 1)) for i in range(n - 1)], int(rng.integers(1, n + 1)))
+        branches = list(tree.branches)
+        for k in rng.choice(n - 1, size=min(rewired, n - 1), replace=False):
+            branches[k] = replace(branches[k], from_bus=int(rng.integers(1, n + 1)), to_bus=int(rng.integers(1, n + 1)))
+        net = replace(tree, branches=tuple(branches))
+        try:
+            tree_oracle(net)
+            expected = True
+        except NetworkError:
+            expected = False
+        try:
+            _validate(net)
+            accepted = True
+        except NetworkError as exc:
+            assert "closes a cycle" in str(exc) or "not connected to the substation" in str(exc), str(exc)
+            accepted = False
+        assert accepted == expected

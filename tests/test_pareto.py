@@ -212,10 +212,9 @@ class TestBestCompromise:
 
     def test_bad_weights(self):
         arch = self.make_archive()
-        with pytest.raises(ValueError, match="weights"):
-            best_compromise(arch, weights=(0.0, 0.0))
-        with pytest.raises(ValueError, match="weights"):
-            best_compromise(arch, weights=(-1.0, 2.0))
+        for weights in ((0.0, 0.0), (-1.0, 2.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0,)):
+            with pytest.raises(ValueError, match="^weights must be two finite numbers"):
+                best_compromise(arch, weights=weights)
 
 
 def front_y(arch, weights, tmp_path):
@@ -252,8 +251,10 @@ class TestFrontCsv:
             ParetoArchive().to_csv(tmp_path / "front.csv", (0.5, 0.5))
         arch = ParetoArchive(capacity=5)
         arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
-        with pytest.raises(ValueError, match="weights"):
-            arch.to_csv(tmp_path / "front.csv", (0.0, 0.0))
+        for weights in ((0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0,)):
+            with pytest.raises(ValueError, match="^weights must be two finite numbers"):
+                arch.to_csv(tmp_path / "front.csv", weights)
+        assert not (tmp_path / "front.csv").exists()
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -309,8 +309,8 @@ class TestCli:
             (["--scenarios", ""], "config error: bad --scenarios value ''"),
             (["--weights", ""], "config error: bad --weights value ''"),
             (["--out", ""], "config error: out_dir must not be empty"),
-            (["--network", ""], "config error: missing buses.csv in ."),
-            (["--forecast", ""], "config error: [Errno 21] Is a directory: '.'"),
+            (["--network", ""], "config error: network must not be empty"),
+            (["--forecast", ""], "config error: forecast must not be empty"),
         ],
         ids=["population", "iterations", "seed", "empty-scenarios", "empty-weights", "empty-out", "empty-network",
              "empty-forecast"],
@@ -395,6 +395,9 @@ class TestCli:
             ({"optimizer": {"penalty_weights": {"flow": float("inf")}}}, "penalty weight 'flow' must be finite"),
             ({"seed": -3}, "seed must be >= 0, got -3"),
             ({"out_dir": ""}, "out_dir must not be empty"),
+            ({"network": ""}, "network must not be empty"),
+            ({"forecast": ""}, "forecast must not be empty"),
+            ({"weights": [float("inf"), 1]}, "weights must be two finite numbers"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
@@ -413,6 +416,10 @@ class TestCli:
             (lambda doc: doc["branches"][2].update(x=float("inf")), "x must be finite"),
             (lambda doc: doc["branches"][2].update(r=0.0, x=0.0), "zero-impedance branch"),
             (lambda doc: doc.update(substation=5), "unknown network keys: ['substation']"),
+            (lambda doc: doc["buses"][0].update(id=1.0), "bus 1.0: id must be an integer, got 1.0"),
+            (lambda doc: doc["buses"][0].update(id=True), "bus True: id must be an integer, got True"),
+            (lambda doc: doc["branches"][0].update(from_bus=1.0, to_bus=2.0), "from_bus must be an integer, got 1.0"),
+            (lambda doc: doc["dgs"][0].update(bus=40.0), "DG at bus 40.0: bus must be an integer, got 40.0"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
@@ -508,6 +515,13 @@ class TestCli:
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"config error: forecast {forecast}: Expecting property name" in capsys.readouterr().err
+
+    def test_missing_forecast_named(self, tmp_path, capsys):
+        forecast = tmp_path / "missing.json"
+        code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: forecast {forecast}: No such file or directory\n"
 
     def test_fixed_output_dg(self, tmp_path):
         # p_min == p_max is a valid DG: it runs at that output every hour
