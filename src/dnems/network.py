@@ -252,19 +252,22 @@ def _csv_rows(path: Path, parse) -> list:
     column, a short or long row or a malformed number raises a NetworkError
     that names the file and the row's line."""
     out = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            if None in row:  # the fields past the header's end
-                raise NetworkError(f"{path}, line {reader.line_num}: too many fields")
-            try:
-                out.append(parse(row))
-            except KeyError as exc:
-                raise NetworkError(f"{path}, line {reader.line_num}: missing column {exc}") from None
-            except TypeError:  # a field that a short row lacks reads as None
-                raise NetworkError(f"{path}, line {reader.line_num}: too few fields") from None
-            except ValueError as exc:
-                raise NetworkError(f"{path}, line {reader.line_num}: {exc}") from None
+        try:
+            for row in reader:
+                if None in row:  # the fields past the header's end
+                    raise NetworkError(f"{path}, line {reader.line_num}: too many fields")
+                try:
+                    out.append(parse(row))
+                except KeyError as exc:
+                    raise NetworkError(f"{path}, line {reader.line_num}: missing column {exc}") from None
+                except TypeError:  # a field that a short row lacks reads as None
+                    raise NetworkError(f"{path}, line {reader.line_num}: too few fields") from None
+                except ValueError as exc:
+                    raise NetworkError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise NetworkError(f"network {path}: not UTF-8 text: {exc}") from None
     return out
 
 
@@ -309,7 +312,9 @@ def load_network(path) -> Network:
     if p.is_dir():
         return _load_csv_pair(p)
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise NetworkError(f"network {p}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise NetworkError(f"{p}: invalid JSON: {exc}") from exc
     return network_from_dict(doc)

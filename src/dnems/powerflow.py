@@ -10,6 +10,16 @@ depends on the feeder's size alone: below ``_TOUR_MIN_BUSES`` buses it is a
 dense path-impedance matrix product, from there on prefix sums over an
 Euler tour of the tree, O(n) per profile instead of O(n^2).
 
+The dense product sweeps only the live rows: buses that carry load or host
+a device, and any other bus a call injects at.  Every other bus draws a
+current of exactly zero on every sweep, so it adds nothing to any product
+and gets its voltage once, from the final currents.  The collapse rule
+(``|v| <= _V_COLLAPSE``) looks at the swept rows only.  Dropping the zero
+terms keeps every bit of a sum that the BLAS adds in order; numpy's
+OpenBLAS does so within blocks of 128 inner rows, so on larger dense
+feeders (130 to 199 buses) the results can differ from the full product's
+in the last bits.
+
 Sign convention: injections are positive for generation, negative for
 load.  The substation is the slack bus, pinned at 1.0 pu.
 """
@@ -79,9 +89,12 @@ class _SweepModel:
         self.parent, self.child = bus[parent[rows]], bus[rows]
         self.s_base_kva = net.base_mva * 1000.0
         self.s_max = np.array([br.s_max for br in net.branches])  # kVA
+        # buses whose injection can be nonzero in an evaluator's call
+        self.injected = np.array([b.p_load != 0 or b.q_load != 0 for b in net.buses])
+        for dev in (*net.dgs, *net.pvs, *net.esss):
+            self.injected[net.bus_index(dev.bus)] = True
         product = _TourProduct if net.n_bus >= _TOUR_MIN_BUSES else _DenseProduct
         self.product = product(self)
-        self.nonslack = self.product.nonslack
 
 
 class _DenseProduct:
@@ -90,7 +103,9 @@ class _DenseProduct:
     is the shared-path impedance matrix, so ``dlf @ i`` is the voltage drop
     of injection currents ``i`` (the BIBC/BCBV product of Teng 2003).
 
-    Non-slack buses are rows in index order."""
+    Non-slack buses are rows in index order.  A solve sweeps only the live
+    rows (``rows``): a bus that carries no injection draws a current of
+    exactly zero, whose terms the restricted products leave out."""
 
     def __init__(self, mdl: _SweepModel):
         n, order = mdl.n_bus, mdl.order
@@ -102,10 +117,44 @@ class _DenseProduct:
         path = np.delete(path, mdl.slack, axis=1)
         self.dlf = path.T @ (mdl.z_pu[:, None] * path)
         self.path = path.astype(complex)  # cast once, not on every solve
+        live = mdl.injected[self.nonslack]
+        self.live = _LiveRows(self, live)
+        self.dead_buses = self.nonslack[~live]
+
+    def rows(self, p: np.ndarray, q: np.ndarray) -> "_LiveRows":
+        """The rows a call with (n_bus, m) injections sweeps: the network's
+        live rows, and any other row the call injects at."""
+        hit = p[self.dead_buses].any(axis=1) | q[self.dead_buses].any(axis=1)
+        if not hit.any():
+            return self.live
+        live = self.live.mask.copy()
+        live[~live] = hit
+        return _LiveRows(self, live)
+
+
+class _LiveRows:
+    """The dense products restricted to the live rows: ``dlf[live, live]``
+    sweeps, ``dlf[:, live]`` gives every row's voltage once the sweeps are
+    done, and ``path[:, live]`` the branch currents."""
+
+    def __init__(self, product: _DenseProduct, live: np.ndarray):
+        self.mask = live
+        self.buses = product.nonslack[live]  # the bus of each swept row
+        self.nonslack = product.nonslack
+        self.dlf = product.dlf[np.ix_(live, live)]
+        self.dlf_cols = np.ascontiguousarray(product.dlf[:, live])
+        self.path = np.ascontiguousarray(product.path[:, live])
 
     def sweeper(self, m: int):
-        """The voltage drop ``dlf @ i`` of (n - 1, m) injection currents."""
+        """The voltage drop ``dlf @ i`` of (live, m) injection currents."""
         return self.dlf.__matmul__
+
+    def voltages(self, v_full: np.ndarray, v: np.ndarray, i: np.ndarray) -> None:
+        """Write into (n_bus, m) ``v_full`` every non-slack row's response to
+        the swept currents ``i``, which on the swept rows is ``v``.  One
+        product over all rows: a product of the dead rows alone would, with
+        one dead row, run through another BLAS kernel than the sweeps."""
+        v_full[self.nonslack] = 1.0 + self.dlf_cols @ i
 
     def branch_currents(self, i: np.ndarray) -> np.ndarray:
         """Sending-end (parent-to-child) current of each original branch."""
@@ -146,6 +195,15 @@ class _TourProduct:
         self.z_slot = (signs * mdl.z_pu[feeder][self.tour])[:, None]
         self.branch_rows = np.argsort(feeder)  # branch b feeds the subtree [branch_rows[b], branch_ends[b])
         self.branch_ends = self.end[self.branch_rows]
+        self.buses = self.nonslack  # every row is swept
+
+    def rows(self, p: np.ndarray, q: np.ndarray) -> "_TourProduct":
+        """Every row, whatever the call injects."""
+        return self
+
+    def voltages(self, v_full: np.ndarray, v: np.ndarray, i: np.ndarray) -> None:
+        """Write the swept voltages ``v`` into (n_bus, m) ``v_full``."""
+        v_full[self.nonslack] = v
 
     def sweeper(self, m: int):
         """The voltage drop of (n - 1, m) injection currents, with its work
@@ -238,17 +296,18 @@ def solve_batch(
         )
 
     p, q = p.reshape(net.n_bus, m), q.reshape(net.n_bus, m)
-    s_pu = (p[mdl.nonslack] + 1j * q[mdl.nonslack]) / mdl.s_base_kva  # (n-1, m)
+    rows = mdl.product.rows(p, q)  # the swept rows
+    s_pu = (p[rows.buses] + 1j * q[rows.buses]) / mdl.s_base_kva  # (rows, m)
     s_conj = np.conj(s_pu)
     s_abs = np.abs(s_pu)
-    v = np.ones((net.n_bus - 1, m), dtype=complex)
+    v = np.ones((len(rows.buses), m), dtype=complex)
     v_abs = np.ones(v.shape)  # |v|, kept beside v
     i_inj = np.zeros_like(v)
     mismatch = np.full(m, np.inf)
     alive = np.ones(m, dtype=bool)  # columns not diverged
     active = np.ones(m, dtype=bool)  # columns still iterating
 
-    drop = mdl.product.sweeper(m)
+    drop = rows.sweeper(m)
 
     it = 0
     for it in range(1, max_iter + 1):
@@ -270,9 +329,10 @@ def solve_batch(
             v_new_abs = np.abs(v_new)  # the collapse check's, then the next sweep's divisor
             check = it >= 3 or it == max_iter  # nothing converges in 2 sweeps
             if check:
-                mis = (s_abs * (np.abs(v_new - v) / v_abs)).max(axis=0)
+                # with no row swept there is no mismatch and no collapse
+                mis = (s_abs * (np.abs(v_new - v) / v_abs)).max(axis=0, initial=0.0)
                 np.copyto(mismatch, mis, where=active)
-                alive &= ~(active & (v_new_abs.min(axis=0) <= _V_COLLAPSE))
+                alive &= ~(active & (v_new_abs.min(axis=0, initial=np.inf) <= _V_COLLAPSE))
         if active.all():
             i_inj, v, v_abs = i_new, v_new, v_new_abs
         else:
@@ -290,8 +350,8 @@ def solve_batch(
     # (v, i_inj) are network-consistent: v is the exact response to i_inj,
     # so flows and losses below describe the returned state.
     v_full = np.ones((net.n_bus, m), dtype=complex)
-    v_full[mdl.nonslack] = v
-    j = mdl.product.branch_currents(i_inj)
+    rows.voltages(v_full, v, i_inj)
+    j = rows.branch_currents(i_inj)
     s_from = v_full[mdl.parent] * np.conj(j)
     loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
     # slack power: the sending-end flows of the branches leaving the slack

@@ -170,9 +170,11 @@ def _forecast_from_doc(doc) -> ForecastProfile:
 
 def load_forecast(path) -> ForecastProfile:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"forecast {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"forecast {path}: not UTF-8 text: {exc}") from None
     return _parse_forecast(text, path)
 
 

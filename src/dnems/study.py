@@ -159,8 +159,8 @@ class StudyConfig:
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
         try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
 

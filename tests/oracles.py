@@ -11,7 +11,9 @@ reduction oracle is the O(n^3) loop that the fast backward ``reduce``
 replaced; it takes only the distance features from the package
 (``reduction_features``).  The sweep oracle is the fixed-point loop that
 ``solve_batch`` ran before its sweep kept ``|v|`` and multiplied by
-``1 / |v|^2``; it takes the feeder's sweep model from the package.  The ENS
+``1 / |v|^2`` and before the dense product swept only the rows that carry an
+injection; it takes the feeder's sweep model from the package, and on a dense
+feeder its full ``dlf`` and ``path`` matrices.  The ENS
 oracle is the all-bus formulation that the per-block ENS replaced; it takes
 the evaluator's per-bus data (loads, device buses, path times).  The search
 oracle is the optimizer loop that ranked one candidate at a time before the
@@ -420,13 +422,18 @@ def nondominated_filter(points):
 
 def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 100) -> BatchPowerFlow:
     """``solve_batch`` of (n_bus, m) injections as the loop ran before it
-    kept ``|v|`` between sweeps: ``|v|`` taken twice a sweep, the currents
+    kept ``|v|`` between sweeps and before it swept only the live rows:
+    every non-slack row swept, ``|v|`` taken twice a sweep, the currents
     divided by ``|v|^2`` as complex numbers, and frozen columns written by
-    boolean indexing."""
+    boolean indexing.  On a dense feeder the products are the full
+    ``dlf @ i`` and ``path @ i``, read from the matrices themselves.  The
+    collapse rule looks at the rows the solver sweeps: on a dense feeder the
+    buses that carry load, host a device or are injected at in this call."""
     mdl = _model(net)
+    nonslack = mdl.product.nonslack
     p, q = np.asarray(p_kw, dtype=float), np.asarray(q_kvar, dtype=float)
     m = p.shape[1]
-    s_pu = (p[mdl.nonslack] + 1j * q[mdl.nonslack]) / mdl.s_base_kva
+    s_pu = (p[nonslack] + 1j * q[nonslack]) / mdl.s_base_kva
     s_conj = np.conj(s_pu)
     s_abs = np.abs(s_pu)
     v = np.ones((net.n_bus - 1, m), dtype=complex)
@@ -434,7 +441,18 @@ def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 
     mismatch = np.full(m, np.inf)
     alive = np.ones(m, dtype=bool)
     active = np.ones(m, dtype=bool)
-    drop = mdl.product.sweeper(m)
+    dense = hasattr(mdl.product, "dlf")
+    if dense:
+        dlf, path = mdl.product.dlf, mdl.product.path
+        drop = dlf.__matmul__
+        injected = {b.id for b in net.buses if b.p_load != 0 or b.q_load != 0}
+        injected |= {dev.bus for dev in (*net.dgs, *net.pvs, *net.esss)}
+        swept = np.array(
+            [net.buses[b].id in injected or p[b].any() or q[b].any() for b in nonslack], dtype=bool
+        )
+    else:
+        drop = mdl.product.sweeper(m)
+        swept = np.ones(net.n_bus - 1, dtype=bool)
     it = 0
     for it in range(1, max_iter + 1):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -449,7 +467,7 @@ def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 
             if check:
                 mis = (s_abs * (np.abs(v_new - v) / v_abs)).max(axis=0)
                 mismatch[active] = mis[active]
-                alive &= ~(active & (np.abs(v_new).min(axis=0) <= _V_COLLAPSE))
+                alive &= ~(active & (np.abs(v_new[swept]).min(axis=0, initial=np.inf) <= _V_COLLAPSE))
         if active.all():
             i_inj, v = i_new, v_new
         else:
@@ -462,8 +480,8 @@ def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 
             break
     converged = alive & (mismatch <= tol)
     v_full = np.ones((net.n_bus, m), dtype=complex)
-    v_full[mdl.nonslack] = v
-    j = mdl.product.branch_currents(i_inj)
+    v_full[nonslack] = v
+    j = -(path @ i_inj) if dense else mdl.product.branch_currents(i_inj)
     s_from = v_full[mdl.parent] * np.conj(j)
     loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
     s_slack = _branch_sum(s_from[mdl.parent == mdl.slack]) * mdl.s_base_kva
@@ -471,8 +489,8 @@ def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 
         v_complex=v_full,
         s_flow=np.abs(s_from) * mdl.s_base_kva,
         p_loss=loss,
-        p_slack=s_slack.real,
-        q_slack=s_slack.imag,
+        p_slack=s_slack.real - p[mdl.slack],
+        q_slack=s_slack.imag - q[mdl.slack],
         converged=converged,
         iterations=it,
         mismatch=mismatch,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnems.network import Branch, Bus, Network, make_network
+from dnems.network import Branch, Bus, DgSpec, EssSpec, Network, PvSpec, make_network
 from dnems.powerflow import (
     _TOUR_MIN_BUSES,
     _DenseProduct,
@@ -413,3 +413,135 @@ class TestSweepOracle:
         assert not sol.converged[1] and sol.v[:, 1].min() < 0.3
         assert sol.converged[2] == (max_iter == 100)
         assert sol.converged[3:].all() == (max_iter == 100)
+
+
+# numpy's bundled OpenBLAS (0.3.31, x86-64 AVX-512 kernels) sums the inner
+# dimension of a complex matrix product in blocks of this many rows.  Within
+# one block it adds the terms in order, so dropping exactly-zero terms
+# changes no bit of the sum; across blocks it does not hold, since the
+# dropped terms move the block boundary.
+BLAS_K_BLOCK = 128
+
+
+def _live_feeder(rng, n, pattern):
+    """A trunk feeder of n buses whose loaded non-slack buses are "all",
+    "one", "none" or a "random" share of them; "random" also places up to
+    three DGs, PV arrays or storage units at random buses."""
+    base = trunk_feeder(rng, n)
+    loaded = {
+        "all": np.ones(n, dtype=bool),
+        "one": np.arange(n) == int(rng.integers(1, n)),
+        "none": np.zeros(n, dtype=bool),
+        "random": rng.random(n) < rng.random(),
+    }[pattern]
+    buses = [b if loaded[k] else replace(b, p_load=0.0, q_load=0.0) for k, b in enumerate(base.buses)]
+    devices = {"dgs": [], "pvs": [], "esss": []}
+    if pattern == "random":
+        for bus in rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, min(n, 4))), replace=False):
+            kind = str(rng.choice(list(devices)))
+            devices[kind].append(
+                {
+                    "dgs": DgSpec(bus=int(bus)),
+                    "pvs": PvSpec(bus=int(bus), capacity=300.0),
+                    "esss": EssSpec(bus=int(bus), w_min=0.0, w_max=200.0, p_charge_max=50.0, p_discharge_max=50.0),
+                }[kind]
+            )
+    return make_network(buses, base.branches, v_min=base.v_min, v_max=base.v_max, base_kv=base.base_kv, **devices)
+
+
+class TestLiveRows:
+    """The dense product sweeps only the rows that carry an injection: the
+    buses with load or a device, and any bus a call injects at."""
+
+    FIELDS = ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch")
+
+    def test_live_set(self, ieee69):
+        # 19 of the 68 non-slack buses have neither load nor a device
+        rows = _model(ieee69).product.live
+        injected = {b.id - 1 for b in ieee69.buses if b.p_load or b.q_load}
+        injected |= {d.bus - 1 for d in (*ieee69.dgs, *ieee69.pvs, *ieee69.esss)}
+        assert rows.buses.tolist() == sorted(injected - {0}) and len(rows.buses) == 49
+        assert rows.dlf.shape == (49, 49) and rows.path.shape == (68, 49)
+
+    @pytest.mark.parametrize("width", [4, 8, 24, 48, 96, 100, 372, 456, 960])
+    def test_blas_drops_zero_terms_exactly(self, ieee69, width):
+        # the canary of the reduction: if numpy's BLAS ever orders these sums
+        # differently, the live-row sweep no longer keeps the bits of the
+        # full product, and this test fails first
+        product = _model(ieee69).product
+        live = product.live.mask
+        rng = np.random.default_rng(width)
+        i = rng.normal(size=(len(live), width)) + 1j * rng.normal(size=(len(live), width))
+        i[~live] = 0.0
+        full, il = product.dlf @ i, i[live]
+        assert (product.dlf[:, live] @ il).tobytes() == full.tobytes()
+        assert (product.live.dlf @ il).tobytes() == full[live].tobytes()
+        assert (product.live.dlf_cols @ il).tobytes() == full.tobytes()
+        assert (product.live.path @ il).tobytes() == (product.path @ i).tobytes()
+
+    def test_width_invariance_changed_live_set(self, ieee69, rng):
+        # a group of 24 columns solved alone keeps its bits inside a block in
+        # which another group injects at a bus with neither load nor device,
+        # so that the block sweeps one row more (single columns run through
+        # another BLAS kernel than blocks, at the parent already)
+        p, q = load_injections(ieee69)
+        mdl = _model(ieee69)
+        dead = mdl.product.nonslack[~mdl.injected[mdl.product.nonslack]]
+        for k in (2, 5, 17):
+            factors = rng.uniform(0.3, 1.9, size=24 * k)
+            pb, qb = p[:, None] * factors, q[:, None] * factors
+            at = int(rng.integers(k))
+            cols = slice(24 * at, 24 * at + 24)
+            other = 24 * ((at + 1) % k)
+            pb[rng.choice(dead), other : other + 24] -= rng.uniform(50.0, 300.0, 24)
+            assert len(mdl.product.rows(pb, qb).buses) == 50
+            assert mdl.product.rows(pb[:, cols], qb[:, cols]) is mdl.product.live
+            block = solve_batch(ieee69, pb, qb)
+            alone = solve_batch(ieee69, pb[:, cols], qb[:, cols])
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (k, name)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, _TOUR_MIN_BUSES - 1),
+        pattern=st.sampled_from(["all", "one", "none", "random"]),
+        groups=st.integers(1, 6),
+        max_iter=st.sampled_from([1, 4, 100]),
+        stray=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fields_equal_unreduced_oracle(self, n, pattern, groups, max_iter, stray, seed):
+        # widths are multiples of 4, the only ones at which the dense
+        # product keeps a column's bits (the evaluator pads to them)
+        rng = np.random.default_rng(seed)
+        net = _live_feeder(rng, n, pattern)
+        mdl = _model(net)
+        assert isinstance(mdl.product, _DenseProduct)
+        p, q = load_injections(net)
+        s = (p + 1j * q)[mdl.product.nonslack] / mdl.s_base_kva
+        drop = np.abs(mdl.product.dlf @ np.conj(s)).max() or 1.0  # the linearized worst voltage drop
+        # no injection; a drop of 1.2 pu, which collapses or runs out of
+        # sweeps; one of 0.35 pu, slow or not converging; generation; load
+        factors = np.concatenate([[0.0, 1.2 / drop, 0.35 / drop, -0.2 / drop], rng.uniform(0.3, 1.9, 4 * groups)])
+        factors = factors[: 4 * groups]
+        p, q = p[:, None] * factors, q[:, None] * factors
+        some = rng.random((2, len(factors))) < 0.6
+        some[:, 0] = False  # column 0 stays without injection
+        for dev in (*net.dgs, *net.pvs, *net.esss):
+            p[dev.bus - 1] += rng.uniform(-100.0, 300.0) * some[0]
+        dead = mdl.product.nonslack[~mdl.injected[mdl.product.nonslack]]
+        if stray and len(dead):  # a call that injects at a bus with neither load nor device
+            p[rng.choice(dead)] -= rng.uniform(0.0, 400.0) * some[1]
+        sol = solve_batch(net, p, q, max_iter=max_iter)
+        ref = sweep_oracle(net, p, q, max_iter=max_iter)
+        if n - 1 <= BLAS_K_BLOCK:
+            for name in self.FIELDS:
+                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert sol.iterations == ref.iterations
+        else:
+            # dropping terms moves the BLAS block boundary: the sums agree to
+            # rounding, and the converged columns to their tolerance
+            assert np.array_equal(sol.converged, ref.converged)
+            ok = sol.converged
+            assert np.allclose(sol.v_complex[:, ok], ref.v_complex[:, ok], rtol=0.0, atol=1e-9)
+        assert sol.p_loss[0] == 0.0 and sol.converged[0]

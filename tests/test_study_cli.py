@@ -523,6 +523,34 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"config error: forecast {forecast}: No such file or directory\n"
 
+    @pytest.mark.parametrize(
+        "flag, name, line",
+        [
+            ("--network", "net.json", "config error: network {path}: not UTF-8 text: "),
+            ("--network", "feeder", "config error: network {path}/buses.csv: not UTF-8 text: "),
+            ("--forecast", "forecast.json", "config error: forecast {path}: not UTF-8 text: "),
+            ("--config", "study.json", "config error: cannot read config {path}: "),
+        ],
+        ids=["network-json", "network-csv", "forecast", "config"],
+    )
+    def test_not_utf8_exit_one(self, tmp_path, capsys, flag, name, line):
+        # a file that is not UTF-8 is a config error that names its kind and path
+        path = tmp_path / name
+        if name == "feeder":
+            path.mkdir()
+            (path / "buses.csv").write_bytes(b"\xff\xfei\x00d\x00\n\x00")
+            (path / "branches.csv").write_text("from_bus,to_bus,r,x\n")
+        else:
+            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code = main([flag, str(path), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        expected = line.format(path=path)
+        assert err.startswith(expected) and "can't decode byte 0xff in position 0" in err, err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_fixed_output_dg(self, tmp_path):
         # p_min == p_max is a valid DG: it runs at that output every hour
         doc = network_to_dict(builtin_ieee69())
