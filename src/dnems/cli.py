@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
-failures during the study itself, including a study in which no repeat
-succeeded.
+Exit codes: 0 on success (and for ``--help``), 1 for configuration
+problems, a malformed or unknown flag included, 2 for runtime failures
+during the study itself, including a study in which no repeat succeeded.
 """
 
 from __future__ import annotations
@@ -86,7 +86,10 @@ def _config_from_args(args) -> StudyConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or its error
+        return 1 if exc.code else 0
     try:
         cfg = _config_from_args(args)
     except ConfigError as exc:

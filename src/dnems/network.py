@@ -106,19 +106,18 @@ class Network:
 
 
 def _check_numbers(what: str, item, names=None) -> None:
-    """NetworkError unless each named numeric field (default: all) is finite,
-    and an integer (not a bool) where the field is declared ``int``."""
+    """NetworkError unless each named numeric field (default: all) is a
+    finite number, not a bool, and an integer where the field is declared
+    ``int``."""
     for f in fields(item):
         if names and f.name not in names:
             continue
         value = getattr(item, f.name)
         if f.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, numbers.Integral))):
             raise NetworkError(f"{what}: {f.name} must be an integer, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
-            raise NetworkError(f"{what}: {f.name} must be a number, got {value!r}") from None
-        if not finite:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise NetworkError(f"{what}: {f.name} must be a number, got {value!r}")
+        if not math.isfinite(value):
             raise NetworkError(f"{what}: {f.name} must be finite, got {value}")
 
 

@@ -24,6 +24,7 @@ candidate and the bare load of every bus once per block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,14 +150,19 @@ def _energy_balance(ess_power: np.ndarray, specs) -> tuple[np.ndarray, np.ndarra
 def merge_penalty_weights(weights: dict | None = None) -> dict:
     """``DEFAULT_PENALTY_WEIGHTS`` updated by ``weights``.
 
-    Raises ValueError for a constraint class the evaluator does not know and
-    for a weight that is not a finite number >= 0: an infinite weight times
-    a zero overshoot would be NaN.
+    Raises ValueError for ``weights`` that are neither a dict nor None, for
+    a constraint class the evaluator does not know and for a weight that is
+    not a finite number >= 0: an infinite weight times a zero overshoot
+    would be NaN.
     """
+    if weights is not None and not isinstance(weights, dict):
+        raise ValueError(f"penalty weights must be an object of weights by constraint class, got {weights!r}")
     merged = dict(DEFAULT_PENALTY_WEIGHTS)
-    for name, value in dict(weights or {}).items():
+    for name, value in (weights or {}).items():
         if name not in merged:
             raise ValueError(f"unknown penalty weight {name!r}; expected one of {sorted(merged)}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"penalty weight {name!r} must be a number, got {value!r}")
         if not value >= 0:
             raise ValueError(f"penalty weight {name!r} must be >= 0, got {value!r}")
         if not math.isfinite(value):

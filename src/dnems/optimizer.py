@@ -101,6 +101,8 @@ class HybridConfig:
             raise ValueError("archive_capacity must be >= 1")
         for name in ("c1", "c2", "mu_high", "mu_low"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not value >= 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
             if not math.isfinite(value):

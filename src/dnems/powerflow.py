@@ -10,9 +10,11 @@ depends on the feeder's size alone: below ``_TOUR_MIN_BUSES`` buses it is a
 dense path-impedance matrix product, from there on prefix sums over an
 Euler tour of the tree, O(n) per profile instead of O(n^2).
 
-The dense product sweeps only the live rows: buses that carry load or host
-a device, and any other bus a call injects at.  Every other bus draws a
-current of exactly zero on every sweep, so it adds nothing to any product
+A call may inject at the substation and at every bus that carries load or
+hosts a DG, PV array or storage unit; ``solve_batch`` refuses a nonzero or
+NaN injection anywhere else.  Every other bus, a junction, draws a current
+of exactly zero on every sweep, so the dense product sweeps only the rows
+of the buses a call may inject at: a junction adds nothing to any product
 and gets its voltage once, from the final currents.  The collapse rule
 (``|v| <= _V_COLLAPSE``) looks at the swept rows only.  Dropping the zero
 terms keeps every bit of a sum that the BLAS adds in order; numpy's
@@ -89,10 +91,13 @@ class _SweepModel:
         self.parent, self.child = bus[parent[rows]], bus[rows]
         self.s_base_kva = net.base_mva * 1000.0
         self.s_max = np.array([br.s_max for br in net.branches])  # kVA
-        # buses whose injection can be nonzero in an evaluator's call
+        # the buses a call may inject at: the substation and every bus with
+        # load or a device; the others are junctions
         self.injected = np.array([b.p_load != 0 or b.q_load != 0 for b in net.buses])
         for dev in (*net.dgs, *net.pvs, *net.esss):
             self.injected[net.bus_index(dev.bus)] = True
+        self.injected[self.slack] = True
+        self.junctions = np.flatnonzero(~self.injected)
         product = _TourProduct if net.n_bus >= _TOUR_MIN_BUSES else _DenseProduct
         self.product = product(self)
 
@@ -103,9 +108,11 @@ class _DenseProduct:
     is the shared-path impedance matrix, so ``dlf @ i`` is the voltage drop
     of injection currents ``i`` (the BIBC/BCBV product of Teng 2003).
 
-    Non-slack buses are rows in index order.  A solve sweeps only the live
-    rows (``rows``): a bus that carries no injection draws a current of
-    exactly zero, whose terms the restricted products leave out."""
+    Rows are the non-slack buses a call may inject at (``buses``), in index
+    order; every other bus draws a current of exactly zero, whose terms the
+    products leave out.  ``dlf`` sweeps the rows, ``dlf_cols`` (every
+    non-slack bus's drop from the rows' currents) gives every voltage once
+    the sweeps are done, and ``path`` the branch currents."""
 
     def __init__(self, mdl: _SweepModel):
         n, order = mdl.n_bus, mdl.order
@@ -115,45 +122,22 @@ class _DenseProduct:
             path[:, order.bus[k]] = path[:, order.bus[order.parent[k]]]
             path[order.branch[k], order.bus[k]] = 1.0
         path = np.delete(path, mdl.slack, axis=1)
-        self.dlf = path.T @ (mdl.z_pu[:, None] * path)
-        self.path = path.astype(complex)  # cast once, not on every solve
+        dlf = path.T @ (mdl.z_pu[:, None] * path)
         live = mdl.injected[self.nonslack]
-        self.live = _LiveRows(self, live)
-        self.dead_buses = self.nonslack[~live]
-
-    def rows(self, p: np.ndarray, q: np.ndarray) -> "_LiveRows":
-        """The rows a call with (n_bus, m) injections sweeps: the network's
-        live rows, and any other row the call injects at."""
-        hit = p[self.dead_buses].any(axis=1) | q[self.dead_buses].any(axis=1)
-        if not hit.any():
-            return self.live
-        live = self.live.mask.copy()
-        live[~live] = hit
-        return _LiveRows(self, live)
-
-
-class _LiveRows:
-    """The dense products restricted to the live rows: ``dlf[live, live]``
-    sweeps, ``dlf[:, live]`` gives every row's voltage once the sweeps are
-    done, and ``path[:, live]`` the branch currents."""
-
-    def __init__(self, product: _DenseProduct, live: np.ndarray):
-        self.mask = live
-        self.buses = product.nonslack[live]  # the bus of each swept row
-        self.nonslack = product.nonslack
-        self.dlf = product.dlf[np.ix_(live, live)]
-        self.dlf_cols = np.ascontiguousarray(product.dlf[:, live])
-        self.path = np.ascontiguousarray(product.path[:, live])
+        self.buses = self.nonslack[live]
+        self.dlf = dlf[np.ix_(live, live)]
+        self.dlf_cols = np.ascontiguousarray(dlf[:, live])
+        self.path = np.ascontiguousarray(path[:, live], dtype=complex)  # cast once, not on every solve
 
     def sweeper(self, m: int):
-        """The voltage drop ``dlf @ i`` of (live, m) injection currents."""
+        """The voltage drop ``dlf @ i`` of (rows, m) injection currents."""
         return self.dlf.__matmul__
 
     def voltages(self, v_full: np.ndarray, v: np.ndarray, i: np.ndarray) -> None:
-        """Write into (n_bus, m) ``v_full`` every non-slack row's response to
+        """Write into (n_bus, m) ``v_full`` every non-slack bus's response to
         the swept currents ``i``, which on the swept rows is ``v``.  One
-        product over all rows: a product of the dead rows alone would, with
-        one dead row, run through another BLAS kernel than the sweeps."""
+        product over all buses: a product of the junctions alone would, with
+        one junction, run through another BLAS kernel than the sweeps."""
         v_full[self.nonslack] = 1.0 + self.dlf_cols @ i
 
     def branch_currents(self, i: np.ndarray) -> np.ndarray:
@@ -196,10 +180,6 @@ class _TourProduct:
         self.branch_rows = np.argsort(feeder)  # branch b feeds the subtree [branch_rows[b], branch_ends[b])
         self.branch_ends = self.end[self.branch_rows]
         self.buses = self.nonslack  # every row is swept
-
-    def rows(self, p: np.ndarray, q: np.ndarray) -> "_TourProduct":
-        """Every row, whatever the call injects."""
-        return self
 
     def voltages(self, v_full: np.ndarray, v: np.ndarray, i: np.ndarray) -> None:
         """Write the swept voltages ``v`` into (n_bus, m) ``v_full``."""
@@ -267,6 +247,9 @@ def solve_batch(
     many; each result keeps the batch shape after its leading bus or branch
     axis, so a single profile gives 0-d per-profile results.  Any other
     leading axis, a transposed (m, n_bus) block included, raises ValueError.
+    So does a nonzero or NaN injection at a bus other than the substation
+    and those with load or a device (``-0.0`` is no injection): each feeder
+    sweeps one fixed set of rows, whatever the call.
 
     A profile's per-bus power mismatch is at most ``tol`` (pu) when it is
     ``converged``; a non-converged profile is returned rather than raised so
@@ -279,6 +262,9 @@ def solve_batch(
     q = np.asarray(q_kvar, dtype=float)
     if p.ndim == 0 or p.shape[0] != net.n_bus or q.shape != p.shape:
         raise ValueError(f"injections must be shaped (n_bus={net.n_bus},) or (n_bus={net.n_bus}, *batch)")
+    if p[mdl.junctions].any() or q[mdl.junctions].any():  # NaN counts, -0.0 does not
+        bus = next(net.buses[k].id for k in mdl.junctions if p[k].any() or q[k].any())
+        raise ValueError(f"bus {bus} carries neither load nor a device: a call cannot inject there")
     batch = p.shape[1:]
     m = math.prod(batch)
 
@@ -296,18 +282,18 @@ def solve_batch(
         )
 
     p, q = p.reshape(net.n_bus, m), q.reshape(net.n_bus, m)
-    rows = mdl.product.rows(p, q)  # the swept rows
-    s_pu = (p[rows.buses] + 1j * q[rows.buses]) / mdl.s_base_kva  # (rows, m)
+    prod = mdl.product
+    s_pu = (p[prod.buses] + 1j * q[prod.buses]) / mdl.s_base_kva  # (rows, m)
     s_conj = np.conj(s_pu)
     s_abs = np.abs(s_pu)
-    v = np.ones((len(rows.buses), m), dtype=complex)
+    v = np.ones((len(prod.buses), m), dtype=complex)
     v_abs = np.ones(v.shape)  # |v|, kept beside v
     i_inj = np.zeros_like(v)
     mismatch = np.full(m, np.inf)
     alive = np.ones(m, dtype=bool)  # columns not diverged
     active = np.ones(m, dtype=bool)  # columns still iterating
 
-    drop = rows.sweeper(m)
+    drop = prod.sweeper(m)
 
     it = 0
     for it in range(1, max_iter + 1):
@@ -350,8 +336,8 @@ def solve_batch(
     # (v, i_inj) are network-consistent: v is the exact response to i_inj,
     # so flows and losses below describe the returned state.
     v_full = np.ones((net.n_bus, m), dtype=complex)
-    rows.voltages(v_full, v, i_inj)
-    j = rows.branch_currents(i_inj)
+    prod.voltages(v_full, v, i_inj)
+    j = prod.branch_currents(i_inj)
     s_from = v_full[mdl.parent] * np.conj(j)
     loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
     # slack power: the sending-end flows of the branches leaving the slack

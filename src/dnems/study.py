@@ -153,7 +153,7 @@ class StudyConfig:
                 raise _per_run_error(key)
         try:
             merge_penalty_weights(self.optimizer.penalty_weights)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"optimizer penalty weights: {exc}") from exc
 
     @classmethod

@@ -13,7 +13,7 @@ replaced; it takes only the distance features from the package
 ``solve_batch`` ran before its sweep kept ``|v|`` and multiplied by
 ``1 / |v|^2`` and before the dense product swept only the rows that carry an
 injection; it takes the feeder's sweep model from the package, and on a dense
-feeder its full ``dlf`` and ``path`` matrices.  The ENS
+feeder the full ``dlf`` and ``path`` matrices from the tree oracle.  The ENS
 oracle is the all-bus formulation that the per-block ENS replaced; it takes
 the evaluator's per-bus data (loads, device buses, path times).  The search
 oracle is the optimizer loop that ranked one candidate at a time before the
@@ -426,9 +426,9 @@ def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 
     every non-slack row swept, ``|v|`` taken twice a sweep, the currents
     divided by ``|v|^2`` as complex numbers, and frozen columns written by
     boolean indexing.  On a dense feeder the products are the full
-    ``dlf @ i`` and ``path @ i``, read from the matrices themselves.  The
-    collapse rule looks at the rows the solver sweeps: on a dense feeder the
-    buses that carry load, host a device or are injected at in this call."""
+    ``dlf @ i`` and ``path @ i``, with the matrices ``tree_oracle`` builds.
+    The collapse rule looks at the rows the solver sweeps: on a dense
+    feeder the buses that carry load or host a device."""
     mdl = _model(net)
     nonslack = mdl.product.nonslack
     p, q = np.asarray(p_kw, dtype=float), np.asarray(q_kvar, dtype=float)
@@ -443,13 +443,12 @@ def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 
     active = np.ones(m, dtype=bool)
     dense = hasattr(mdl.product, "dlf")
     if dense:
-        dlf, path = mdl.product.dlf, mdl.product.path
+        ref = tree_oracle(net)["dense"]
+        dlf, path = ref["dlf"], ref["path"]
         drop = dlf.__matmul__
         injected = {b.id for b in net.buses if b.p_load != 0 or b.q_load != 0}
         injected |= {dev.bus for dev in (*net.dgs, *net.pvs, *net.esss)}
-        swept = np.array(
-            [net.buses[b].id in injected or p[b].any() or q[b].any() for b in nonslack], dtype=bool
-        )
+        swept = np.array([net.buses[b].id in injected for b in nonslack], dtype=bool)
     else:
         drop = mdl.product.sweeper(m)
         swept = np.ones(net.n_bus - 1, dtype=bool)

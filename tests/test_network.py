@@ -285,11 +285,24 @@ class TestTreeOracle:
             "chain": list(range(n - 1)),
             "star": [0] * (n - 1),
         }[shape]
-        net = _validate(_shuffled_tree(rng, parents, substation=int(rng.integers(1, n + 1))))
+        net = _shuffled_tree(rng, parents, substation=int(rng.integers(1, n + 1)))
+        loaded = rng.random(n) < rng.random()
+        buses = tuple(Bus(id=b.id, p_load=100.0 * loaded[k]) for k, b in enumerate(net.buses))
+        net = _validate(replace(net, buses=buses))
         ref = tree_oracle(net)
         mdl = _SweepModel(net)
         assert isinstance(mdl.product, _TourProduct) == (n >= _TOUR_MIN_BUSES)
         product = ref["tour" if n >= _TOUR_MIN_BUSES else "dense"]
+        if n < _TOUR_MIN_BUSES:  # the dense product keeps the rows of the loaded buses
+            nonslack, dlf = product["nonslack"], product["dlf"]
+            live = loaded[nonslack]
+            product = {
+                "nonslack": nonslack,
+                "buses": nonslack[live],
+                "dlf": dlf[np.ix_(live, live)],
+                "dlf_cols": dlf[:, live],
+                "path": product["path"][:, live],
+            }
         want = {"parent": ref["parent"], "child": ref["child"], "path_time": ref["path_time"], **product}
         got = {
             "parent": mdl.parent,

@@ -15,7 +15,7 @@ from dnems.powerflow import (
     check_limits,
     solve_batch,
 )
-from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network, sweep_oracle, trunk_feeder
+from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network, sweep_oracle, tree_oracle, trunk_feeder
 
 
 def load_injections(net):
@@ -450,18 +450,45 @@ def _live_feeder(rng, n, pattern):
 
 
 class TestLiveRows:
-    """The dense product sweeps only the rows that carry an injection: the
-    buses with load or a device, and any bus a call injects at."""
+    """The dense product sweeps only the rows of the buses a call may inject
+    at: those with load or a device.  ``solve_batch`` refuses an injection
+    at any other non-slack bus, so a call cannot change the swept rows."""
 
     FIELDS = ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch")
 
     def test_live_set(self, ieee69):
         # 19 of the 68 non-slack buses have neither load nor a device
-        rows = _model(ieee69).product.live
+        product = _model(ieee69).product
         injected = {b.id - 1 for b in ieee69.buses if b.p_load or b.q_load}
         injected |= {d.bus - 1 for d in (*ieee69.dgs, *ieee69.pvs, *ieee69.esss)}
-        assert rows.buses.tolist() == sorted(injected - {0}) and len(rows.buses) == 49
-        assert rows.dlf.shape == (49, 49) and rows.path.shape == (68, 49)
+        assert product.buses.tolist() == sorted(injected - {0}) and len(product.buses) == 49
+        assert product.dlf.shape == (49, 49) and product.dlf_cols.shape == product.path.shape == (68, 49)
+
+    @pytest.mark.parametrize("n_bus", [69, 250])  # the dense product, then the tour
+    def test_junction_injection_refused(self, ieee69, n_bus):
+        rng = np.random.default_rng(n_bus)
+        net = ieee69 if n_bus == 69 else _live_feeder(rng, n_bus, "random")
+        mdl = _model(net)
+        used = {b.id - 1 for b in net.buses if b.p_load or b.q_load}
+        used |= {d.bus - 1 for d in (*net.dgs, *net.pvs, *net.esss)} | {net.substation_bus - 1}
+        junctions = sorted(set(range(net.n_bus)) - used)
+        assert mdl.junctions.tolist() == junctions and junctions
+        bus = int(rng.choice(junctions))
+        p, q = load_injections(net)
+        for which, value in (("p", 25.0), ("q", -0.5), ("p", np.nan), ("q", np.nan)):
+            for pb, qb in ((p.copy(), q.copy()), (np.tile(p[:, None], 4), np.tile(q[:, None], 4))):
+                (pb if which == "p" else qb)[bus, ...] = value
+                with pytest.raises(ValueError, match=f"^bus {bus + 1} carries neither load nor a device"):
+                    solve_batch(net, pb, qb)
+        # -0.0 at every junction is no injection, and the substation bus
+        # takes any injection
+        pos, neg = p.copy(), p.copy()
+        pos[junctions], neg[junctions] = 0.0, -0.0
+        a, b = solve_batch(net, pos, q), solve_batch(net, neg, q)
+        for name in self.FIELDS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        pos[mdl.slack] -= 40.0
+        assert solve_batch(net, pos, q).p_slack == pytest.approx(a.p_slack + 40.0)
 
     @pytest.mark.parametrize("width", [4, 8, 24, 48, 96, 100, 372, 456, 960])
     def test_blas_drops_zero_terms_exactly(self, ieee69, width):
@@ -469,37 +496,64 @@ class TestLiveRows:
         # differently, the live-row sweep no longer keeps the bits of the
         # full product, and this test fails first
         product = _model(ieee69).product
-        live = product.live.mask
+        ref = tree_oracle(ieee69)["dense"]
+        live = np.isin(ref["nonslack"], product.buses)
         rng = np.random.default_rng(width)
         i = rng.normal(size=(len(live), width)) + 1j * rng.normal(size=(len(live), width))
         i[~live] = 0.0
-        full, il = product.dlf @ i, i[live]
-        assert (product.dlf[:, live] @ il).tobytes() == full.tobytes()
-        assert (product.live.dlf @ il).tobytes() == full[live].tobytes()
-        assert (product.live.dlf_cols @ il).tobytes() == full.tobytes()
-        assert (product.live.path @ il).tobytes() == (product.path @ i).tobytes()
+        full, il = ref["dlf"] @ i, i[live]
+        assert (ref["dlf"][:, live] @ il).tobytes() == full.tobytes()
+        assert (product.dlf @ il).tobytes() == full[live].tobytes()
+        assert (product.dlf_cols @ il).tobytes() == full.tobytes()
+        assert (product.path @ il).tobytes() == (ref["path"] @ i).tobytes()
 
     def test_width_invariance_changed_live_set(self, ieee69, rng):
-        # a group of 24 columns solved alone keeps its bits inside a block in
-        # which another group injects at a bus with neither load nor device,
-        # so that the block sweeps one row more (single columns run through
-        # another BLAS kernel than blocks, at the parent already)
+        # a block in which another group of 24 columns injects at a junction
+        # is refused; with that injection at -0.0, which is none, a group
+        # solved alone keeps its bits inside the block (groups rather than
+        # single columns: single columns run through another BLAS kernel)
         p, q = load_injections(ieee69)
-        mdl = _model(ieee69)
-        dead = mdl.product.nonslack[~mdl.injected[mdl.product.nonslack]]
+        junctions = _model(ieee69).junctions
         for k in (2, 5, 17):
             factors = rng.uniform(0.3, 1.9, size=24 * k)
             pb, qb = p[:, None] * factors, q[:, None] * factors
             at = int(rng.integers(k))
             cols = slice(24 * at, 24 * at + 24)
             other = 24 * ((at + 1) % k)
-            pb[rng.choice(dead), other : other + 24] -= rng.uniform(50.0, 300.0, 24)
-            assert len(mdl.product.rows(pb, qb).buses) == 50
-            assert mdl.product.rows(pb[:, cols], qb[:, cols]) is mdl.product.live
+            bus = int(rng.choice(junctions))
+            pb[bus, other : other + 24] = -rng.uniform(50.0, 300.0, 24)
+            with pytest.raises(ValueError, match=f"^bus {bus + 1} carries neither load nor a device"):
+                solve_batch(ieee69, pb, qb)
+            pb[bus, other : other + 24] = -0.0
             block = solve_batch(ieee69, pb, qb)
             alone = solve_batch(ieee69, pb[:, cols], qb[:, cols])
             for name in self.FIELDS:
                 assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (k, name)
+
+    def test_width_invariance_blas_blocks(self):
+        # from 130 buses OpenBLAS sums the inner dimension in blocks of
+        # BLAS_K_BLOCK rows: each group of 24 columns solved alone keeps its
+        # bits inside blocks of 2 and 7 groups
+        swept = []
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            net = _live_feeder(rng, int(rng.integers(BLAS_K_BLOCK + 2, _TOUR_MIN_BUSES)), "random")
+            mdl = _model(net)
+            assert isinstance(mdl.product, _DenseProduct)
+            swept.append(len(mdl.product.buses))
+            p, q = load_injections(net)
+            for k in (2, 7):
+                factors = rng.uniform(0.3, 1.9, size=24 * k)
+                pb, qb = p[:, None] * factors, q[:, None] * factors
+                for dev in (*net.dgs, *net.pvs, *net.esss):
+                    pb[dev.bus - 1] += rng.uniform(-100.0, 300.0, 24 * k)
+                block = solve_batch(net, pb, qb)
+                for g in range(k):
+                    cols = slice(24 * g, 24 * g + 24)
+                    alone = solve_batch(net, pb[:, cols], qb[:, cols])
+                    for name in self.FIELDS:
+                        assert np.array_equal(getattr(block, name)[..., cols], getattr(alone, name)), (seed, k, g, name)
+        assert max(swept) > BLAS_K_BLOCK  # some products span two blocks
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -518,8 +572,9 @@ class TestLiveRows:
         mdl = _model(net)
         assert isinstance(mdl.product, _DenseProduct)
         p, q = load_injections(net)
-        s = (p + 1j * q)[mdl.product.nonslack] / mdl.s_base_kva
-        drop = np.abs(mdl.product.dlf @ np.conj(s)).max() or 1.0  # the linearized worst voltage drop
+        tree = tree_oracle(net)["dense"]
+        s = (p + 1j * q)[tree["nonslack"]] / mdl.s_base_kva
+        drop = np.abs(tree["dlf"] @ np.conj(s)).max() or 1.0  # the linearized worst voltage drop
         # no injection; a drop of 1.2 pu, which collapses or runs out of
         # sweeps; one of 0.35 pu, slow or not converging; generation; load
         factors = np.concatenate([[0.0, 1.2 / drop, 0.35 / drop, -0.2 / drop], rng.uniform(0.3, 1.9, 4 * groups)])
@@ -529,9 +584,12 @@ class TestLiveRows:
         some[:, 0] = False  # column 0 stays without injection
         for dev in (*net.dgs, *net.pvs, *net.esss):
             p[dev.bus - 1] += rng.uniform(-100.0, 300.0) * some[0]
-        dead = mdl.product.nonslack[~mdl.injected[mdl.product.nonslack]]
-        if stray and len(dead):  # a call that injects at a bus with neither load nor device
-            p[rng.choice(dead)] -= rng.uniform(0.0, 400.0) * some[1]
+        if stray and len(mdl.junctions) and some[1].any():  # a call that injects at a junction is refused
+            bus = int(rng.choice(mdl.junctions))
+            p_stray = p.copy()
+            p_stray[bus] -= rng.uniform(1.0, 400.0) * some[1]
+            with pytest.raises(ValueError, match=f"^bus {bus + 1} carries neither load nor a device"):
+                solve_batch(net, p_stray, q, max_iter=max_iter)
         sol = solve_batch(net, p, q, max_iter=max_iter)
         ref = sweep_oracle(net, p, q, max_iter=max_iter)
         if n - 1 <= BLAS_K_BLOCK:

@@ -323,6 +323,27 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [line]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--repeats", "x"], "argument --repeats: invalid int value: 'x'"),
+            (["--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+            (["--population", ""], "argument --population: invalid int value: ''"),
+            (["--mode", "foo"], "argument --mode: invalid choice: 'foo'"),
+            (["--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_malformed_flag_exit_one(self, tmp_path, capsys, flags, message):
+        # argparse's own message, but the exit code of any other bad value
+        code = main(["--out", str(tmp_path / "o"), *flags])
+        assert code == 1
+        assert f"dnems: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: dnems" in capsys.readouterr().out
+
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(
             ["--network", "/no/such/net.json", "--mode", "det", "--repeats", "1",
@@ -398,6 +419,14 @@ class TestCli:
             ({"network": ""}, "network must not be empty"),
             ({"forecast": ""}, "forecast must not be empty"),
             ({"weights": [float("inf"), 1]}, "weights must be two finite numbers"),
+            ({"optimizer": {"c1": True}}, "c1 must be a number, got True"),
+            ({"optimizer": {"mu_high": True}}, "mu_high must be a number, got True"),
+            ({"optimizer": {"penalty_weights": {"voltage": True}}}, "penalty weight 'voltage' must be a number"),
+            ({"optimizer": {"penalty_weights": False}}, "penalty weights must be an object"),
+            ({"optimizer": {"penalty_weights": 0}}, "penalty weights must be an object"),
+            ({"optimizer": {"penalty_weights": ""}}, "penalty weights must be an object"),
+            ({"optimizer": {"penalty_weights": []}}, "penalty weights must be an object"),
+            ({"optimizer": {"penalty_weights": [["flow", 3]]}}, "penalty weights must be an object"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
@@ -420,6 +449,11 @@ class TestCli:
             (lambda doc: doc["buses"][0].update(id=True), "bus True: id must be an integer, got True"),
             (lambda doc: doc["branches"][0].update(from_bus=1.0, to_bus=2.0), "from_bus must be an integer, got 1.0"),
             (lambda doc: doc["dgs"][0].update(bus=40.0), "DG at bus 40.0: bus must be an integer, got 40.0"),
+            (lambda doc: doc["buses"][4].update(p_load=True), "bus 5: p_load must be a number, got True"),
+            (lambda doc: doc["branches"][2].update(r=True), "r must be a number, got True"),
+            (lambda doc: doc["dgs"][0].update(p_max=True), "p_max must be a number, got True"),
+            (lambda doc: doc["esss"][0].update(eff_charge=True), "eff_charge must be a number, got True"),
+            (lambda doc: doc.update(v_min=True), "network: v_min must be a number, got True"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
