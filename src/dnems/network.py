@@ -175,6 +175,8 @@ def _validate(net: Network) -> Network:
             raise NetworkError(f"DG references unknown bus {dg.bus}")
         if not 0 <= dg.p_min <= dg.p_max:
             raise NetworkError(f"DG at bus {dg.bus}: invalid bounds [{dg.p_min}, {dg.p_max}]")
+        if dg.marginal_cost < 0:
+            raise NetworkError(f"DG at bus {dg.bus}: negative marginal cost")
     for pv in net.pvs:
         if pv.bus not in id_set:
             raise NetworkError(f"PV references unknown bus {pv.bus}")

@@ -303,17 +303,8 @@ class ScheduleEvaluator:
         dg_cost = self.dg_cost[:, None] * dg  # (k, n_dg, 24)
         dg_cost_s = dg_cost.reshape(k, -1).sum(axis=1)
 
-        # columns per candidate: the states, padded to a multiple of 4 by
-        # repeating states.  The dense sweep product (feeders below
-        # powerflow._TOUR_MIN_BUSES) gives a column the same bits at any
-        # position of a block only at such widths; the tour product sums each
-        # column on its own, for which the padding is harmless
-        width = -(-len(sset.grid_states[0]) // 4) * 4
-        per_call = max(1, _CALL_BUS_COLUMNS // (self.net.n_bus * width))
-        parts = [
-            self._network(dg[a : a + per_call], ess[a : a + per_call], sset, width)
-            for a in range(0, k, per_call)
-        ]
+        per_call = max(1, _CALL_BUS_COLUMNS // (self.net.n_bus * len(sset.grid_states[0])))
+        parts = [self._network(dg[a : a + per_call], ess[a : a + per_call], sset) for a in range(0, k, per_call)]
         p_slack, p_loss, converged, pen = (np.concatenate(arrs) for arrs in zip(*parts))
         pen = pen + static_pen[:, None]
         ens = self._ens(dg, ess, sset)
@@ -332,22 +323,21 @@ class ScheduleEvaluator:
             outcomes=outcomes,
         )
 
-    def _network(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet, width: int):
-        """One power-flow call for c candidates over ``width`` columns each
-        (the set's grid states, cyclically padded): slack power, losses and
-        convergence per scenario-hour (c, n_s, 24), and the (c, n_s) network
-        penalty (voltage, flow, convergence).
+    def _network(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet):
+        """One power-flow call for c candidates over the set's u grid states
+        each: slack power, losses and convergence per scenario-hour
+        (c, n_s, 24), and the (c, n_s) network penalty (voltage, flow,
+        convergence).
 
         Column results are gathered back to scenario-hours before any sum, so
         every total runs over the same values in the same order as if each
         scenario-hour had been solved in its own column."""
         n_bus, c, n_s = self.net.n_bus, len(dg), len(sset)
         w = self.weights
-        *states, state_of = sset.grid_states
-        hour, load_f, pv_f = (np.resize(a, width) for a in states)
-        # injections (n_bus, c, width): columns ordered candidate, state
-        p = np.empty((n_bus, c, width))
-        q = np.empty((n_bus, c, width))
+        hour, load_f, pv_f, state_of = sset.grid_states
+        # injections (n_bus, c, u): columns ordered candidate, state
+        p = np.empty((n_bus, c, len(hour)))
+        q = np.empty((n_bus, c, len(hour)))
         np.multiply(-self.p_load[:, None, None], load_f, out=p)
         np.multiply(-self.q_load[:, None, None], load_f, out=q)
         for i, b in enumerate(self.pv_idx):
@@ -361,7 +351,7 @@ class ScheduleEvaluator:
         # constraint overshoots, normalized before squaring, as contiguous
         # (c, rows, n_s, 24) arrays: each candidate's sums then run in the
         # same order as for a block of one
-        def hours(a):  # (rows, c, width) -> (c, rows, n_s, 24)
+        def hours(a):  # (rows, c, u) -> (c, rows, n_s, 24)
             return _scenario_hours(a.swapaxes(0, 1), state_of, n_s)
 
         # an all-zero overshoot is skipped: its weighted sum would be +0.0
@@ -451,7 +441,7 @@ class ScheduleEvaluator:
 
 def _scenario_hours(a: np.ndarray, state_of: np.ndarray | None, n_s: int) -> np.ndarray:
     """Per-state values (..., u) as contiguous per-scenario-hour values
-    (..., n_s, 24); padding columns, to which no scenario-hour maps, drop out."""
+    (..., n_s, 24)."""
     a = np.ascontiguousarray(a if state_of is None else a.take(state_of, axis=-1))
     return a.reshape(a.shape[:-1] + (n_s, HOURS))
 

@@ -22,6 +22,11 @@ OpenBLAS does so within blocks of 128 inner rows, so on larger dense
 feeders (130 to 199 buses) the results can differ from the full product's
 in the last bits.
 
+A profile's results do not depend on its call.  Each call pads its last
+batch axis to a multiple of ``_PAD_COLUMNS`` with that axis's last profile
+and drops the padding from its results: at such widths the BLAS runs every
+column through one kernel, and numpy adds the branches of a sum in order.
+
 Sign convention: injections are positive for generation, negative for
 load.  The substation is the slack bus, pinned at 1.0 pu.
 """
@@ -47,6 +52,7 @@ __all__ = [
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 100
 _V_COLLAPSE = 0.2  # pu magnitude below which the fixed point is declared diverged
+_PAD_COLUMNS = 4  # every call sweeps a multiple of this many columns
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,7 @@ class _TourProduct:
     carries ``+z J`` of the branch feeding it and its exit slot ``-z J``, so
     the cumulative sum over the tour, read at a row's entry slot, is the
     drop along its path from the substation.  Only gathers run per sweep,
-    no scatter-add, and each column is summed on its own, so a column's bits
-    do not depend on the width of its call."""
+    no scatter-add, and each column is summed on its own."""
 
     def __init__(self, mdl: _SweepModel):
         order = mdl.order
@@ -226,14 +231,6 @@ def _model(net: Network) -> _SweepModel:
     return m
 
 
-def _branch_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of an (n_branch, m) block over branches, added one branch after
-    another at every width, so a column's bits do not depend on the call.
-    numpy adds the rows of a wider block in order already, but sums a single
-    column pairwise, and ``cumsum`` along the rows is many times slower."""
-    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
-
-
 def solve_batch(
     net: Network,
     p_kw: np.ndarray,
@@ -251,6 +248,9 @@ def solve_batch(
     and those with load or a device (``-0.0`` is no injection): each feeder
     sweeps one fixed set of rows, whatever the call.
 
+    A profile's results are the same bits whether it is solved alone or in
+    any block or nested batch, and the padding never changes ``iterations``.
+
     A profile's per-bus power mismatch is at most ``tol`` (pu) when it is
     ``converged``; a non-converged profile is returned rather than raised so
     callers can penalize it.
@@ -266,27 +266,25 @@ def solve_batch(
         bus = next(net.buses[k].id for k in mdl.junctions if p[k].any() or q[k].any())
         raise ValueError(f"bus {bus} carries neither load nor a device: a call cannot inject there")
     batch = p.shape[1:]
-    m = math.prod(batch)
+    shape = batch or (1,)  # a single profile is a batch of one
+    p, q = p.reshape(net.n_bus, *shape), q.reshape(net.n_bus, *shape)
+    last = shape[-1]
+    padded = (*shape[:-1], last + -last % _PAD_COLUMNS)
+    m = math.prod(padded)
 
-    if net.n_bus == 1:  # bare substation: the grid meets its own bus's net injection
-        zeros = np.zeros(batch)
-        return BatchPowerFlow(
-            v_complex=np.ones((1, *batch), dtype=complex),
-            s_flow=np.zeros((0, *batch)),
-            p_loss=zeros,
-            p_slack=(0.0 - p).reshape(batch),
-            q_slack=(0.0 - q).reshape(batch),
-            converged=np.ones(batch, dtype=bool),
-            iterations=0,
-            mismatch=zeros.copy(),
-        )
+    def unpadded(a: np.ndarray) -> np.ndarray:  # a (rows, m) or (m,) result in the call's batch shape
+        return a.reshape(*a.shape[:-1], *padded)[..., :last].reshape((*a.shape[:-1], *batch))
 
-    p, q = p.reshape(net.n_bus, m), q.reshape(net.n_bus, m)
     prod = mdl.product
-    s_pu = (p[prod.buses] + 1j * q[prod.buses]) / mdl.s_base_kva  # (rows, m)
+    rows = len(prod.buses)
+    # the swept rows' injections, padded with the last batch axis's last profile
+    s_pu = np.empty((rows, *padded), dtype=complex)
+    np.divide(p[prod.buses] + 1j * q[prod.buses], mdl.s_base_kva, out=s_pu[..., :last])
+    s_pu[..., last:] = s_pu[..., last - 1 : last]
+    s_pu = s_pu.reshape(rows, m)
     s_conj = np.conj(s_pu)
     s_abs = np.abs(s_pu)
-    v = np.ones((len(prod.buses), m), dtype=complex)
+    v = np.ones(s_pu.shape, dtype=complex)
     v_abs = np.ones(v.shape)  # |v|, kept beside v
     i_inj = np.zeros_like(v)
     mismatch = np.full(m, np.inf)
@@ -339,20 +337,20 @@ def solve_batch(
     prod.voltages(v_full, v, i_inj)
     j = prod.branch_currents(i_inj)
     s_from = v_full[mdl.parent] * np.conj(j)
-    loss = _branch_sum(mdl.r_pu[:, None] * np.abs(j) ** 2) * mdl.s_base_kva
+    loss = (mdl.r_pu[:, None] * np.abs(j) ** 2).sum(axis=0) * mdl.s_base_kva
     # slack power: the sending-end flows of the branches leaving the slack
     # bus, less that bus's own net injection
     root = mdl.parent == mdl.slack
-    s_slack = _branch_sum(s_from[root]) * mdl.s_base_kva
+    s_slack = s_from[root].sum(axis=0) * mdl.s_base_kva
     return BatchPowerFlow(
-        v_complex=v_full.reshape(net.n_bus, *batch),
-        s_flow=(np.abs(s_from) * mdl.s_base_kva).reshape(len(s_from), *batch),
-        p_loss=loss.reshape(batch),
-        p_slack=(s_slack.real - p[mdl.slack]).reshape(batch),
-        q_slack=(s_slack.imag - q[mdl.slack]).reshape(batch),
-        converged=converged.reshape(batch),
+        v_complex=unpadded(v_full),
+        s_flow=unpadded(np.abs(s_from) * mdl.s_base_kva),
+        p_loss=unpadded(loss),
+        p_slack=(unpadded(s_slack.real) - p[mdl.slack]).reshape(batch),
+        q_slack=(unpadded(s_slack.imag) - q[mdl.slack]).reshape(batch),
+        converged=unpadded(converged),
         iterations=it,
-        mismatch=mismatch.reshape(batch),
+        mismatch=unpadded(mismatch),
     )
 
 

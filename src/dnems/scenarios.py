@@ -63,6 +63,8 @@ class ForecastProfile:
             object.__setattr__(self, name, _hourly(name, getattr(self, name)))
         if not all(0 <= s < np.inf for s in (self.sigma_load, self.sigma_pv, self.sigma_price)):
             raise ValueError("sigmas must be finite and nonnegative")
+        if np.any(self.load_factor < 0):
+            raise ValueError("load_factor must be nonnegative")
         if np.any(self.pv_factor < 0) or np.any(self.pv_factor > 1):
             raise ValueError("pv_factor must lie in [0, 1]")
 

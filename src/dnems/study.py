@@ -230,9 +230,10 @@ def _select(archive: ParetoArchive, mode: str, weights) -> tuple[np.ndarray, Obj
     if mode == "multi":
         entry = best_compromise(archive, weights)
         return entry.x, entry.f
-    feasible = [e for e in archive.entries if e.f.penalty == 0] or archive.entries
+    # the archive's entries are all feasible or all infeasible: feasibility-first
+    # dominance leaves no infeasible entry beside a feasible one
     key = (lambda e: (e.f.f1, e.f.f2)) if mode == "cost" else (lambda e: (e.f.f2, e.f.f1))
-    entry = min(feasible, key=key)
+    entry = min(archive.entries, key=key)
     return entry.x, entry.f
 
 

@@ -43,7 +43,7 @@ from dnems.optimizer import (
     pso_step,
 )
 from dnems.pareto import ArchiveEntry, ParetoArchive
-from dnems.powerflow import _V_COLLAPSE, BatchPowerFlow, _branch_sum, _model
+from dnems.powerflow import _V_COLLAPSE, BatchPowerFlow, _model
 from dnems.scenarios import discretize_normal, reduction_features
 
 
@@ -418,6 +418,14 @@ def nondominated_filter(points):
         return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
     return {p for p in uniq if not any(dom(q, p) for q in uniq if q != p)}
+
+
+def _branch_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of an (n_branch, m) block over branches, added one branch after
+    another at every width, so a column's bits do not depend on the call.
+    numpy adds the rows of a wider block in order already, but sums a single
+    column pairwise, and ``cumsum`` along the rows is many times slower."""
+    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
 
 
 def sweep_oracle(net: Network, p_kw, q_kvar, tol: float = 1e-6, max_iter: int = 100) -> BatchPowerFlow:

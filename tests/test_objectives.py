@@ -475,7 +475,7 @@ class TestGridStates:
         solve_batch = dnems.objectives.solve_batch
         monkeypatch.setattr(dnems.objectives, "solve_batch", spy)
         fc = default_forecast()
-        # two scenarios that differ in one hour's load: 25 states, padded to 28
+        # two scenarios that differ in one hour's load: 25 states
         bumped = fc.load_factor.copy()
         bumped[5] *= 1.1
         pair = ScenarioSet(np.stack([fc.load_factor, bumped]), [fc.pv_factor] * 2, [fc.price] * 2, [0.5, 0.5])
@@ -483,15 +483,16 @@ class TestGridStates:
         lower, upper = decision_bounds(_NET)
         positions = lower + np.random.default_rng(1).random((30, lower.size)) * (upper - lower)
         ev = ScheduleEvaluator(_NET)
+        # exactly the set's u states per candidate: solve_batch pads its own
         for sset, per_candidate in (
-            (pair, 28),
-            (reduced, -(-len(reduced.grid_states[0]) // 4) * 4),
+            (pair, 25),
+            (reduced, len(reduced.grid_states[0])),
             (_SETS["deterministic"], 24),
         ):
             widths.clear()
             ev.evaluate(positions, sset)
             assert sum(widths) == 30 * per_candidate
-            assert all(w % per_candidate == 0 and w % 4 == 0 for w in widths)
+            assert all(w % per_candidate == 0 for w in widths)
         assert len(pair.grid_states[0]) == 25
         assert len(reduced.grid_states[0]) < 10 * 24
 

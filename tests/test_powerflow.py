@@ -565,8 +565,8 @@ class TestLiveRows:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_fields_equal_unreduced_oracle(self, n, pattern, groups, max_iter, stray, seed):
-        # widths are multiples of 4, the only ones at which the dense
-        # product keeps a column's bits (the evaluator pads to them)
+        # widths are multiples of 4: solve_batch adds no padding columns, so
+        # the unpadded oracle runs the same BLAS kernels
         rng = np.random.default_rng(seed)
         net = _live_feeder(rng, n, pattern)
         mdl = _model(net)
@@ -603,3 +603,55 @@ class TestLiveRows:
             ok = sol.converged
             assert np.allclose(sol.v_complex[:, ok], ref.v_complex[:, ok], rtol=0.0, atol=1e-9)
         assert sol.p_loss[0] == 0.0 and sol.converged[0]
+
+
+class TestAlone:
+    """A profile solved alone, as an (n_bus,) call, keeps the bits of its
+    entry in any block or nested batch, on dense and on tour feeders: every
+    call pads its last batch axis to a multiple of 4 columns."""
+
+    FIELDS = ("v_complex", "s_flow", "p_loss", "p_slack", "q_slack", "converged", "mismatch")
+
+    @staticmethod
+    def _feeders(ieee69):
+        yield ieee69
+        for seed in range(3):  # the dense product over two BLAS blocks
+            rng = np.random.default_rng(seed)
+            yield _live_feeder(rng, int(rng.integers(BLAS_K_BLOCK + 2, _TOUR_MIN_BUSES)), "random")
+        yield trunk_feeder(np.random.default_rng(3), 250)
+
+    def test_single_equals_entry(self, ieee69):
+        rng = np.random.default_rng(37)
+        for net in self._feeders(ieee69):
+            p, q = load_injections(net)
+            factors = rng.uniform(0.3, 1.9, size=37)
+            pb, qb = p[:, None] * factors, q[:, None] * factors
+            for dev in (*net.dgs, *net.pvs, *net.esss):
+                pb[dev.bus - 1] += rng.uniform(-100.0, 300.0, 37)
+            alone = [solve_batch(net, pb[:, c], qb[:, c]) for c in range(37)]
+            one = alone[0]
+            assert one.v_complex.shape == (net.n_bus,) and one.s_flow.shape == (net.n_bus - 1,)
+            for name in self.FIELDS[2:]:  # 0-d arrays, not scalars
+                assert isinstance(getattr(one, name), np.ndarray) and getattr(one, name).shape == (), name
+            for m in (*range(1, 10), 24, 37):
+                at = int(rng.integers(38 - m))
+                block = solve_batch(net, pb[:, at : at + m], qb[:, at : at + m])
+                for c in range(m):
+                    for name in self.FIELDS:
+                        got, want = getattr(block, name)[..., c], getattr(alone[at + c], name)
+                        assert got.tobytes() == want.tobytes(), (net.n_bus, m, c, name)
+            nested = solve_batch(net, pb[:, :35].reshape(-1, 5, 7), qb[:, :35].reshape(-1, 5, 7))
+            assert nested.v_complex.shape == (net.n_bus, 5, 7) and nested.p_loss.shape == (5, 7)
+            for c in range(35):
+                for name in self.FIELDS:
+                    got, want = getattr(nested, name)[..., c // 7, c % 7], getattr(alone[c], name)
+                    assert got.tobytes() == want.tobytes(), (net.n_bus, "nested", c, name)
+
+    def test_padding_keeps_iterations(self, ieee69):
+        # a diverging profile stops the call after 2 sweeps, alone or in a
+        # block: the padding copies it, and a copy stops with it
+        p, q = load_injections(ieee69)
+        p[5] = -1e300
+        for pb, qb in ((p, q), (np.tile(p[:, None], 3), np.tile(q[:, None], 3))):
+            sol = solve_batch(ieee69, pb, qb)
+            assert sol.iterations == 2 and not sol.converged.any()

@@ -316,6 +316,16 @@ class TestForecastValidation:
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             ForecastProfile(**profiles)
 
+    def test_negative_load_factor_rejected(self):
+        # a negative load factor turns every load into generation; a negative
+        # price is a real market outcome and stays allowed
+        fc = flat_forecast()
+        load, price = fc.load_factor.copy(), fc.price.copy()
+        load[3] = price[3] = -0.5
+        with pytest.raises(ValueError, match="load_factor must be nonnegative"):
+            ForecastProfile(load, fc.pv_factor, fc.price)
+        assert ForecastProfile(fc.load_factor, fc.pv_factor, price).price[3] == -0.5
+
     def test_nonfinite_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigmas must be finite"):
             flat_forecast(sig=(0.05, float("nan"), 0.05))

@@ -452,6 +452,7 @@ class TestCli:
             (lambda doc: doc["buses"][4].update(p_load=True), "bus 5: p_load must be a number, got True"),
             (lambda doc: doc["branches"][2].update(r=True), "r must be a number, got True"),
             (lambda doc: doc["dgs"][0].update(p_max=True), "p_max must be a number, got True"),
+            (lambda doc: doc["dgs"][0].update(marginal_cost=-0.5), "DG at bus 40: negative marginal cost"),
             (lambda doc: doc["esss"][0].update(eff_charge=True), "eff_charge must be a number, got True"),
             (lambda doc: doc.update(v_min=True), "network: v_min must be a number, got True"),
         ],
@@ -485,6 +486,7 @@ class TestCli:
             ({"pv_factor": ["0"] * 24}, "pv_factor must be a list of numbers"),
             ({"price": 0.1}, "price must be a list of numbers"),
             ({"load_factor": [1.0]}, "load_factor must have 24 hourly entries"),
+            ({"load_factor": [1.0] * 3 + [-0.5] + [1.0] * 20}, "load_factor must be nonnegative"),
             ({"sigma_loads": 0.3}, "unknown keys ['sigma_loads']"),
         ],
     )
