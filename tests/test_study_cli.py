@@ -486,8 +486,8 @@ class TestCli:
             ({"pv_factor": ["0"] * 24}, "pv_factor must be a list of numbers"),
             ({"price": 0.1}, "price must be a list of numbers"),
             ({"load_factor": [1.0]}, "load_factor must have 24 hourly entries"),
-            ({"load_factor": [1.0] * 3 + [-0.5] + [1.0] * 20}, "load_factor must be nonnegative"),
             ({"sigma_loads": 0.3}, "unknown keys ['sigma_loads']"),
+            ({"load_factor": [1.0] * 3 + [-0.5] + [1.0] * 20}, "load_factor must be nonnegative"),
         ],
     )
     def test_mistyped_forecast_exit_one(self, tmp_path, capsys, change, message):
