@@ -82,8 +82,8 @@ class DecisionVector:
         vec = np.asarray(vec, dtype=float)
         split = n_dg * HOURS
         return cls(
-            dg_power=vec[:split].reshape(n_dg, HOURS) if n_dg else np.zeros((0, HOURS)),
-            ess_power=vec[split:].reshape(n_ess, HOURS) if n_ess else np.zeros((0, HOURS)),
+            dg_power=vec[:split].reshape(n_dg, HOURS),
+            ess_power=vec[split:].reshape(n_ess, HOURS),
         )
 
 
@@ -244,9 +244,8 @@ class ScheduleEvaluator:
         self.pv_mcost = np.array([p.marginal_cost for p in net.pvs])
         self.s_max = np.array([br.s_max for br in net.branches])
         self.ess_w_max = np.array([e.w_max for e in net.esss])
-        self.ess_rate_max = np.array(
-            [[e.p_charge_max, e.p_discharge_max] for e in net.esss]
-        ).reshape(-1, 2) if net.esss else np.zeros((0, 2))
+        rates = [[e.p_charge_max, e.p_discharge_max] for e in net.esss]
+        self.ess_rate_max = np.array(rates, dtype=float).reshape(-1, 2)
         # the buses that host a device, and the row of each device among them
         # (not a plain np.unique, which imports numpy.ma: 1 MB of RSS)
         self.dev_idx = np.array(sorted({*self.pv_idx, *self.dg_idx, *self.ess_idx}), dtype=int)
@@ -288,18 +287,15 @@ class ScheduleEvaluator:
         pv_cost_s = pv_cost.sum(axis=(0, 2))
 
         # storage energy band and rate overshoots, per candidate
-        if len(self.ess_idx):
-            _, viol = _energy_balance(ess, self.net.esss)
-            e_over = viol / self.ess_w_max[:, None]
-            charge_over = np.maximum(0.0, ess - self.ess_rate_max[:, [0]])
-            discharge_over = np.maximum(0.0, -ess - self.ess_rate_max[:, [1]])
-            r_over = charge_over / self.ess_rate_max[:, [0]] + discharge_over / self.ess_rate_max[:, [1]]
-            static_pen = (
-                w["energy"] * (e_over**2).reshape(k, -1).sum(axis=1)
-                + w["rate"] * (r_over**2).reshape(k, -1).sum(axis=1)
-            )
-        else:
-            static_pen = np.zeros(k)
+        _, viol = _energy_balance(ess, self.net.esss)
+        e_over = viol / self.ess_w_max[:, None]
+        charge_over = np.maximum(0.0, ess - self.ess_rate_max[:, [0]])
+        discharge_over = np.maximum(0.0, -ess - self.ess_rate_max[:, [1]])
+        r_over = charge_over / self.ess_rate_max[:, [0]] + discharge_over / self.ess_rate_max[:, [1]]
+        static_pen = (  # +0.0 for a feeder without storage
+            w["energy"] * (e_over**2).reshape(k, -1).sum(axis=1)
+            + w["rate"] * (r_over**2).reshape(k, -1).sum(axis=1)
+        )
         dg_cost = self.dg_cost[:, None] * dg  # (k, n_dg, 24)
         dg_cost_s = dg_cost.reshape(k, -1).sum(axis=1)
 

@@ -216,10 +216,13 @@ def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> S
     """Draw ``n`` scenarios by roulette-wheel sampling of the discretized PDFs.
 
     Each hour of each uncertain variable draws one bin independently; a
-    scenario's weight is the product of its drawn bin probabilities.  Draws
-    whose three profiles agree after rounding to 12 decimals are merged into
-    the first of them, their weights summed in draw order, and the weights
-    are renormalized to sum to one.  Deterministic for a given seed.
+    scenario's weight is the product of its drawn bin probabilities.  Bins
+    are ``sigma·|nominal|`` wide.  Load draws are clipped at 0 and PV draws
+    to [0, 1]; price draws are not clipped, so a negative price keeps its
+    sign and spreads by ``sigma·|price|``.  Draws whose three profiles agree
+    after rounding to 12 decimals are merged into the first of them, their
+    weights summed in draw order, and the weights are renormalized to sum to
+    one.  Deterministic for a given seed.
     """
     n = _count("n", n)
     if n < 1:
@@ -231,9 +234,9 @@ def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> S
 
     # per-variable (load, PV, price), per-hour bin values and probabilities (3, HOURS, levels)
     nominal = np.stack([forecast.load_factor, forecast.pv_factor, forecast.price])
-    sig = np.array([forecast.sigma_load, forecast.sigma_pv, forecast.sigma_price])[:, None] * nominal
-    upper = np.array([np.inf, 1.0, np.inf])[:, None, None]
-    values = np.clip(nominal[..., None] + ks * sig[..., None], 0.0, upper)
+    sig = np.array([forecast.sigma_load, forecast.sigma_pv, forecast.sigma_price])[:, None] * np.abs(nominal)
+    lower, upper = np.array([[0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]])[:, :, None, None]
+    values = np.clip(nominal[..., None] + ks * sig[..., None], lower, upper)
     probs = np.where(sig[..., None] > 0, std_probs, ks == 0)  # one certain bin where sigma is 0
 
     # draw-major uniforms: the same stream as drawing 24 per variable per draw

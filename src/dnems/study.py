@@ -52,6 +52,11 @@ __all__ = ["StudyConfig", "StudyReport", "ConfigError", "run_study", "emit_artif
 
 _MODE_WEIGHTS = {"cost": (1.0, 0.0), "ens": (0.0, 1.0)}
 
+# the values StudyConfig.mode, .objective and .vary take
+_MODES = ("deterministic", "stochastic")
+_OBJECTIVES = ("cost", "ens", "multi")
+_VARY = ("both", "scenarios", "optimizer")
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -93,8 +98,8 @@ def _per_run_error(key: str) -> ConfigError:
 class StudyConfig:
     network: str = "builtin"  # "builtin" or a path accepted by load_network
     forecast: str | None = None  # path, or None for the packaged default
-    mode: str = "deterministic"  # "deterministic" | "stochastic"
-    objective: str = "multi"  # "cost" | "ens" | "multi"
+    mode: str = "deterministic"  # one of _MODES
+    objective: str = "multi"  # one of _OBJECTIVES
     scenario_counts: tuple[int, ...] = (30, 60, 90, 120)
     repeats: int = 20
     weights: tuple[float, float] = (0.5, 0.5)
@@ -103,7 +108,7 @@ class StudyConfig:
     seed: int = 0
     oversample: int = 2  # raw draws per kept scenario before reduction
     levels: int = 7
-    vary: str = "both"  # "both" | "scenarios" | "optimizer"
+    vary: str = "both"  # one of _VARY
     profit_years: int = 20
     investment: float = DEFAULT_INVESTMENT
     c_npv: float = DEFAULT_C_NPV
@@ -122,10 +127,10 @@ class StudyConfig:
         for name in ("network", "forecast", "out_dir"):  # an empty path would name the working directory
             if getattr(self, name) == "":
                 raise ConfigError(f"{name} must not be empty")
-        if self.mode not in ("deterministic", "stochastic"):
-            raise ConfigError(f"mode must be deterministic|stochastic, got {self.mode!r}")
-        if self.objective not in ("cost", "ens", "multi"):
-            raise ConfigError(f"objective must be cost|ens|multi, got {self.objective!r}")
+        if self.mode not in _MODES:
+            raise ConfigError(f"mode must be {'|'.join(_MODES)}, got {self.mode!r}")
+        if self.objective not in _OBJECTIVES:
+            raise ConfigError(f"objective must be {'|'.join(_OBJECTIVES)}, got {self.objective!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if self.seed < 0:
@@ -139,8 +144,8 @@ class StudyConfig:
             raise ConfigError(f"levels must be odd and >= 3, got {self.levels}")
         if self.oversample < 1:
             raise ConfigError(f"oversample must be >= 1, got {self.oversample}")
-        if self.vary not in ("both", "scenarios", "optimizer"):
-            raise ConfigError(f"vary must be both|scenarios|optimizer, got {self.vary!r}")
+        if self.vary not in _VARY:
+            raise ConfigError(f"vary must be {'|'.join(_VARY)}, got {self.vary!r}")
         if self.mode == "deterministic" and self.vary == "scenarios":
             raise ConfigError(
                 "vary 'scenarios' needs mode 'stochastic': a deterministic study has one scenario, "
@@ -148,6 +153,10 @@ class StudyConfig:
             )
         if self.profit_years < 1:
             raise ConfigError(f"profit_years must be >= 1, got {self.profit_years}")
+        if self.investment < 0:
+            raise ConfigError(f"investment must be >= 0, got {self.investment}")
+        if self.c_npv <= 0:
+            raise ConfigError(f"c_npv must be > 0, got {self.c_npv}")
         for key in _PER_RUN:
             if getattr(self.optimizer, key) != getattr(HybridConfig, key):
                 raise _per_run_error(key)
@@ -423,7 +432,7 @@ def _run_tasks(runner: _TaskRunner, tasks: list[_Task]) -> list:
 
 
 def _modes(cfg: StudyConfig) -> list[str]:
-    return [cfg.objective] if cfg.objective != "multi" else ["cost", "ens", "multi"]
+    return [cfg.objective] if cfg.objective != "multi" else list(_OBJECTIVES)
 
 
 def _settings(cfg: StudyConfig) -> list[tuple[str, int]]:
@@ -512,7 +521,7 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
     }
 
     bcs = None
-    if cfg.objective == "multi" and all(m in best for m in ("cost", "ens", "multi")):
+    if cfg.objective == "multi" and all(m in best for m in _OBJECTIVES):
         bcs = {
             "cost_run": {"f1": best["cost"]["f1"], "f2": best["cost"]["f2"]},
             "ens_run": {"f1": best["ens"]["f1"], "f2": best["ens"]["f2"]},

@@ -368,11 +368,11 @@ def generate_oracle(forecast, n: int, seed: int, levels: int = 7):
     variables = [
         (forecast.load_factor, forecast.sigma_load, 0.0, np.inf),
         (forecast.pv_factor, forecast.sigma_pv, 0.0, 1.0),
-        (forecast.price, forecast.sigma_price, 0.0, np.inf),
+        (forecast.price, forecast.sigma_price, -np.inf, np.inf),
     ]
     values, probs = [], []
     for nominal, rel_sigma, lo, hi in variables:
-        sig = rel_sigma * nominal
+        sig = rel_sigma * np.abs(nominal)
         values.append(np.clip(nominal[:, None] + ks[None, :] * sig[:, None], lo, hi))
         probs.append(np.where(sig[:, None] > 0, std_probs[None, :], degenerate[None, :]))
 

@@ -464,10 +464,13 @@ class TestGenerateOracle:
         n=st.integers(1, 120),
         levels=st.sampled_from([3, 5, 7, 9]),
         sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05, 0.2])] * 3),
+        negative_hours=st.lists(st.integers(0, 23), max_size=6),
     )
-    def test_equals_per_draw_loop(self, seed, n, levels, sigmas):
+    def test_equals_per_draw_loop(self, seed, n, levels, sigmas, negative_hours):
         fc = default_forecast()
-        fc = ForecastProfile(fc.load_factor, fc.pv_factor, fc.price, *sigmas)
+        price = fc.price.copy()
+        price[negative_hours] *= -1.0  # negative prices keep their sign and spread
+        fc = ForecastProfile(fc.load_factor, fc.pv_factor, price, *sigmas)
         got = generate(fc, n=n, seed=seed, levels=levels)
         want = generate_oracle(fc, n=n, seed=seed, levels=levels)
         for name, ref in zip(("load_factor", "pv_factor", "price", "probabilities"), want):

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dnems.cli import main
+from dnems.cli import _config_from_args, build_parser, main
 from dnems.network import builtin_ieee69, network_to_dict
 from dnems.objectives import ScheduleEvaluator
 from dnems.optimizer import HybridConfig
@@ -427,6 +428,8 @@ class TestCli:
             ({"optimizer": {"penalty_weights": ""}}, "penalty weights must be an object"),
             ({"optimizer": {"penalty_weights": []}}, "penalty weights must be an object"),
             ({"optimizer": {"penalty_weights": [["flow", 3]]}}, "penalty weights must be an object"),
+            ({"investment": -1.0}, "investment must be >= 0, got -1.0"),
+            ({"c_npv": 0.0}, "c_npv must be > 0, got 0.0"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
@@ -612,3 +615,56 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
         assert manifest["config"]["optimizer"]["population"] == 8
+
+
+class TestFlags:
+    """Each flag sets its StudyConfig field over a --config file and leaves
+    every other field as the file has it."""
+
+    FILE = {"mode": "stochastic", "objective": "ens", "scenario_counts": [5], "repeats": 3, "seed": 2,
+            "out_dir": "file_out", "network": "file_net.json", "weights": [0.3, 0.7],
+            "forecast": "file_forecast.json", "vary": "optimizer",
+            "optimizer": {"population": 8, "iterations": 3, "archive_capacity": 7}}
+    FILE_OPT = HybridConfig(population=8, iterations=3, archive_capacity=7)
+
+    CASES = [
+        ("--mode", "det", "mode", "deterministic"),
+        ("--objective", "cost", "objective", "cost"),
+        ("--scenarios", "30,60", "scenario_counts", (30, 60)),
+        ("--repeats", "4", "repeats", 4),
+        ("--seed", "9", "seed", 9),
+        ("--out", "flag_out", "out_dir", "flag_out"),
+        ("--network", "flag_net.json", "network", "flag_net.json"),
+        ("--weights", "1,2", "weights", (1.0, 2.0)),
+        ("--forecast", "flag_forecast.json", "forecast", "flag_forecast.json"),
+        ("--population", "6", "optimizer", replace(FILE_OPT, population=6)),
+        ("--iterations", "2", "optimizer", replace(FILE_OPT, iterations=2)),
+        ("--vary", "both", "vary", "both"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, field, expected", CASES, ids=[case[0] for case in CASES])
+    def test_flag_sets_its_field(self, tmp_path, flag, value, field, expected):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.FILE))
+        base = StudyConfig.from_json(cfg_path)
+        assert getattr(base, field) != expected
+        cfg = _config_from_args(build_parser().parse_args(["--config", str(cfg_path), flag, value]))
+        assert cfg == replace(base, **{field: expected})
+
+    def test_help_names_renamed_flags(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--scenarios SCENARIOS" in out and "--out OUT" in out
+
+    def test_device_free_csv_feeder(self, tmp_path, capsys):
+        # nothing to optimize: the decision vector has no entries
+        net = tmp_path / "net"
+        net.mkdir()
+        (net / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n3,40,10\n")
+        (net / "branches.csv").write_text("from_bus,to_bus,r,x,s_max\n1,2,0.1,0.1,5000\n2,3,0.2,0.1,5000\n")
+        out = tmp_path / "o"
+        code = main(["--network", str(net), "--mode", "det", "--objective", "cost", "--repeats", "1",
+                     "--population", "2", "--iterations", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        header, *rows = (out / "schedules_cost.csv").read_text().splitlines()
+        assert header == "hour,p_slack_kw" and len(rows) == 24
