@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
-    for name in sorted(manifest["files"]):
+    for name in sorted([*manifest["files"], "manifest.json"]):
         print(f"wrote {cfg.out_dir}/{name}")
     if report.errors:
         print(f"{len(report.errors)} repeat(s) failed; see manifest summary", file=sys.stderr)

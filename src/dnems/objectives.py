@@ -11,14 +11,16 @@ A candidate's columns are the set's distinct grid states, not its
 scenario-hours.  The power flow of an hour sees only the hour (through the
 schedule) and its load and PV factors, never the price, and binned forecast
 errors repeat, so a reduced set of 120 scenarios holds some 370 states for
-its 2,880 scenario-hours.  Column results are gathered back to
-scenario-hours before any sum, so every total is the same bits as when each
-scenario-hour has a column of its own.  This is what makes population search
-over hundreds of scenarios affordable.
+its 2,880 scenario-hours.  This is what makes population search over
+hundreds of scenarios affordable.
 
-Energy not supplied needs no power flow.  Only the few buses that host a
-device differ between candidates, so their unserved load is computed per
-candidate and the bare load of every bus once per block.
+Energy not supplied needs no power flow, but it is taken from the same
+injections: a bus's net load before storage is its negated injection.  Every
+sum over buses (ENS and the voltage and flow penalty) runs per grid state,
+in bus order; the results are then gathered back to scenario-hours, and
+only then summed over the 24 hours.  So a candidate's cost, ENS and penalty
+have the same bits in any block, in any set and in a one-scenario
+breakdown, as when each scenario-hour has a column of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ DEFAULT_PENALTY_WEIGHTS = {
 
 # Bus x columns per power-flow call.  A block of candidates is solved in as
 # few calls as this allows, never splitting one candidate's scenario-hours;
-# it bounds the working memory of a call, not the results.
+# it bounds the working memory of a call and of its ENS, not the results.
 _CALL_BUS_COLUMNS = 2**15
 
 
@@ -224,9 +226,7 @@ class ScheduleEvaluator:
     a candidate's results do not depend on the block it is evaluated in.
 
     ``breakdown`` of one scenario and ``per_scenario`` of a set holding it
-    agree exactly on cost, and within a relative 1e-12 on ENS and penalty:
-    those two sum over buses in an order that numpy picks from the array
-    shape, so they can differ in the last bits.
+    agree exactly on cost, ENS and penalty.
     """
 
     def __init__(self, net: Network, weights: dict | None = None, export_credit: bool = True):
@@ -246,12 +246,6 @@ class ScheduleEvaluator:
         self.ess_w_max = np.array([e.w_max for e in net.esss])
         rates = [[e.p_charge_max, e.p_discharge_max] for e in net.esss]
         self.ess_rate_max = np.array(rates, dtype=float).reshape(-1, 2)
-        # the buses that host a device, and the row of each device among them
-        # (not a plain np.unique, which imports numpy.ma: 1 MB of RSS)
-        self.dev_idx = np.array(sorted({*self.pv_idx, *self.dg_idx, *self.ess_idx}), dtype=int)
-        self.pv_row, self.dg_row, self.ess_row = (
-            np.searchsorted(self.dev_idx, idx) for idx in (self.pv_idx, self.dg_idx, self.ess_idx)
-        )
 
         order = radial_order(net)
         times = np.array([br.at_repair + br.at_restoration for br in net.branches])
@@ -275,10 +269,10 @@ class ScheduleEvaluator:
         return x[:, :split].reshape(k, n_dg, HOURS), x[:, split:].reshape(k, n_ess, HOURS)
 
     def _day(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> _Day:
-        """The evaluation kernel: the grid states of a block of candidates in
-        as few power-flow calls as ``_CALL_BUS_COLUMNS`` allows, ENS for the
-        whole block, then hourly costs and per-candidate, per-scenario
-        totals."""
+        """The evaluation kernel: the grid states of a block of candidates,
+        with their ENS and network penalty, in as few power-flow calls as
+        ``_CALL_BUS_COLUMNS`` allows, then hourly costs and per-candidate,
+        per-scenario totals."""
         k = len(dg)
         w = self.weights
 
@@ -301,9 +295,8 @@ class ScheduleEvaluator:
 
         per_call = max(1, _CALL_BUS_COLUMNS // (self.net.n_bus * len(sset.grid_states[0])))
         parts = [self._network(dg[a : a + per_call], ess[a : a + per_call], sset) for a in range(0, k, per_call)]
-        p_slack, p_loss, converged, pen = (np.concatenate(arrs) for arrs in zip(*parts))
+        p_slack, p_loss, converged, ens, pen = (np.concatenate(arrs) for arrs in zip(*parts))
         pen = pen + static_pen[:, None]
-        ens = self._ens(dg, ess, sset)
         billed = p_slack if self.export_credit else np.maximum(p_slack, 0.0)
         grid_cost = sset.price * billed
         cost = grid_cost.sum(axis=2) + dg_cost_s[:, None] + pv_cost_s
@@ -322,12 +315,15 @@ class ScheduleEvaluator:
     def _network(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet):
         """One power-flow call for c candidates over the set's u grid states
         each: slack power, losses and convergence per scenario-hour
-        (c, n_s, 24), and the (c, n_s) network penalty (voltage, flow,
-        convergence).
+        (c, n_s, 24), and the (c, n_s) ENS and network penalty (voltage,
+        flow, convergence).
 
-        Column results are gathered back to scenario-hours before any sum, so
-        every total runs over the same values in the same order as if each
-        scenario-hour had been solved in its own column."""
+        ENS is the hourly mean of each bus's unserved load, weighted by the
+        repair plus restoration hours along its feed path.  Unserved load is
+        the bus's load less its PV, DG and storage discharge, floored at zero
+        hour by hour, so surplus hours bank no credit against deficit hours.
+        ENS and the penalty sum over buses per grid state, in bus order, so
+        a state's total does not depend on the other columns of the call."""
         n_bus, c, n_s = self.net.n_bus, len(dg), len(sset)
         w = self.weights
         hour, load_f, pv_f, state_of = sset.grid_states
@@ -340,63 +336,27 @@ class ScheduleEvaluator:
             p[b] += self.pv_capacity[i] * pv_f
         for j, b in enumerate(self.dg_idx):
             p[b] += dg[:, j, hour]
+        unserved = -p  # net load before storage: negation is exact
         for j, b in enumerate(self.ess_idx):
             p[b] -= ess[:, j, hour]
+            unserved[b] -= np.maximum(0.0, -ess[:, j, hour])
         sol = solve_batch(self.net, p, q)
-
-        # constraint overshoots, normalized before squaring, as contiguous
-        # (c, rows, n_s, 24) arrays: each candidate's sums then run in the
-        # same order as for a block of one
-        def hours(a):  # (rows, c, u) -> (c, rows, n_s, 24)
-            return _scenario_hours(a.swapaxes(0, 1), state_of, n_s)
+        np.maximum(0.0, unserved, out=unserved)
+        unserved *= self.path_time[:, None, None]
+        ens = unserved.sum(axis=0)
 
         # an all-zero overshoot is skipped: its weighted sum would be +0.0
         # (weights are finite), and adding +0.0 changes no bit
         over = check_limits(sol, self.net)
-        p_slack, p_loss, converged = (
-            _scenario_hours(a, state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged)
-        )
-        pen = np.zeros((c, n_s))
+        pen = w["convergence"] * ~sol.converged
         if over.voltage_overshoot_pu.any():
-            pen += w["voltage"] * hours(over.voltage_overshoot_pu**2).sum(axis=(1, 3))
+            pen += w["voltage"] * (over.voltage_overshoot_pu**2).sum(axis=0)
         if over.flow_overshoot_kva.any():
-            pen += w["flow"] * hours((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2).sum(axis=(1, 3))
-        pen += w["convergence"] * (~converged).sum(axis=2).astype(float)
-        return p_slack, p_loss, converged, pen
-
-    def _ens(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> np.ndarray:
-        """Energy not supplied (k, n_s) of a block of k candidates: each bus's
-        mean unserved load, weighted by the repair plus restoration hours
-        along its feed path.
-
-        Local generation and storage discharge offset a bus's load hour by
-        hour; surplus hours do not bank credit against deficit hours, so the
-        unserved level responds to when devices run, not just how much.
-
-        Only the rows of buses that host a device differ between candidates:
-        those are computed per candidate, the bare load's rows once for the
-        block.  Each candidate's sum over buses then runs on the same
-        (n_bus, n_s) values in the same order as for a block of one.
-        """
-        hour, load_f, pv_f, state_of = sset.grid_states
-        n_s = len(sset)
-
-        def mean_unserved(net_load):  # per grid state (..., u) -> hourly mean per scenario (..., n_s)
-            return _scenario_hours(np.maximum(0.0, net_load), state_of, n_s).mean(axis=-1)
-
-        weighted = np.empty((len(dg), self.net.n_bus, n_s))
-        weighted[:] = self.path_time[:, None] * mean_unserved(self.p_load[:, None] * load_f)
-        dev = self.dev_idx
-        net_load = np.empty((len(dg), len(dev), len(hour)))
-        np.multiply(self.p_load[dev, None], load_f, out=net_load)
-        for i, r in enumerate(self.pv_row):
-            net_load[:, r] -= self.pv_capacity[i] * pv_f
-        for j, r in enumerate(self.dg_row):
-            net_load[:, r] -= dg[:, j, hour]
-        for j, r in enumerate(self.ess_row):
-            net_load[:, r] -= np.maximum(0.0, -ess[:, j, hour])
-        weighted[:, dev] = self.path_time[dev, None] * mean_unserved(net_load)
-        return weighted.sum(axis=1)
+            pen += w["flow"] * ((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2).sum(axis=0)
+        p_slack, p_loss, converged, ens, pen = (
+            _scenario_hours(a, state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged, ens, pen)
+        )
+        return p_slack, p_loss, converged, ens.mean(axis=2), pen.sum(axis=2)
 
     def per_scenario(self, x, sset: ScenarioSet) -> ScenarioOutcomes:
         """Cost, ENS and penalty of a schedule (or of each row of a block)

@@ -518,11 +518,12 @@ def ens_oracle(ev, dg, ess, sset):
         net_load[:, b] -= dg[:, j, hour]
     for j, b in enumerate(ev.ess_idx):
         net_load[:, b] -= np.maximum(0.0, -ess[:, j, hour])
-    unserved = np.maximum(0.0, net_load)
+    weighted = np.zeros((len(dg), len(hour)))  # per grid state, buses in index order
+    for b in range(ev.net.n_bus):
+        weighted += ev.path_time[b] * np.maximum(0.0, net_load[:, b])
     if state_of is not None:
-        unserved = unserved.take(state_of, axis=-1)
-    unserved = np.ascontiguousarray(unserved).reshape(len(dg), ev.net.n_bus, len(sset), 24)
-    return (ev.path_time[:, None] * unserved.mean(axis=3)).sum(axis=1)
+        weighted = weighted.take(state_of, axis=-1)
+    return np.ascontiguousarray(weighted).reshape(len(dg), len(sset), 24).mean(axis=2)
 
 
 @dataclass
