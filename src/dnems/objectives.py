@@ -346,9 +346,10 @@ class ScheduleEvaluator:
         ens = unserved.sum(axis=0)
 
         # an all-zero overshoot is skipped: its weighted sum would be +0.0
-        # (weights are finite), and adding +0.0 changes no bit
+        # (weights are finite), and adding +0.0 changes no bit; pen is float
+        # from the start, as a weight may be an int
         over = check_limits(sol, self.net)
-        pen = w["convergence"] * ~sol.converged
+        pen = np.where(sol.converged, 0.0, float(w["convergence"]))
         if over.voltage_overshoot_pu.any():
             pen += w["voltage"] * (over.voltage_overshoot_pu**2).sum(axis=0)
         if over.flow_overshoot_kva.any():

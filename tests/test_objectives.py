@@ -176,6 +176,17 @@ class TestPenalty:
             ScheduleEvaluator(two_bus, weights={name: -1.0})
         assert merge_penalty_weights({name: 0.0})[name] == 0.0
 
+    def test_integer_weights_equal_float_weights(self):
+        # integer weights are valid config values; the 1.8x-load set pushes
+        # voltages out of band, so the network penalty of every row is nonzero
+        sset = _SETS["heavy"]
+        lower, upper = decision_bounds(_NET)
+        x = np.stack([lower, upper, (lower + upper) / 2])
+        ints = {"convergence": 1, "voltage": 1000, "flow": 1000}
+        a = ScheduleEvaluator(_NET, weights=ints).per_scenario(x, sset)
+        b = ScheduleEvaluator(_NET, weights={n: float(v) for n, v in ints.items()}).per_scenario(x, sset)
+        assert np.array_equal(a.penalty, b.penalty) and np.all(a.penalty > 0)
+
     @pytest.mark.parametrize("name", sorted(DEFAULT_PENALTY_WEIGHTS))
     def test_evaluator_rejects_infinite_weight(self, two_bus, name):
         # inf times a zero overshoot would make every clean candidate's penalty NaN
