@@ -89,10 +89,12 @@ class HybridConfig:
     penalty_weights: dict | None = None  # overrides merged over the schedule evaluator's defaults
 
     def __post_init__(self):
+        # numpy and other numbers are kept as Python ones, which a study manifest's JSON takes
         for name in ("population", "iterations", "seed", "archive_capacity"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.population < 2 or self.population % 2:
             raise ValueError("population must be even and >= 2")
         if self.iterations < 1:
@@ -107,6 +109,13 @@ class HybridConfig:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if isinstance(self.penalty_weights, dict):  # the evaluator checks the weights themselves
+            weights = {
+                name: float(w) if isinstance(w, numbers.Real) and not isinstance(w, bool) else w
+                for name, w in self.penalty_weights.items()
+            }
+            object.__setattr__(self, "penalty_weights", weights)
         _check_weights(self.objective_weights, "objective_weights")
 
 

@@ -286,7 +286,6 @@ def solve_batch(
     s_abs = np.abs(s_pu)
     v = np.ones(s_pu.shape, dtype=complex)
     v_abs = np.ones(v.shape)  # |v|, kept beside v
-    i_inj = np.zeros_like(v)
     mismatch = np.full(m, np.inf)
     alive = np.ones(m, dtype=bool)  # columns not diverged
     active = np.ones(m, dtype=bool)  # columns still iterating
@@ -317,7 +316,7 @@ def solve_batch(
                 mis = (s_abs * (np.abs(v_new - v) / v_abs)).max(axis=0, initial=0.0)
                 np.copyto(mismatch, mis, where=active)
                 alive &= ~(active & (v_new_abs.min(axis=0, initial=np.inf) <= _V_COLLAPSE))
-        if active.all():
+        if active.all():  # always on the first sweep, which so binds i_inj
             i_inj, v, v_abs = i_new, v_new, v_new_abs
         else:
             np.copyto(i_inj, i_new, where=active)

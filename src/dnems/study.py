@@ -70,10 +70,13 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+_INT_FIELDS = ("repeats", "seed", "oversample", "levels", "profit_years")
+_FLOAT_FIELDS = ("investment", "c_npv")
+
 # config field -> (type check, what the field takes)
 _FIELD_TYPES = {
-    **dict.fromkeys(("repeats", "seed", "oversample", "levels", "profit_years"), (_is_int, "an integer")),
-    **dict.fromkeys(("investment", "c_npv"), (_is_number, "a finite number")),
+    **dict.fromkeys(_INT_FIELDS, (_is_int, "an integer")),
+    **dict.fromkeys(_FLOAT_FIELDS, (_is_number, "a finite number")),
     **dict.fromkeys(("network", "mode", "objective", "out_dir", "vary"), (_is_str, "a string")),
     "forecast": (lambda v: v is None or _is_str(v), "a path string or null"),
     "export_credit": (lambda v: isinstance(v, bool), "true or false"),
@@ -118,6 +121,10 @@ class StudyConfig:
         for name, (ok, kind) in _FIELD_TYPES.items():
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        # numpy and other numbers are kept as Python ones, which the manifest's JSON takes
+        for names, kind in ((_INT_FIELDS, int), (_FLOAT_FIELDS, float)):
+            for name in names:
+                object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "scenario_counts", tuple(map(int, self.scenario_counts)))
         try:
             _check_weights(self.weights)
@@ -208,8 +215,9 @@ class StudyReport:
     config: dict
     runs: list[RunRecord]
     stats_rows: list[dict]  # setting x mode x metric summary rows
-    best: dict  # mode -> its best run's {"f1", "f2", "penalty", "x": DecisionVector, "sset", "outcomes"}
-    schedules: dict  # kind -> {"dg": (n_dg,24), "ess": (n_ess,24), "p_slack": (24,)}
+    # mode -> its best run's {"f1", "f2", "penalty", "x": DecisionVector, "outcomes": ScenarioOutcomes on the
+    # run's scenario set, "p_slack": (24,) kW under the forecast}
+    best: dict
     archive: ParetoArchive | None
     bcs: dict | None  # multi-mode cross-run summary
     profit: ProfitReport | None
@@ -267,14 +275,12 @@ class _Task:
 @dataclass(frozen=True)
 class _Found:
     """What a successful task sends back: the selected schedule and its
-    objectives, the scenario set it was optimized on, its outcomes under each
-    scenario of that set and its hourly breakdown under the forecast (neither
-    for a bare task), the archive of a ``multi`` run, and the task's wall
-    time."""
+    objectives, its outcomes under each scenario of the set it was optimized
+    on and its hourly breakdown under the forecast (neither for a bare task),
+    the archive of a ``multi`` run, and the task's wall time."""
 
     x: DecisionVector
     f: ObjectiveVector
-    sset: ScenarioSet
     outcomes: ScenarioOutcomes | None
     breakdown: EvaluationBreakdown | None
     archive: ParetoArchive | None
@@ -330,7 +336,7 @@ class _TaskRunner:
             outcomes = evaluator.per_scenario(x, sset)
             breakdown = evaluator.breakdown(x, self.forecast_set)
         kept = archive if task.mode == "multi" else None
-        return _Found(x, f, sset, outcomes, breakdown, kept, time.perf_counter() - t0)
+        return _Found(x, f, outcomes, breakdown, kept, time.perf_counter() - t0)
 
 
 # Start method of the worker processes.  None, off Linux, runs every task in
@@ -510,13 +516,8 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
                 )
 
     best = {
-        mode: {"f1": out.f.f1, "f2": out.f.f2, "penalty": out.f.penalty, "x": out.x, "sset": out.sset,
-               "outcomes": out.outcomes}
-        for mode, out in best_runs.items()
-    }
-    kind_of = {"cost": "cost", "ens": "ens", "multi": "bcs"}
-    schedules = {
-        kind_of[mode]: {"dg": out.x.dg_power, "ess": out.x.ess_power, "p_slack": out.breakdown.p_slack}
+        mode: {"f1": out.f.f1, "f2": out.f.f2, "penalty": out.f.penalty, "x": out.x, "outcomes": out.outcomes,
+               "p_slack": out.breakdown.p_slack}
         for mode, out in best_runs.items()
     }
 
@@ -549,7 +550,6 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
         runs=runs,
         stats_rows=stats_rows,
         best=best,
-        schedules=schedules,
         archive=best_runs["multi"].archive if "multi" in best_runs else None,
         bcs=bcs,
         profit=profit,
@@ -608,70 +608,48 @@ def _fd_histogram(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     return edges, density
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv(header: list[str], rows: list[list]) -> str:
     def fmt(x):
         if isinstance(x, float):
             return repr(x)  # shortest round-trip representation
         return str(x)
 
     lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-_OPTIONAL_ARTIFACTS = frozenset({"profit.csv", "schedules_cost.csv", "schedules_ens.csv", "schedules_bcs.csv"})
+# mode -> the file of its best schedule
+_SCHEDULE_FILES = {"cost": "schedules_cost.csv", "ens": "schedules_ens.csv", "multi": "schedules_bcs.csv"}
+_OPTIONAL_ARTIFACTS = frozenset({"profit.csv", *_SCHEDULE_FILES.values()})
 
 
-def emit_artifacts(report: StudyReport, out_dir) -> dict:
-    """Write every study artifact under ``out_dir`` and return the manifest."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out}: {exc}") from exc
+def _render(report: StudyReport) -> dict[str, str]:
+    """Every artifact of ``report`` but the manifest, as text by file name."""
+    front = report.archive
+    texts = {"pareto_front.csv": "f1,f2,psi1,psi2,y\n" if front is None else front.to_csv(report.config["weights"])}
 
-    written: list[str] = []
-
-    def emit(name: str, writer) -> None:
-        path = out / name
-        try:
-            writer(path)
-        except OSError as exc:
-            raise OSError(f"failed writing {path}: {exc}") from exc
-        written.append(name)
-
-    if report.archive is not None:
-        emit("pareto_front.csv", lambda p: report.archive.to_csv(p, report.config["weights"]))
-    else:
-        emit("pareto_front.csv", lambda p: p.write_text("f1,f2,psi1,psi2,y\n"))
-
-    for kind, sched in sorted(report.schedules.items()):
-        dg, ess, p_slack = sched["dg"], sched["ess"], sched["p_slack"]
+    for mode, rec in report.best.items():
+        dg, ess, p_slack = rec["x"].dg_power, rec["x"].ess_power, rec["p_slack"]
         header = (
             ["hour"]
             + [f"dg_{j + 1}_kw" for j in range(dg.shape[0])]
             + [f"ess_{k + 1}_kw" for k in range(ess.shape[0])]
             + ["p_slack_kw"]
         )
-        rows = [
-            [t, *dg[:, t].tolist(), *ess[:, t].tolist(), float(p_slack[t])]
-            for t in range(dg.shape[1])
-        ]
-        emit(f"schedules_{kind}.csv", lambda p, h=header, r=rows: _write_csv(p, h, r))
+        rows = [[t, *dg[:, t].tolist(), *ess[:, t].tolist(), float(p_slack[t])] for t in range(dg.shape[1])]
+        texts[_SCHEDULE_FILES[mode]] = _csv(header, rows)
 
     header = ["setting", "n_scenarios", "objective_mode", "metric", "n", "mean", "sd", "ci95", "ev", "re"]
-    rows = [[r[k] for k in header] for r in report.stats_rows]
-    emit("stats.csv", lambda p: _write_csv(p, header, rows))
+    texts["stats.csv"] = _csv(header, [[r[k] for k in header] for r in report.stats_rows])
 
+    source = report.best.get("multi") or next(iter(report.best.values()), None)
     for metric, column in (("f1", "cost"), ("f2", "ens")):
-        source = report.best.get("multi") or next(iter(report.best.values()), None)
-        if source is None:
-            emit(f"histogram_{metric}.csv", lambda p: p.write_text("bin_left,bin_right,density\n"))
-            continue
-        outcomes: ScenarioOutcomes = source["outcomes"]
-        values = getattr(outcomes, column)
-        edges, density = _fd_histogram(values, outcomes.probabilities)
-        rows = [[float(edges[i]), float(edges[i + 1]), float(density[i])] for i in range(len(density))]
-        emit(f"histogram_{metric}.csv", lambda p, r=rows: _write_csv(p, ["bin_left", "bin_right", "density"], r))
+        rows = []
+        if source is not None:
+            outcomes: ScenarioOutcomes = source["outcomes"]
+            edges, density = _fd_histogram(getattr(outcomes, column), outcomes.probabilities)
+            rows = [[float(edges[i]), float(edges[i + 1]), float(density[i])] for i in range(len(density))]
+        texts[f"histogram_{metric}.csv"] = _csv(["bin_left", "bin_right", "density"], rows)
 
     if report.profit is not None:
         pr = report.profit
@@ -679,16 +657,23 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
             [y + 1, float(pr.cumulative[y]), pr.investment, float(pr.cumulative[y] - pr.investment)]
             for y in range(len(pr.cumulative))
         ]
-        emit("profit.csv", lambda p: _write_csv(p, ["year", "cumulative", "investment", "net"], rows))
+        texts["profit.csv"] = _csv(["year", "cumulative", "investment", "net"], rows)
+    return texts
 
-    # a study of another objective, or without a profit, writes fewer of
-    # these: an earlier study's copies in the same directory would be stale
-    for name in _OPTIONAL_ARTIFACTS.difference(written):
-        (out / name).unlink(missing_ok=True)
 
+def emit_artifacts(report: StudyReport, out_dir) -> dict:
+    """Write every study artifact under ``out_dir`` and return the manifest.
+
+    Every file, the manifest included, is rendered before the first is
+    written, so a report that cannot be rendered raises and leaves
+    ``out_dir`` as it was.  The optional files this study does not make are
+    then removed: an earlier study's copies in the same directory would be
+    stale.
+    """
+    data = {name: text.encode() for name, text in _render(report).items()}
     manifest = {
         "config": report.config,
-        "files": {},
+        "files": {name: {"bytes": len(blob)} for name, blob in data.items()},
         "summary": {
             "runs": len(report.runs),
             "errors": report.errors,
@@ -700,7 +685,18 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
             },
         },
     }
-    for name in written:
-        manifest["files"][name] = {"bytes": (out / name).stat().st_size}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    manifest_blob = json.dumps(manifest, indent=1, sort_keys=True).encode()
+
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    for name, blob in {**data, "manifest.json": manifest_blob}.items():
+        try:
+            (out / name).write_bytes(blob)
+        except OSError as exc:
+            raise OSError(f"failed writing {out / name}: {exc}") from exc
+    for name in _OPTIONAL_ARTIFACTS.difference(data):
+        (out / name).unlink(missing_ok=True)
     return manifest

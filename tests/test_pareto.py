@@ -171,7 +171,7 @@ class TestBestCompromise:
         arch.insert(ArchiveEntry(x="only", f=ov(3, 4)))
         assert best_compromise(arch).x == "only"
 
-    def test_hand_scores(self, tmp_path):
+    def test_hand_scores(self):
         arch = self.make_archive()
         entry = best_compromise(arch, weights=(1.0, 1.0))
         i = arch.entries.index(entry)
@@ -181,7 +181,7 @@ class TestBestCompromise:
         # normalized score of the winner over the four entries, as written
         num = 0.9 + 0.4
         denom = (1.0 + 0.0) + (0.0 + 1.0) + (0.9 + 0.4) + (0.5 + 0.5)
-        assert front_y(arch, (1.0, 1.0), tmp_path)[i] == pytest.approx(num / denom)
+        assert front_y(arch, (1.0, 1.0))[i] == pytest.approx(num / denom)
 
     def test_equal_scores_go_to_lower_f1_then_earlier(self):
         arch = ParetoArchive(capacity=10)
@@ -217,11 +217,9 @@ class TestBestCompromise:
                 best_compromise(arch, weights=weights)
 
 
-def front_y(arch, weights, tmp_path):
-    """The ``y`` column that ``to_csv`` writes for ``arch``."""
-    path = tmp_path / "front.csv"
-    arch.to_csv(path, weights)
-    return [float(line.split(",")[-1]) for line in path.read_text().splitlines()[1:]]
+def front_y(arch, weights):
+    """The ``y`` column of ``arch``'s ``to_csv`` text."""
+    return [float(line.split(",")[-1]) for line in arch.to_csv(weights).splitlines()[1:]]
 
 
 objective_values = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 7.25])
@@ -229,32 +227,27 @@ weight_values = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.float
 
 
 class TestFrontCsv:
-    def test_csv_dump(self, tmp_path):
+    def test_csv_dump(self):
         arch = ParetoArchive(capacity=5)
         arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
         arch.insert(ArchiveEntry(x=None, f=ov(2, 1)))
-        path = tmp_path / "front.csv"
-        arch.to_csv(path, (0.5, 0.5))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "f1,f2,psi1,psi2,y"
-        assert lines[1:] == ["1,2,1,0,0.5", "2,1,0,1,0.5"]
+        assert arch.to_csv((0.5, 0.5)) == "f1,f2,psi1,psi2,y\n1,2,1,0,0.5\n2,1,0,1,0.5\n"
 
-    def test_y_weighted(self, tmp_path):
+    def test_y_weighted(self):
         arch = ParetoArchive(capacity=5)
         for f1, f2 in ((1, 2), (2, 1), (1.5, 1.5)):
             arch.insert(ArchiveEntry(x=None, f=ov(f1, f2)))
         # scores 0.95, 0.05 and 0.5 of a total 1.5
-        assert front_y(arch, (0.95, 0.05), tmp_path) == pytest.approx([0.95 / 1.5, 0.05 / 1.5, 0.5 / 1.5])
+        assert front_y(arch, (0.95, 0.05)) == pytest.approx([0.95 / 1.5, 0.05 / 1.5, 0.5 / 1.5])
 
-    def test_empty_archive_and_bad_weights(self, tmp_path):
+    def test_empty_archive_and_bad_weights(self):
         with pytest.raises(ValueError, match="empty"):
-            ParetoArchive().to_csv(tmp_path / "front.csv", (0.5, 0.5))
+            ParetoArchive().to_csv((0.5, 0.5))
         arch = ParetoArchive(capacity=5)
         arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
         for weights in ((0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0,)):
             with pytest.raises(ValueError, match="^weights must be two finite numbers"):
-                arch.to_csv(tmp_path / "front.csv", weights)
-        assert not (tmp_path / "front.csv").exists()
+                arch.to_csv(weights)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -262,11 +255,11 @@ class TestFrontCsv:
                         min_size=1, max_size=12),
         weights=st.tuples(weight_values, weight_values).filter(lambda w: max(w) > 0),
     )
-    def test_highest_y_is_best_compromise(self, points, weights, tmp_path_factory):
+    def test_highest_y_is_best_compromise(self, points, weights):
         arch = ParetoArchive(capacity=8)
         for f1, f2, pen in points:
             arch.insert(ArchiveEntry(x=None, f=ov(f1, f2, pen)))
-        ys = front_y(arch, weights, tmp_path_factory.getbasetemp())
+        ys = front_y(arch, weights)
         bcs = best_compromise(arch, weights)
         assert ys[next(i for i, e in enumerate(arch.entries) if e is bcs)] == max(ys)
         assert sum(ys) == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,14 +122,11 @@ class TestRunStudy:
     def test_deterministic_single_scenario(self, det_multi_report):
         report, _ = det_multi_report
         for rec in report.best.values():
-            sset = rec["sset"]
-            assert len(sset) == 1
-            assert sset.probabilities[0] == 1.0
+            assert rec["outcomes"].probabilities.tolist() == [1.0]
 
     def test_multi_produces_all_blocks(self, det_multi_report):
         report, _ = det_multi_report
         assert set(report.best) == {"cost", "ens", "multi"}
-        assert set(report.schedules) == {"cost", "ens", "bcs"}
         assert report.bcs is not None
         assert report.archive is not None and len(report.archive) >= 1
         assert report.profit is not None
@@ -179,6 +177,30 @@ class TestEmitArtifacts:
             "profit.csv",
         } <= names
         assert (tmp_path / "out" / "manifest.json").exists()
+        for name, entry in manifest["files"].items():
+            assert entry["bytes"] == (tmp_path / "out" / name).stat().st_size, name
+
+    @pytest.mark.parametrize(
+        "config, error, match",
+        [
+            # the front's scores need weights that are not both zero
+            ({"weights": [0, 0]}, ValueError, "^weights must be two finite numbers"),
+            # the manifest, rendered last, cannot hold a numpy integer
+            ({"seed": np.int64(3)}, TypeError, "not JSON serializable"),
+        ],
+        ids=["front", "manifest"],
+    )
+    def test_unrenderable_report_writes_nothing(self, det_multi_report, tmp_path, config, error, match):
+        # rendering fails before anything is written or the stale profit.csv removed
+        report, _ = det_multi_report
+        broken = replace(report, config={**report.config, **config})
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "profit.csv").write_text("stale")
+        (out / "notes.txt").write_text("kept")
+        with pytest.raises(error, match=match):
+            emit_artifacts(broken, out)
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"profit.csv": "stale", "notes.txt": "kept"}
 
     def test_histogram_normalized(self, det_multi_report, tmp_path):
         report, _ = det_multi_report
@@ -217,7 +239,6 @@ class TestEmitArtifacts:
             runs=[],
             stats_rows=[],
             best={},
-            schedules={},
             archive=None,
             bcs=None,
             profit=None,
@@ -267,6 +288,33 @@ class TestEmitArtifacts:
         )
         emit_artifacts(run_study(cfg), tmp_path / "a")
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert StudyConfig.from_dict(manifest["config"]) == cfg
+
+    @pytest.mark.parametrize(
+        "integer, real",
+        [(np.int64, float), (int, np.float32), (int, lambda v: Fraction(str(v)))],
+        ids=["int64", "float32", "fraction"],
+    )
+    def test_numbers_stored_as_python_numbers(self, tmp_path, integer, real):
+        # a study runs and emits with numpy and Fraction settings, and its
+        # manifest reads back equal
+        cfg = tiny_config(
+            repeats=integer(1),
+            seed=integer(3),
+            profit_years=integer(5),
+            investment=real(0.5),
+            c_npv=real(1.07),
+            optimizer=HybridConfig(
+                population=integer(4),
+                iterations=integer(2),
+                archive_capacity=integer(10),
+                c1=real(1.5),
+                mu_low=real(0.4),
+                penalty_weights={"voltage": real(2e6)},
+            ),
+        )
+        manifest = emit_artifacts(run_study(cfg), tmp_path / "n")
+        assert manifest == json.loads((tmp_path / "n" / "manifest.json").read_text())
         assert StudyConfig.from_dict(manifest["config"]) == cfg
 
 
