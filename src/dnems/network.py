@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
+
+from ._numbers import python_numbers
 
 __all__ = [
     "Bus",
@@ -105,35 +105,21 @@ class Network:
         return bus_id - 1
 
 
-def _check_numbers(what: str, item, names=None) -> None:
-    """NetworkError unless each named numeric field (default: all) is a
-    finite number, not a bool, and an integer where the field is declared
-    ``int``."""
-    for f in fields(item):
-        if names and f.name not in names:
-            continue
-        value = getattr(item, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, numbers.Integral))):
-            raise NetworkError(f"{what}: {f.name} must be an integer, got {value!r}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise NetworkError(f"{what}: {f.name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise NetworkError(f"{what}: {f.name} must be finite, got {value}")
-
-
 def _validate(net: Network) -> Network:
     n = len(net.buses)
     if n == 0:
         raise NetworkError("network has no buses")
 
-    _check_numbers("network", net, _SCALARS)
-    for b in net.buses:
-        _check_numbers(f"bus {b.id}", b)
-    for br in net.branches:
-        _check_numbers(f"branch ({br.from_bus},{br.to_bus})", br)
+    items = [("network", net)]
+    items += [(f"bus {b.id}", b) for b in net.buses]
+    items += [(f"branch ({br.from_bus},{br.to_bus})", br) for br in net.branches]
     for kind, devices in (("DG", net.dgs), ("PV", net.pvs), ("ESS", net.esss)):
-        for dev in devices:
-            _check_numbers(f"{kind} at bus {dev.bus}", dev)
+        items += [(f"{kind} at bus {dev.bus}", dev) for dev in devices]
+    for what, item in items:
+        try:
+            python_numbers(item)
+        except ValueError as exc:
+            raise NetworkError(f"{what}: {exc}") from None
 
     ids = [b.id for b in net.buses]
     if sorted(ids) != list(range(1, n + 1)):
@@ -316,7 +302,7 @@ def load_network(path) -> Network:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise NetworkError(f"network {p}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to read
         raise NetworkError(f"{p}: invalid JSON: {exc}") from exc
     return network_from_dict(doc)
 

@@ -25,12 +25,11 @@ breakdown, as when each scenario-hour has a column of its own.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import number_problem
 from .network import Network, radial_order
 from .powerflow import check_limits, solve_batch
 from .scenarios import HOURS, ScenarioSet
@@ -150,7 +149,7 @@ def _energy_balance(ess_power: np.ndarray, specs) -> tuple[np.ndarray, np.ndarra
 
 
 def merge_penalty_weights(weights: dict | None = None) -> dict:
-    """``DEFAULT_PENALTY_WEIGHTS`` updated by ``weights``.
+    """``DEFAULT_PENALTY_WEIGHTS`` updated by ``weights``, each stored as a float.
 
     Raises ValueError for ``weights`` that are neither a dict nor None, for
     a constraint class the evaluator does not know and for a weight that is
@@ -163,13 +162,12 @@ def merge_penalty_weights(weights: dict | None = None) -> dict:
     for name, value in (weights or {}).items():
         if name not in merged:
             raise ValueError(f"unknown penalty weight {name!r}; expected one of {sorted(merged)}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"penalty weight {name!r} must be a number, got {value!r}")
-        if not value >= 0:
+        problem = number_problem(value)
+        if problem:
+            raise ValueError(f"penalty weight {name!r} {problem}")
+        if value < 0:
             raise ValueError(f"penalty weight {name!r} must be >= 0, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"penalty weight {name!r} must be finite, got {value!r}")
-        merged[name] = value
+        merged[name] = float(value)
     return merged
 
 
@@ -346,10 +344,9 @@ class ScheduleEvaluator:
         ens = unserved.sum(axis=0)
 
         # an all-zero overshoot is skipped: its weighted sum would be +0.0
-        # (weights are finite), and adding +0.0 changes no bit; pen is float
-        # from the start, as a weight may be an int
+        # (weights are finite), and adding +0.0 changes no bit
         over = check_limits(sol, self.net)
-        pen = np.where(sol.converged, 0.0, float(w["convergence"]))
+        pen = np.where(sol.converged, 0.0, w["convergence"])
         if over.voltage_overshoot_pu.any():
             pen += w["voltage"] * (over.voltage_overshoot_pu**2).sum(axis=0)
         if over.flow_overshoot_kva.any():

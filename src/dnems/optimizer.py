@@ -13,12 +13,11 @@ plus the constraint penalty.  The archive keeps the actual non-dominated set.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import number_problem, python_numbers
 from .pareto import ArchiveEntry, ParetoArchive, _check_weights
 
 __all__ = [
@@ -90,11 +89,7 @@ class HybridConfig:
 
     def __post_init__(self):
         # numpy and other numbers are kept as Python ones, which a study manifest's JSON takes
-        for name in ("population", "iterations", "seed", "archive_capacity"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        python_numbers(self)
         if self.population < 2 or self.population % 2:
             raise ValueError("population must be even and >= 2")
         if self.iterations < 1:
@@ -102,19 +97,10 @@ class HybridConfig:
         if self.archive_capacity < 1:
             raise ValueError("archive_capacity must be >= 1")
         for name in ("c1", "c2", "mu_high", "mu_low"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if isinstance(self.penalty_weights, dict):  # the evaluator checks the weights themselves
-            weights = {
-                name: float(w) if isinstance(w, numbers.Real) and not isinstance(w, bool) else w
-                for name, w in self.penalty_weights.items()
-            }
+            weights = {name: w if number_problem(w) else float(w) for name, w in self.penalty_weights.items()}
             object.__setattr__(self, "penalty_weights", weights)
         _check_weights(self.objective_weights, "objective_weights")
 

@@ -8,11 +8,11 @@ the most crowded region of normalized objective space when full.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._numbers import number_problem
 
 __all__ = ["ArchiveEntry", "ParetoArchive", "dominates", "best_compromise"]
 
@@ -86,9 +86,7 @@ class ParetoArchive:
 def _check_weights(weights, name: str = "weights") -> None:
     """ValueError naming the field ``name`` unless ``weights`` are two finite
     numbers, nonnegative and not both zero."""
-    two_numbers = isinstance(weights, (list, tuple)) and len(weights) == 2 and all(
-        isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w) for w in weights
-    )
+    two_numbers = isinstance(weights, (list, tuple)) and len(weights) == 2 and not any(map(number_problem, weights))
     if not two_numbers or min(weights) < 0 or max(weights) <= 0:
         raise ValueError(f"{name} must be two finite numbers, nonnegative and not both zero, got {weights!r}")
 

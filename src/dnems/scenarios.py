@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numbers import number_problem
+
 __all__ = [
     "HOURS",
     "ForecastProfile",
@@ -38,7 +40,10 @@ _PROB_TOL = 1e-12
 
 def _hourly(name, values, ndim: int = 1) -> np.ndarray:
     """A float array of hourly values: (24,) for ``ndim`` 1, (n, 24) for 2."""
-    arr = np.array(values, dtype=float, order="C")
+    try:
+        arr = np.array(values, dtype=float, order="C")
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{name} entries must be finite") from None
     if arr.ndim != ndim or arr.shape[-1] != HOURS:
         per = " per scenario" * (ndim == 2)
         raise ValueError(f"{name} must have {HOURS} hourly entries{per}, got shape {arr.shape}")
@@ -61,7 +66,7 @@ class ForecastProfile:
     def __post_init__(self):
         for name in ("load_factor", "pv_factor", "price"):
             object.__setattr__(self, name, _hourly(name, getattr(self, name)))
-        if not all(0 <= s < np.inf for s in (self.sigma_load, self.sigma_pv, self.sigma_price)):
+        if any(number_problem(s) or s < 0 for s in (self.sigma_load, self.sigma_pv, self.sigma_price)):
             raise ValueError("sigmas must be finite and nonnegative")
         if np.any(self.load_factor < 0):
             raise ValueError("load_factor must be nonnegative")
@@ -164,8 +169,9 @@ def _forecast_from_doc(doc) -> ForecastProfile:
             raise ValueError(f"{key} must be a list of numbers")
     sigmas = {k: doc[k] for k in _SIGMA_KEYS if k in doc}
     for key, value in sigmas.items():
-        if type(value) not in (int, float):
-            raise ValueError(f"{key} must be a number, got {value!r}")
+        problem = number_problem(value)
+        if problem:
+            raise ValueError(f"{key} {problem}")
         sigmas[key] = float(value)
     return ForecastProfile(doc["load_factor"], doc["pv_factor"], doc["price"], **sigmas)
 
@@ -258,8 +264,9 @@ def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> S
 def _count(name: str, value) -> int:
     """``value`` as an int if it is an integer (a numpy one included) and not
     a bool, else ValueError naming the argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    problem = number_problem(value, integer=True)
+    if problem:
+        raise ValueError(f"{name} {problem}")
     return int(value)
 
 

@@ -10,8 +10,6 @@ schedule.  Every output file is a deterministic function of (config, seed).
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import sys
 import time
@@ -21,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numbers import number_problem, python_numbers
 from .network import Network, builtin_ieee69, load_network
 from .objectives import (
     DEFAULT_C_NPV,
@@ -58,30 +57,20 @@ _OBJECTIVES = ("cost", "ens", "multi")
 _VARY = ("both", "scenarios", "optimizer")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-_INT_FIELDS = ("repeats", "seed", "oversample", "levels", "profit_years")
-_FLOAT_FIELDS = ("investment", "c_npv")
-
-# config field -> (type check, what the field takes)
+# config field -> (type check, what the field takes); python_numbers checks the int and float fields
 _FIELD_TYPES = {
-    **dict.fromkeys(_INT_FIELDS, (_is_int, "an integer")),
-    **dict.fromkeys(_FLOAT_FIELDS, (_is_number, "a finite number")),
     **dict.fromkeys(("network", "mode", "objective", "out_dir", "vary"), (_is_str, "a string")),
     "forecast": (lambda v: v is None or _is_str(v), "a path string or null"),
     "export_credit": (lambda v: isinstance(v, bool), "true or false"),
     "optimizer": (lambda v: isinstance(v, HybridConfig), "an object of optimizer settings"),
-    "scenario_counts": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
+    "scenario_counts": (
+        lambda v: isinstance(v, (list, tuple)) and not any(number_problem(c, integer=True) for c in v),
+        "a list of integers",
+    ),
 }
 
 
@@ -118,18 +107,16 @@ class StudyConfig:
     export_credit: bool = True
 
     def __post_init__(self):
-        for name, (ok, kind) in _FIELD_TYPES.items():
-            if not ok(getattr(self, name)):
-                raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         # numpy and other numbers are kept as Python ones, which the manifest's JSON takes
-        for names, kind in ((_INT_FIELDS, int), (_FLOAT_FIELDS, float)):
-            for name in names:
-                object.__setattr__(self, name, kind(getattr(self, name)))
-        object.__setattr__(self, "scenario_counts", tuple(map(int, self.scenario_counts)))
         try:
+            python_numbers(self)
             _check_weights(self.weights)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for name, (ok, kind) in _FIELD_TYPES.items():
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        object.__setattr__(self, "scenario_counts", tuple(map(int, self.scenario_counts)))
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         for name in ("network", "forecast", "out_dir"):  # an empty path would name the working directory
             if getattr(self, name) == "":
@@ -176,7 +163,7 @@ class StudyConfig:
     def from_json(cls, path) -> "StudyConfig":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a decode error, malformed JSON or an integer literal too long to read
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -158,7 +158,7 @@ class TestValidation:
         with pytest.raises(NetworkError, match="negative active load"):
             make_network([Bus(id=1), Bus(id=2, p_load=-5)], [Branch(1, 2, 0.1, 0.1)])
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), pytest.param(10**400, id="int-too-large-for-a-float")])
     @pytest.mark.parametrize("field", ["p_load", "q_load"])
     def test_nonfinite_load(self, field, value):
         with pytest.raises(NetworkError, match=f"bus 2: {field} must be finite"):

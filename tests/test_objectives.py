@@ -163,6 +163,7 @@ class TestPenalty:
     def test_evaluator_merges_partial_weights(self, two_bus):
         ev = ScheduleEvaluator(two_bus, weights={"voltage": 5.0})
         assert ev.weights == {**DEFAULT_PENALTY_WEIGHTS, "voltage": 5.0}
+        assert type(merge_penalty_weights({"flow": 3})["flow"]) is float
         x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
         assert ev.evaluate(x, flat_scenario()).penalty == 0.0
 
@@ -192,6 +193,8 @@ class TestPenalty:
         # inf times a zero overshoot would make every clean candidate's penalty NaN
         with pytest.raises(ValueError, match=f"penalty weight '{name}' must be finite"):
             ScheduleEvaluator(two_bus, weights={name: float("inf")})
+        with pytest.raises(ValueError, match=f"penalty weight '{name}' must be finite, got a number too large"):
+            merge_penalty_weights({name: 10**400})
 
 
 def dg_test_network():

@@ -285,6 +285,7 @@ class TestRuns:
                 for w in [(float("nan"), 1.0), (-1.0, 0.0), (0.0, 0.0), (1.0,), (1.0, 0.0, 0.0), ("1", 0.0),
                           (True, 0.0), (float("inf"), 0.0)]
             ),
+            pytest.param("c1", 10**400, id="c1-int-too-large-for-a-float"),
         ],
     )
     def test_bad_config_rejected(self, field, value):

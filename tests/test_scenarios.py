@@ -329,6 +329,8 @@ class TestForecastValidation:
     def test_nonfinite_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigmas must be finite"):
             flat_forecast(sig=(0.05, float("nan"), 0.05))
+        with pytest.raises(ValueError, match="sigmas must be finite"):  # an int too large for a float
+            flat_forecast(sig=(10**400, 0.1, 0.05))
 
     def test_unknown_key_rejected(self, tmp_path):
         fc = default_forecast()

@@ -456,8 +456,8 @@ class TestCli:
             ({"levels": 7.0}, "levels must be an integer"),
             ({"repeats": True}, "repeats must be an integer"),
             ({"scenario_counts": [4.0]}, "scenario_counts must be a list of integers"),
-            ({"investment": "5"}, "investment must be a finite number"),
-            ({"c_npv": float("nan")}, "c_npv must be a finite number"),
+            ({"investment": "5"}, "investment must be a number"),
+            ({"c_npv": float("nan")}, "c_npv must be finite"),
             ({"profit_years": 0}, "profit_years must be >= 1"),
             ({"optimizer": {"c1": float("inf")}}, "c1 must be finite"),
             ({"optimizer": {"c2": float("inf")}}, "c2 must be finite"),
@@ -479,6 +479,12 @@ class TestCli:
             ({"optimizer": {"penalty_weights": [["flow", 3]]}}, "penalty weights must be an object"),
             ({"investment": -1.0}, "investment must be >= 0, got -1.0"),
             ({"c_npv": 0.0}, "c_npv must be > 0, got 0.0"),
+            # an int too large for a float is not finite
+            ({"investment": 10**400}, "investment must be finite"),
+            ({"c_npv": 10**400}, "c_npv must be finite"),
+            ({"weights": [10**400, 1]}, "weights must be two finite numbers"),
+            ({"optimizer": {"penalty_weights": {"flow": 10**400}}}, "penalty weight 'flow' must be finite"),
+            ({"optimizer": {"c1": 10**400}}, "c1 must be finite"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, capsys, doc, message):
@@ -507,6 +513,8 @@ class TestCli:
             (lambda doc: doc["dgs"][0].update(marginal_cost=-0.5), "DG at bus 40: negative marginal cost"),
             (lambda doc: doc["esss"][0].update(eff_charge=True), "eff_charge must be a number, got True"),
             (lambda doc: doc.update(v_min=True), "network: v_min must be a number, got True"),
+            (lambda doc: doc["buses"][4].update(p_load=10**400), "bus 5: p_load must be finite, got a number too large"),
+            (lambda doc: doc.update(v_max=10**400), "network: v_max must be finite, got a number too large"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
@@ -521,13 +529,14 @@ class TestCli:
         assert "config error" in err and message in err
 
     def test_nonfinite_forecast_exit_one(self, tmp_path, capsys):
-        doc = {"load_factor": [1.0] * 24, "pv_factor": [0.0] * 24, "price": [0.1] * 23 + [float("nan")]}
-        forecast = tmp_path / "forecast.json"
-        forecast.write_text(json.dumps(doc))
-        code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
-                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "price entries must be finite" in capsys.readouterr().err
+        for last in (float("nan"), 10**400):  # an int too large for a float is not finite
+            doc = {"load_factor": [1.0] * 24, "pv_factor": [0.0] * 24, "price": [0.1] * 23 + [last]}
+            forecast = tmp_path / "forecast.json"
+            forecast.write_text(json.dumps(doc))
+            code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
+                         "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert "price entries must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "change, message",
@@ -540,6 +549,7 @@ class TestCli:
             ({"load_factor": [1.0]}, "load_factor must have 24 hourly entries"),
             ({"sigma_loads": 0.3}, "unknown keys ['sigma_loads']"),
             ({"load_factor": [1.0] * 3 + [-0.5] + [1.0] * 20}, "load_factor must be nonnegative"),
+            ({"sigma_load": 10**400}, "sigma_load must be finite, got a number too large for a float"),
         ],
     )
     def test_mistyped_forecast_exit_one(self, tmp_path, capsys, change, message):
@@ -637,6 +647,25 @@ class TestCli:
         expected = line.format(path=path)
         assert err.startswith(expected) and "can't decode byte 0xff in position 0" in err, err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, name, line",
+        [
+            ("--config", "study.json", "config error: cannot read config {path}: "),
+            ("--network", "net.json", "config error: {path}: invalid JSON: "),
+        ],
+        ids=["config", "network"],
+    )
+    def test_overlong_integer_literal_exit_one(self, tmp_path, capsys, flag, name, line):
+        # json refuses an integer literal over 4,300 digits with a plain ValueError
+        path = tmp_path / name
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        code = main([flag, str(path), "--mode", "det", "--repeats", "1",
+                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(line.format(path=path)) and "4300 digits" in err, err
         assert not (tmp_path / "o").exists()
 
     def test_fixed_output_dg(self, tmp_path):
