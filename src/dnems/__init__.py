@@ -22,7 +22,6 @@ from .network import (
     builtin_ieee69,
     load_network,
     radial_order,
-    save_network,
 )
 from .objectives import (
     DecisionVector,
@@ -81,7 +80,6 @@ __all__ = [
     "reduce",
     "rowwise",
     "run_study",
-    "save_network",
     "single_run",
     "solve_batch",
     "stopping_rule",

@@ -8,8 +8,8 @@ number of concurrent evaluators.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
@@ -26,7 +26,6 @@ __all__ = [
     "RadialOrder",
     "NetworkError",
     "load_network",
-    "save_network",
     "network_to_dict",
     "network_from_dict",
     "builtin_ieee69",
@@ -180,8 +179,14 @@ def _validate(net: Network) -> Network:
             )
         if ess.p_charge_max <= 0 or ess.p_discharge_max <= 0:
             raise NetworkError(f"ESS at bus {ess.bus}: power ratings must be positive")
+        if ess.w_max == 0:  # the energy overshoot is normalized by w_max
+            raise NetworkError(f"ESS at bus {ess.bus}: w_max must be positive")
         if not (0 < ess.eff_charge <= 1 and 0 < ess.eff_discharge <= 1):
             raise NetworkError(f"ESS at bus {ess.bus}: efficiencies must be in (0, 1]")
+        # a rated hour's energy: eff_charge * p_charge_max <= p_charge_max is
+        # finite, but dividing by a tiny discharge efficiency may overflow
+        if not math.isfinite(ess.p_discharge_max / ess.eff_discharge):
+            raise NetworkError(f"ESS at bus {ess.bus}: p_discharge_max / eff_discharge must be finite")
     return net
 
 
@@ -230,76 +235,21 @@ def network_from_dict(doc: dict) -> Network:
     return make_network(buses, branches, dgs, pvs, esss, **scalars)
 
 
-def save_network(net: Network, path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=1, sort_keys=True))
-
-
-def _csv_rows(path: Path, parse) -> list:
-    """``parse(row)`` of each row of the CSV file at ``path``.  A missing
-    column, a short or long row or a malformed number raises a NetworkError
-    that names the file and the row's line."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            for row in reader:
-                if None in row:  # the fields past the header's end
-                    raise NetworkError(f"{path}, line {reader.line_num}: too many fields")
-                try:
-                    out.append(parse(row))
-                except KeyError as exc:
-                    raise NetworkError(f"{path}, line {reader.line_num}: missing column {exc}") from None
-                except TypeError:  # a field that a short row lacks reads as None
-                    raise NetworkError(f"{path}, line {reader.line_num}: too few fields") from None
-                except ValueError as exc:
-                    raise NetworkError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise NetworkError(f"network {path}: not UTF-8 text: {exc}") from None
-    return out
-
-
-def _bus_row(row: dict) -> Bus:
-    return Bus(id=int(row["id"]), p_load=float(row.get("p_load") or 0.0), q_load=float(row.get("q_load") or 0.0))
-
-
-def _branch_row(row: dict) -> Branch:
-    kwargs = {
-        "from_bus": int(row["from_bus"]),
-        "to_bus": int(row["to_bus"]),
-        "r": float(row["r"]),
-        "x": float(row["x"]),
-    }
-    for opt in ("s_max", "at_repair", "at_restoration"):
-        if row.get(opt):
-            kwargs[opt] = float(row[opt])
-    return Branch(**kwargs)
-
-
-def _load_csv_pair(directory: Path) -> Network:
-    """Bare feeder from buses.csv / branches.csv (no devices)."""
-    buses_path = directory / "buses.csv"
-    branches_path = directory / "branches.csv"
-    for p in (buses_path, branches_path):
-        if not p.exists():
-            raise NetworkError(f"missing {p.name} in {directory}")
-    return make_network(_csv_rows(buses_path, _bus_row), _csv_rows(branches_path, _branch_row))
-
-
 def load_network(path) -> Network:
-    """Load and validate a network from a JSON file or a buses/branches CSV pair.
+    """Load and validate a network from a JSON document.
 
-    ``path`` may be a ``.json`` document following the network schema, or a
-    directory containing ``buses.csv`` and ``branches.csv`` for a bare feeder.
-    Raises ``NetworkError`` naming the offending element on any parse or
-    validation failure.
+    ``path`` names a ``.json`` document following the network schema, read
+    through ``network_from_dict``.  Raises ``NetworkError`` naming the
+    offending element on any parse or validation failure, and naming the
+    path for one that is missing or a directory.
     """
     p = Path(path)
     if not p.exists():
         raise NetworkError(f"no such file: {p}")
-    if p.is_dir():
-        return _load_csv_pair(p)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
+    except IsADirectoryError:
+        raise NetworkError(f"network {p} is a directory; networks are JSON documents") from None
     except UnicodeDecodeError as exc:
         raise NetworkError(f"network {p}: not UTF-8 text: {exc}") from None
     except ValueError as exc:  # malformed JSON, or an integer literal too long to read

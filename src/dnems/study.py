@@ -653,9 +653,10 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
 
     Every file, the manifest included, is rendered before the first is
     written, so a report that cannot be rendered raises and leaves
-    ``out_dir`` as it was.  The optional files this study does not make are
-    then removed: an earlier study's copies in the same directory would be
-    stale.
+    ``out_dir`` as it was.  A manifest value of NaN or infinity cannot be
+    rendered: JSON has no such numbers.  The optional files this study does
+    not make are then removed: an earlier study's copies in the same
+    directory would be stale.
     """
     data = {name: text.encode() for name, text in _render(report).items()}
     manifest = {
@@ -672,7 +673,7 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
             },
         },
     }
-    manifest_blob = json.dumps(manifest, indent=1, sort_keys=True).encode()
+    manifest_blob = json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False).encode()
 
     out = Path(out_dir)
     try:

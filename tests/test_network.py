@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from dnems.network import (
     network_from_dict,
     network_to_dict,
     radial_order,
-    save_network,
     _validate,
 )
 from dnems.objectives import ScheduleEvaluator
@@ -46,7 +46,7 @@ class TestBuiltin:
 class TestLoadNetwork:
     def test_three_bus_roundtrip(self, tmp_path, chain3):
         path = tmp_path / "net.json"
-        save_network(chain3, path)
+        path.write_text(json.dumps(network_to_dict(chain3)))
         net = load_network(path)
         assert net.n_bus == 3
         assert len(net.branches) == 2
@@ -54,7 +54,7 @@ class TestLoadNetwork:
 
     def test_roundtrip_with_devices(self, tmp_path, ieee69):
         path = tmp_path / "net69.json"
-        save_network(ieee69, path)
+        path.write_text(json.dumps(network_to_dict(ieee69)))
         assert network_to_dict(load_network(path)) == network_to_dict(ieee69)
 
     def test_cycle_rejected(self, tmp_path):
@@ -121,32 +121,9 @@ class TestLoadNetwork:
         with pytest.raises(NetworkError, match="invalid JSON"):
             load_network(path)
 
-    def test_csv_pair(self, tmp_path):
-        (tmp_path / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n3,40,10\n")
-        (tmp_path / "branches.csv").write_text(
-            "from_bus,to_bus,r,x,s_max\n1,2,0.1,0.1,5000\n2,3,0.2,0.1,5000\n"
-        )
-        net = load_network(tmp_path)
-        assert net.n_bus == 3
-        assert net.branches[0].s_max == 5000.0
-        assert net.buses[1].p_load == 100.0
-
-    @pytest.mark.parametrize(
-        "branches, message",
-        [
-            ("from_bus,to_bus,x\n1,2,0.1\n2,3,0.1\n", "line 2: missing column 'r'"),
-            ("from_bus,to_bus,r,x\n1,2,0.1,0.1\n2,3,0.2\n", "line 3: too few fields"),
-            ("from_bus,to_bus,r,x\n1,2,0.1,0.1,9\n2,3,0.2,0.1\n", "line 2: too many fields"),
-            ("from_bus,to_bus,r,x\n1,2,0.1,0.1\n2,3,abc,0.1\n", "line 3: could not convert string to float: 'abc'"),
-        ],
-        ids=["missing-column", "short-row", "long-row", "non-numeric"],
-    )
-    def test_malformed_csv_pair(self, tmp_path, branches, message):
-        (tmp_path / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n3,40,10\n")
-        (tmp_path / "branches.csv").write_text(branches)
-        with pytest.raises(NetworkError) as err:
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(NetworkError, match=f"^network {re.escape(str(tmp_path))} is a directory; networks are JSON documents$"):
             load_network(tmp_path)
-        assert str(err.value) == f"{tmp_path / 'branches.csv'}, {message}"
 
 
 class TestValidation:
@@ -199,6 +176,22 @@ class TestValidation:
     def test_ess_energy_ordering(self):
         ess = EssSpec(bus=2, w_min=50.0, w_max=100.0, p_charge_max=10.0, p_discharge_max=10.0, w_initial=10.0)
         with pytest.raises(NetworkError, match="w_min <= w_initial"):
+            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], esss=[ess])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"w_min": 0.0, "w_initial": 0.0, "w_max": 0.0}, "w_max must be positive"),
+            ({"eff_discharge": 5e-324}, "p_discharge_max / eff_discharge must be finite"),
+            ({"p_discharge_max": 1e308, "eff_discharge": 0.5}, "p_discharge_max / eff_discharge must be finite"),
+        ],
+        ids=["zero-capacity", "subnormal-efficiency", "overflowing-rating"],
+    )
+    def test_ess_energy_not_finite(self, edit, message):
+        # the energy overshoot divides by w_max and a discharged hour by eff_discharge
+        ess = EssSpec(**{"bus": 2, "w_min": 0.0, "w_max": 100.0, "p_charge_max": 10.0,
+                         "p_discharge_max": 10.0, "w_initial": 50.0, **edit})
+        with pytest.raises(NetworkError, match=f"^ESS at bus 2: {re.escape(message)}$"):
             make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], esss=[ess])
 
     def test_random_radial_nets_validate(self, rng):

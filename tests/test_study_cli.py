@@ -181,19 +181,22 @@ class TestEmitArtifacts:
             assert entry["bytes"] == (tmp_path / "out" / name).stat().st_size, name
 
     @pytest.mark.parametrize(
-        "config, error, match",
+        "change, error, match",
         [
             # the front's scores need weights that are not both zero
-            ({"weights": [0, 0]}, ValueError, "^weights must be two finite numbers"),
+            (lambda r: {"config": {**r.config, "weights": [0, 0]}}, ValueError, "^weights must be two finite numbers"),
             # the manifest, rendered last, cannot hold a numpy integer
-            ({"seed": np.int64(3)}, TypeError, "not JSON serializable"),
+            (lambda r: {"config": {**r.config, "seed": np.int64(3)}}, TypeError, "not JSON serializable"),
+            # nor a number that JSON lacks
+            (lambda r: {"best": {**r.best, "cost": {**r.best["cost"], "penalty": float("inf")}}},
+             ValueError, "not JSON compliant"),
         ],
-        ids=["front", "manifest"],
+        ids=["front", "manifest", "nonfinite"],
     )
-    def test_unrenderable_report_writes_nothing(self, det_multi_report, tmp_path, config, error, match):
+    def test_unrenderable_report_writes_nothing(self, det_multi_report, tmp_path, change, error, match):
         # rendering fails before anything is written or the stale profit.csv removed
         report, _ = det_multi_report
-        broken = replace(report, config={**report.config, **config})
+        broken = replace(report, **change(report))
         out = tmp_path / "o"
         out.mkdir()
         (out / "profit.csv").write_text("stale")
@@ -515,6 +518,9 @@ class TestCli:
             (lambda doc: doc.update(v_min=True), "network: v_min must be a number, got True"),
             (lambda doc: doc["buses"][4].update(p_load=10**400), "bus 5: p_load must be finite, got a number too large"),
             (lambda doc: doc.update(v_max=10**400), "network: v_max must be finite, got a number too large"),
+            (lambda doc: doc["esss"][0].update(w_min=0.0, w_initial=0.0, w_max=0.0), "ESS at bus 14: w_max must be positive"),
+            (lambda doc: doc["esss"][0].update(eff_discharge=5e-324),
+             "ESS at bus 14: p_discharge_max / eff_discharge must be finite"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
@@ -596,15 +602,12 @@ class TestCli:
         assert err.startswith("config error: vary 'scenarios' needs mode 'stochastic'")
         assert not out.exists()
 
-    def test_malformed_csv_network_exit_one(self, tmp_path, capsys):
-        feeder = tmp_path / "feeder"
-        feeder.mkdir()
-        (feeder / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n")
-        (feeder / "branches.csv").write_text("from_bus,to_bus,x\n1,2,0.1\n")
-        code = main(["--network", str(feeder), "--mode", "det", "--repeats", "1",
+    def test_directory_network_exit_one(self, tmp_path, capsys):
+        code = main(["--network", str(tmp_path), "--mode", "det", "--repeats", "1",
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"config error: {feeder / 'branches.csv'}, line 2: missing column 'r'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: network {tmp_path} is a directory; networks are JSON documents\n"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_forecast_json_named(self, tmp_path, capsys):
         forecast = tmp_path / "forecast.json"
@@ -625,21 +628,15 @@ class TestCli:
         "flag, name, line",
         [
             ("--network", "net.json", "config error: network {path}: not UTF-8 text: "),
-            ("--network", "feeder", "config error: network {path}/buses.csv: not UTF-8 text: "),
             ("--forecast", "forecast.json", "config error: forecast {path}: not UTF-8 text: "),
             ("--config", "study.json", "config error: cannot read config {path}: "),
         ],
-        ids=["network-json", "network-csv", "forecast", "config"],
+        ids=["network-json", "forecast", "config"],
     )
     def test_not_utf8_exit_one(self, tmp_path, capsys, flag, name, line):
         # a file that is not UTF-8 is a config error that names its kind and path
         path = tmp_path / name
-        if name == "feeder":
-            path.mkdir()
-            (path / "buses.csv").write_bytes(b"\xff\xfei\x00d\x00\n\x00")
-            (path / "branches.csv").write_text("from_bus,to_bus,r,x\n")
-        else:
-            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
         code = main([flag, str(path), "--mode", "det", "--repeats", "1",
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
@@ -734,12 +731,14 @@ class TestFlags:
         out = capsys.readouterr().out
         assert "--scenarios SCENARIOS" in out and "--out OUT" in out
 
-    def test_device_free_csv_feeder(self, tmp_path, capsys):
+    def test_device_free_feeder(self, tmp_path, capsys):
         # nothing to optimize: the decision vector has no entries
-        net = tmp_path / "net"
-        net.mkdir()
-        (net / "buses.csv").write_text("id,p_load,q_load\n1,0,0\n2,100,50\n3,40,10\n")
-        (net / "branches.csv").write_text("from_bus,to_bus,r,x,s_max\n1,2,0.1,0.1,5000\n2,3,0.2,0.1,5000\n")
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "buses": [{"id": 1}, {"id": 2, "p_load": 100.0, "q_load": 50.0}, {"id": 3, "p_load": 40.0, "q_load": 10.0}],
+            "branches": [{"from_bus": 1, "to_bus": 2, "r": 0.1, "x": 0.1, "s_max": 5000.0},
+                         {"from_bus": 2, "to_bus": 3, "r": 0.2, "x": 0.1, "s_max": 5000.0}],
+        }))
         out = tmp_path / "o"
         code = main(["--network", str(net), "--mode", "det", "--objective", "cost", "--repeats", "1",
                      "--population", "2", "--iterations", "1", "--out", str(out)])
