@@ -9,12 +9,11 @@ number of concurrent evaluators.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
 
-from ._numbers import python_numbers
+from ._numbers import number_problem, python_numbers
 
 __all__ = [
     "Bus",
@@ -104,6 +103,14 @@ class Network:
         return bus_id - 1
 
 
+# The least w_max of a storage unit, as a share of one rated hour's energy.
+# The energy penalty squares each hour's overshoot divided by w_max.  In the
+# rate box the overshoot after hour t is at most t rated hours, so at the
+# default weight (1e6) the worst in-box day adds at most
+# 1e6 * 1e12 * (1² + ... + 24²), about 5e21, per unit.
+_MIN_W_MAX_PER_RATED_HOUR = 1e-6
+
+
 def _validate(net: Network) -> Network:
     n = len(net.buses)
     if n == 0:
@@ -185,8 +192,14 @@ def _validate(net: Network) -> Network:
             raise NetworkError(f"ESS at bus {ess.bus}: efficiencies must be in (0, 1]")
         # a rated hour's energy: eff_charge * p_charge_max <= p_charge_max is
         # finite, but dividing by a tiny discharge efficiency may overflow
-        if not math.isfinite(ess.p_discharge_max / ess.eff_discharge):
+        rated_hour = max(ess.eff_charge * ess.p_charge_max, ess.p_discharge_max / ess.eff_discharge)
+        if number_problem(rated_hour):
             raise NetworkError(f"ESS at bus {ess.bus}: p_discharge_max / eff_discharge must be finite")
+        if ess.w_max < _MIN_W_MAX_PER_RATED_HOUR * rated_hour:
+            raise NetworkError(
+                f"ESS at bus {ess.bus}: w_max must be at least {_MIN_W_MAX_PER_RATED_HOUR:g} of one rated "
+                f"hour's energy ({rated_hour:.6g} kWh), got {ess.w_max!r}"
+            )
     return net
 
 

@@ -393,11 +393,10 @@ class ScheduleEvaluator:
         )
 
 
-def _scenario_hours(a: np.ndarray, state_of: np.ndarray | None, n_s: int) -> np.ndarray:
+def _scenario_hours(a: np.ndarray, state_of: np.ndarray, n_s: int) -> np.ndarray:
     """Per-state values (..., u) as contiguous per-scenario-hour values
-    (..., n_s, 24)."""
-    a = np.ascontiguousarray(a if state_of is None else a.take(state_of, axis=-1))
-    return a.reshape(a.shape[:-1] + (n_s, HOURS))
+    (..., n_s, 24), through the set's state of each scenario-hour."""
+    return a.take(state_of, axis=-1).reshape(a.shape[:-1] + (n_s, HOURS))
 
 
 @dataclass(frozen=True)

@@ -114,18 +114,6 @@ class EvaluatorFailure(RuntimeError):
         super().__init__(f"evaluator failed at {where}: {type(cause).__name__}: {cause}")
         self.x = x
 
-    def __reduce__(self):
-        # pickled as its message and position: the default rebuilds from the
-        # message alone, which the constructor cannot take
-        return _rebuild_evaluator_failure, (self.args[0], self.x)
-
-
-def _rebuild_evaluator_failure(message: str, x: np.ndarray) -> EvaluatorFailure:
-    failure = EvaluatorFailure.__new__(EvaluatorFailure)
-    RuntimeError.__init__(failure, message)
-    failure.x = x
-    return failure
-
 
 def epsilon_schedule(iteration: int, total: int) -> float:
     """Exploration scalar, linear from 2 at the first iteration to 0 at the last."""

@@ -123,10 +123,10 @@ class ScenarioSet:
         return ScenarioSet, (self.load_factor, self.pv_factor, self.price, self.probabilities)
 
     @cached_property
-    def grid_states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    def grid_states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The distinct grid states among the set's scenario-hours, computed
         on first use: their hours (u,), load factors (u,) and PV factors (u,),
-        and the (n_s * 24,) state of each scenario-hour, None for the identity.
+        and the (n_s * 24,) state of each scenario-hour.
 
         A grid state is an (hour, load factor, PV factor) triple: all that a
         power flow of that hour sees of a scenario, since price never reaches
@@ -140,7 +140,7 @@ class ScenarioSet:
         # compare factors by their bits, so that states merge only where the
         # power flows would be identical
         states, state_of = _distinct_rows(np.stack([hour, load.view(np.int64), pv.view(np.int64)], axis=1))
-        return hour[states], load[states], pv[states], None if len(states) == len(hour) else state_of
+        return hour[states], load[states], pv[states], state_of
 
 
 def _parse_forecast(text: str, source) -> ForecastProfile:

@@ -302,10 +302,9 @@ class _TaskRunner:
             self._evaluators[bare] = ScheduleEvaluator(net, self.cfg.optimizer.penalty_weights, self.cfg.export_credit)
         return self._evaluators[bare]
 
-    def __call__(self, task: _Task) -> _Found | str | Exception:
-        """The task's result; a failed optimization as its text, which always
-        pickles, and a failed bare run as its exception, which the study
-        re-raises."""
+    def __call__(self, task: _Task) -> _Found | str:
+        """The task's result, or the text of its failure, which always
+        pickles."""
         t0 = time.perf_counter()
         sset = self.scenarios(task)
         try:
@@ -316,7 +315,7 @@ class _TaskRunner:
             archive, _log = hybrid_run(opt_cfg, space, lambda positions: evaluator.evaluate(positions, sset))
             x, f = _select(archive, task.mode, self.cfg.weights)
         except Exception as exc:  # noqa: BLE001 - folded into the report by the study
-            return exc if task.bare else str(exc)
+            return str(exc)
         x = DecisionVector.from_flat(x, len(evaluator.net.dgs), len(evaluator.net.esss))
         outcomes = breakdown = None
         if not task.bare:
@@ -521,8 +520,8 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
     if "cost" in best_runs:
         # the deterministic cost of the retrofitted system against the bare
         # feeder's, projected over the horizon
-        if isinstance(bare, Exception):
-            raise bare
+        if isinstance(bare, str):
+            raise RuntimeError(bare)
         profit = profit_analysis(
             toc_old=bare.f.f1,
             toc_new=best_runs["cost"].breakdown.cost_s,

@@ -521,9 +521,7 @@ def ens_oracle(ev, dg, ess, sset):
     weighted = np.zeros((len(dg), len(hour)))  # per grid state, buses in index order
     for b in range(ev.net.n_bus):
         weighted += ev.path_time[b] * np.maximum(0.0, net_load[:, b])
-    if state_of is not None:
-        weighted = weighted.take(state_of, axis=-1)
-    return np.ascontiguousarray(weighted).reshape(len(dg), len(sset), 24).mean(axis=2)
+    return weighted.take(state_of, axis=-1).reshape(len(dg), len(sset), 24).mean(axis=2)
 
 
 @dataclass

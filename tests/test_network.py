@@ -184,8 +184,10 @@ class TestValidation:
             ({"w_min": 0.0, "w_initial": 0.0, "w_max": 0.0}, "w_max must be positive"),
             ({"eff_discharge": 5e-324}, "p_discharge_max / eff_discharge must be finite"),
             ({"p_discharge_max": 1e308, "eff_discharge": 0.5}, "p_discharge_max / eff_discharge must be finite"),
+            ({"w_initial": 0.0, "w_max": 1e-300},
+             "w_max must be at least 1e-06 of one rated hour's energy (11.1111 kWh), got 1e-300"),
         ],
-        ids=["zero-capacity", "subnormal-efficiency", "overflowing-rating"],
+        ids=["zero-capacity", "subnormal-efficiency", "overflowing-rating", "tiny-capacity"],
     )
     def test_ess_energy_not_finite(self, edit, message):
         # the energy overshoot divides by w_max and a discharged hour by eff_discharge

@@ -6,7 +6,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dnems.objectives
-from dnems.network import Branch, Bus, DgSpec, EssSpec, builtin_ieee69, make_network
+from dnems.network import (
+    _MIN_W_MAX_PER_RATED_HOUR,
+    Branch,
+    Bus,
+    DgSpec,
+    EssSpec,
+    NetworkError,
+    builtin_ieee69,
+    make_network,
+)
 from dnems.objectives import (
     DEFAULT_PENALTY_WEIGHTS,
     DecisionVector,
@@ -187,6 +196,22 @@ class TestPenalty:
         a = ScheduleEvaluator(_NET, weights=ints).per_scenario(x, sset)
         b = ScheduleEvaluator(_NET, weights={n: float(v) for n, v in ints.items()}).per_scenario(x, sset)
         assert np.array_equal(a.penalty, b.penalty) and np.all(a.penalty > 0)
+
+    def test_smallest_storage_keeps_penalty_finite(self):
+        # three units at the least w_max validation accepts, charging (row 1)
+        # or discharging (row 0) at their rate every hour of the day
+        units = []
+        for unit in _NET.esss:
+            rated_hour = max(unit.eff_charge * unit.p_charge_max, unit.p_discharge_max / unit.eff_discharge)
+            units.append(replace(unit, w_min=0.0, w_initial=0.0, w_max=_MIN_W_MAX_PER_RATED_HOUR * rated_hour))
+        net = make_network(_NET.buses, _NET.branches, _NET.dgs, _NET.pvs, units)
+        with pytest.raises(NetworkError, match="w_max must be at least"):
+            make_network(_NET.buses, _NET.branches, esss=[replace(units[0], w_max=np.nextafter(units[0].w_max, 0))])
+        lower, upper = decision_bounds(net)
+        with np.errstate(over="raise"):
+            fs = ScheduleEvaluator(net).evaluate(np.stack([lower, upper]), _SETS["deterministic"])
+        for f in fs:
+            assert np.isfinite([f.f1, f.f2, f.penalty]).all() and f.penalty > 0
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_PENALTY_WEIGHTS))
     def test_evaluator_rejects_infinite_weight(self, two_bus, name):
@@ -443,7 +468,7 @@ def _one_column_per_hour(sset: ScenarioSet) -> ScenarioSet:
         np.tile(np.arange(24), len(sset)),
         sset.load_factor.ravel(),
         sset.pv_factor.ravel(),
-        None,
+        np.arange(24 * len(sset)),
     )
     return plain
 
@@ -534,7 +559,6 @@ class TestEnsOracle:
         # bits of every bus's unserved load computed per candidate
         net = _SHARED_NET if shared else _NET
         sset = _repeating_set(seed, 6, 1.0) if set_name == "repeating" else _SETS[set_name]
-        assert (sset.grid_states[3] is None) == (set_name == "deterministic")
         ev = ScheduleEvaluator(net)
         lower, upper = decision_bounds(net)
         positions = lower + np.random.default_rng(seed).random((k, lower.size)) * (upper - lower)

@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,14 +250,6 @@ class TestRuns:
         with pytest.raises(EvaluatorFailure, match="a 4x168 block: KeyError") as err:
             hybrid_run(HybridConfig(population=4, iterations=2, seed=0), wide_space(168), exploding)
         assert err.value.x.shape == (4, 168)
-
-    def test_evaluator_failure_pickle_round_trip(self):
-        x = np.arange(6.0).reshape(2, 3)
-        failure = EvaluatorFailure(x, KeyError("flow"))
-        back = pickle.loads(pickle.dumps(failure))
-        assert type(back) is EvaluatorFailure
-        assert str(back) == str(failure) == "evaluator failed at a 2x3 block: KeyError: 'flow'"
-        assert (back.x == x).all() and back.x.shape == x.shape
 
     def test_block_evaluator_sees_whole_population(self):
         shapes = []

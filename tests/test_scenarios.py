@@ -370,7 +370,7 @@ class TestScenarioArrays:
 
     def test_identity_without_repeats(self):
         state_hour, state_load, _, state_of = deterministic_set(default_forecast()).grid_states
-        assert state_of is None
+        assert np.array_equal(state_of, np.arange(24))
         assert np.array_equal(state_hour, np.arange(24))
         assert np.array_equal(state_load, default_forecast().load_factor)
 

@@ -521,6 +521,8 @@ class TestCli:
             (lambda doc: doc["esss"][0].update(w_min=0.0, w_initial=0.0, w_max=0.0), "ESS at bus 14: w_max must be positive"),
             (lambda doc: doc["esss"][0].update(eff_discharge=5e-324),
              "ESS at bus 14: p_discharge_max / eff_discharge must be finite"),
+            (lambda doc: doc["esss"][0].update(w_min=0.0, w_initial=0.0, w_max=1e-300),
+             "ESS at bus 14: w_max must be at least 1e-06 of one rated hour's energy (833.333 kWh), got 1e-300"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):

@@ -5,6 +5,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from dnems import study
 from dnems.cli import main
 from dnems.network import builtin_ieee69
 from dnems.objectives import ScheduleEvaluator
-from dnems.optimizer import EvaluatorFailure, HybridConfig
+from dnems.optimizer import HybridConfig
 from dnems.study import StudyConfig, emit_artifacts, run_study
 
 
@@ -45,6 +46,14 @@ STOCH_COST = StudyConfig(
 )
 # every mode's EV rows, the bare run, and repeats that share their optimizer seed
 STOCH_MULTI_VARY = replace(STOCH_COST, objective="multi", repeats=3, vary="scenarios")
+
+
+class LockedFailure(RuntimeError):
+    """A failure that does not pickle."""
+
+    def __init__(self):
+        super().__init__("bare feeder failed")
+        self.lock = threading.Lock()
 
 
 def fail_on_wide_sets(monkeypatch):
@@ -296,8 +305,25 @@ class TestByteIdentity:
                 run_study(DET_MULTI)
             raised.append((type(err.value), str(err.value)))
         assert raised[1] == raised[0]
-        assert raised[0][0] is EvaluatorFailure
-        assert "KeyError: 'flow'" in raised[0][1]
+        assert raised[0][0] is RuntimeError
+        assert raised[0][1].startswith("evaluator failed at ") and raised[0][1].endswith("KeyError: 'flow'")
+
+    def test_unpicklable_baseline_failure_keeps_its_message(self, monkeypatch):
+        # a failure that holds a lock cannot cross the worker boundary as an
+        # exception; its text can
+        run = study.hybrid_run
+
+        def bare_fails(cfg, space, evaluate):
+            if space.dimension == 96:  # four DGs over 24 hours, no storage
+                raise LockedFailure()
+            return run(cfg, space, evaluate)
+
+        monkeypatch.setattr(study, "hybrid_run", bare_fails)
+        for n in (1, 2):
+            workers(monkeypatch, n)
+            with pytest.raises(RuntimeError) as err:
+                run_study(DET_MULTI)
+            assert type(err.value) is RuntimeError and str(err.value) == "bare feeder failed"
 
     def test_spawned_workers_match_in_process(self, monkeypatch, tmp_path):
         cfg = StudyConfig(
