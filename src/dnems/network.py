@@ -9,11 +9,12 @@ number of concurrent evaluators.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, asdict
 from importlib import resources
-from pathlib import Path
 
-from ._numbers import number_problem, python_numbers
+from ._documents import number_problem, object_fields, python_numbers, read_document
+from .scenarios import HOURS
 
 __all__ = [
     "Bus",
@@ -176,6 +177,10 @@ def _validate(net: Network) -> Network:
             raise NetworkError(f"PV at bus {pv.bus}: capacity must be positive")
         if pv.marginal_cost < 0:
             raise NetworkError(f"PV at bus {pv.bus}: negative marginal cost")
+    # the cost objective adds the devices' own cost of the day to the grid's
+    hourly_cost = [dg.p_max * dg.marginal_cost for dg in net.dgs] + [pv.capacity * pv.marginal_cost for pv in net.pvs]
+    if number_problem(HOURS * sum(hourly_cost)):
+        raise NetworkError(f"the DGs' and PVs' cost of {HOURS} hours at full output must be finite")
     for ess in net.esss:
         if ess.bus not in id_set:
             raise NetworkError(f"ESS references unknown bus {ess.bus}")
@@ -195,6 +200,8 @@ def _validate(net: Network) -> Network:
         rated_hour = max(ess.eff_charge * ess.p_charge_max, ess.p_discharge_max / ess.eff_discharge)
         if number_problem(rated_hour):
             raise NetworkError(f"ESS at bus {ess.bus}: p_discharge_max / eff_discharge must be finite")
+        if number_problem(ess.w_max + HOURS * rated_hour):  # the most a day's energy balance reaches
+            raise NetworkError(f"ESS at bus {ess.bus}: w_max + {HOURS} rated hours' energy must be finite")
         if ess.w_max < _MIN_W_MAX_PER_RATED_HOUR * rated_hour:
             raise NetworkError(
                 f"ESS at bus {ess.bus}: w_max must be at least {_MIN_W_MAX_PER_RATED_HOUR:g} of one rated "
@@ -218,56 +225,37 @@ def make_network(buses, branches, dgs=(), pvs=(), esss=(), **scalars) -> Network
 
 # -- serialization ------------------------------------------------------------
 
-_SCALARS = ("substation_bus", "v_min", "v_max", "base_kv", "base_mva")
+# document key -> the class of each item in its list
+_ITEMS = {"buses": Bus, "branches": Branch, "dgs": DgSpec, "pvs": PvSpec, "esss": EssSpec}
 
 
 def network_to_dict(net: Network) -> dict:
-    return {
-        "buses": [asdict(b) for b in net.buses],
-        "branches": [asdict(b) for b in net.branches],
-        "dgs": [asdict(d) for d in net.dgs],
-        "pvs": [asdict(p) for p in net.pvs],
-        "esss": [asdict(e) for e in net.esss],
-        **{k: getattr(net, k) for k in _SCALARS},
-    }
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(net).items()}
 
 
 def network_from_dict(doc: dict) -> Network:
+    """Build and validate a Network from a document whose keys are Network's
+    fields, each list item an object of its class's fields."""
     try:
-        buses = [Bus(**b) for b in doc["buses"]]
-        branches = [Branch(**b) for b in doc["branches"]]
-        dgs = [DgSpec(**d) for d in doc.get("dgs", [])]
-        pvs = [PvSpec(**p) for p in doc.get("pvs", [])]
-        esss = [EssSpec(**e) for e in doc.get("esss", [])]
-        scalars = {k: doc[k] for k in _SCALARS if k in doc}
-    except (KeyError, TypeError) as exc:
-        raise NetworkError(f"malformed network document: {exc}") from exc
-    unknown = doc.keys() - {"buses", "branches", "dgs", "pvs", "esss", *_SCALARS}
-    if unknown:
-        raise NetworkError(f"unknown network keys: {sorted(unknown)}")
-    return make_network(buses, branches, dgs, pvs, esss, **scalars)
+        doc = {**object_fields(Network, doc)}
+        for key, cls in _ITEMS.items():
+            items = doc.get(key, [])
+            if not isinstance(items, list):
+                raise ValueError(f"{key} must be a list, got {reprlib.repr(items)}")
+            doc[key] = [cls(**object_fields(cls, item, f"{key}[{i}]")) for i, item in enumerate(items)]
+    except ValueError as exc:
+        raise NetworkError(str(exc)) from None
+    return make_network(**doc)
 
 
 def load_network(path) -> Network:
     """Load and validate a network from a JSON document.
 
     ``path`` names a ``.json`` document following the network schema, read
-    through ``network_from_dict``.  Raises ``NetworkError`` naming the
-    offending element on any parse or validation failure, and naming the
-    path for one that is missing or a directory.
+    through ``network_from_dict``.  Raises ``NetworkError("network <path>:
+    <reason>")`` on any read, parse or validation failure.
     """
-    p = Path(path)
-    if not p.exists():
-        raise NetworkError(f"no such file: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except IsADirectoryError:
-        raise NetworkError(f"network {p} is a directory; networks are JSON documents") from None
-    except UnicodeDecodeError as exc:
-        raise NetworkError(f"network {p}: not UTF-8 text: {exc}") from None
-    except ValueError as exc:  # malformed JSON, or an integer literal too long to read
-        raise NetworkError(f"{p}: invalid JSON: {exc}") from exc
-    return network_from_dict(doc)
+    return read_document(path, "network", network_from_dict, NetworkError)
 
 
 def builtin_ieee69() -> Network:

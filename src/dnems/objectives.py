@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numbers import number_problem
+from ._documents import number_problem
 from .network import Network, radial_order
 from .powerflow import check_limits, solve_batch
 from .scenarios import HOURS, ScenarioSet

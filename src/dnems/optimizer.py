@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numbers import number_problem, python_numbers
+from ._documents import number_problem, python_numbers
 from .pareto import ArchiveEntry, ParetoArchive, _check_weights
 
 __all__ = [

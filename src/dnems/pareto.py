@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numbers import number_problem
+from ._documents import number_problem
 
 __all__ = ["ArchiveEntry", "ParetoArchive", "dominates", "best_compromise"]
 

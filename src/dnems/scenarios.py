@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from ._numbers import number_problem
+from ._documents import number_problem, object_fields, python_numbers, read_document
 
 __all__ = [
     "HOURS",
@@ -66,8 +65,9 @@ class ForecastProfile:
     def __post_init__(self):
         for name in ("load_factor", "pv_factor", "price"):
             object.__setattr__(self, name, _hourly(name, getattr(self, name)))
-        if any(number_problem(s) or s < 0 for s in (self.sigma_load, self.sigma_pv, self.sigma_price)):
-            raise ValueError("sigmas must be finite and nonnegative")
+        python_numbers(self)
+        if min(self.sigma_load, self.sigma_pv, self.sigma_price) < 0:
+            raise ValueError("sigmas must be nonnegative")
         if np.any(self.load_factor < 0):
             raise ValueError("load_factor must be nonnegative")
         if np.any(self.pv_factor < 0) or np.any(self.pv_factor > 1):
@@ -143,53 +143,21 @@ class ScenarioSet:
         return hour[states], load[states], pv[states], state_of
 
 
-def _parse_forecast(text: str, source) -> ForecastProfile:
-    """Forecast document: three hourly profiles plus optional sigmas.  Every
-    error names ``source``."""
-    try:
-        return _forecast_from_doc(json.loads(text))
-    except ValueError as exc:
-        raise ValueError(f"forecast {source}: {exc}") from exc
-
-
-_PROFILE_KEYS = ("load_factor", "pv_factor", "price")
-_SIGMA_KEYS = ("sigma_load", "sigma_pv", "sigma_price")
-
-
 def _forecast_from_doc(doc) -> ForecastProfile:
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
-    unknown = doc.keys() - {*_PROFILE_KEYS, *_SIGMA_KEYS}
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}")
-    for key in _PROFILE_KEYS:
-        if key not in doc:
-            raise ValueError(f"missing key {key!r}")
+    """A forecast document: three hourly profiles, each a list of numbers, plus optional sigmas."""
+    object_fields(ForecastProfile, doc)
+    for key in ("load_factor", "pv_factor", "price"):
         if not (isinstance(doc[key], list) and all(type(v) in (int, float) for v in doc[key])):
             raise ValueError(f"{key} must be a list of numbers")
-    sigmas = {k: doc[k] for k in _SIGMA_KEYS if k in doc}
-    for key, value in sigmas.items():
-        problem = number_problem(value)
-        if problem:
-            raise ValueError(f"{key} {problem}")
-        sigmas[key] = float(value)
-    return ForecastProfile(doc["load_factor"], doc["pv_factor"], doc["price"], **sigmas)
+    return ForecastProfile(**doc)
 
 
 def load_forecast(path) -> ForecastProfile:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"forecast {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"forecast {path}: not UTF-8 text: {exc}") from None
-    return _parse_forecast(text, path)
+    return read_document(path, "forecast", _forecast_from_doc)
 
 
 def default_forecast() -> ForecastProfile:
-    return _parse_forecast(
-        resources.files("dnems.data").joinpath("default_forecast.json").read_text(), "default_forecast.json"
-    )
+    return _forecast_from_doc(json.loads(resources.files("dnems.data").joinpath("default_forecast.json").read_text()))
 
 
 def deterministic_set(forecast: ForecastProfile) -> ScenarioSet:

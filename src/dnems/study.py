@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numbers import number_problem, python_numbers
+from ._documents import number_problem, object_fields, python_numbers, read_document
 from .network import Network, builtin_ieee69, load_network
 from .objectives import (
     DEFAULT_C_NPV,
@@ -161,30 +161,18 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # a decode error, malformed JSON or an integer literal too long to read
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return read_document(path, "config", cls.from_dict, ConfigError)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {doc!r}")
-        doc = dict(doc)
-        opt = doc.pop("optimizer", {})
-        if not isinstance(opt, dict):
-            raise ConfigError(f"optimizer must be an object of optimizer settings, got {opt!r}")
-        for key in _PER_RUN:
-            if key in opt:
-                raise _per_run_error(key)
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(optimizer=HybridConfig(**opt), **doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            opt = object_fields(HybridConfig, object_fields(cls, doc).get("optimizer", {}), "optimizer")
+            for key in _PER_RUN:
+                if key in opt:
+                    raise _per_run_error(key)
+            return cls(**{**doc, "optimizer": HybridConfig(**opt)})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -220,7 +208,7 @@ def _load_inputs(cfg: StudyConfig) -> tuple[Network, ForecastProfile]:
     try:
         net = builtin_ieee69() if cfg.network == "builtin" else load_network(cfg.network)
         forecast = default_forecast() if cfg.forecast is None else load_forecast(cfg.forecast)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return net, forecast
 

@@ -327,9 +327,9 @@ class TestForecastValidation:
         assert ForecastProfile(fc.load_factor, fc.pv_factor, price).price[3] == -0.5
 
     def test_nonfinite_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigmas must be finite"):
+        with pytest.raises(ValueError, match="^sigma_pv must be finite, got nan$"):
             flat_forecast(sig=(0.05, float("nan"), 0.05))
-        with pytest.raises(ValueError, match="sigmas must be finite"):  # an int too large for a float
+        with pytest.raises(ValueError, match="^sigma_load must be finite, got a number too large"):  # an int too large for a float
             flat_forecast(sig=(10**400, 0.1, 0.05))
 
     def test_unknown_key_rejected(self, tmp_path):

@@ -110,11 +110,11 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"modee": "det"}))
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ConfigError, match=r"^config .*cfg\.json: unknown keys \['modee'\]$"):
             StudyConfig.from_json(path)
 
     def test_unreadable_config(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
+        with pytest.raises(ConfigError, match="^config .*missing\\.json: No such file or directory$"):
             StudyConfig.from_json(tmp_path / "missing.json")
 
 
@@ -321,6 +321,49 @@ class TestEmitArtifacts:
         assert StudyConfig.from_dict(manifest["config"]) == cfg
 
 
+# the flag that names each kind of document, and the file name the failure table writes
+_DOCUMENT_FLAGS = {"config": ("--config", "study.json"), "network": ("--network", "net.json"),
+                   "forecast": ("--forecast", "forecast.json")}
+
+# failure -> (how it makes the file at a path for each kind, the start of the reason printed)
+_DOCUMENT_FAILURES = {
+    "missing": (lambda path, kind: None, "No such file or directory"),
+    "directory": (lambda path, kind: path.mkdir(), "Is a directory"),
+    "not-utf8": (lambda path, kind: path.write_bytes(b"\xff\xfe{\x00}\x00"), "not UTF-8 text: "),
+    "malformed": (lambda path, kind: path.write_text("{load_factor: []}"), "invalid JSON: Expecting property name"),
+    "overlong": (lambda path, kind: path.write_text('{"seed": ' + "1" * 5000 + "}"), "invalid JSON: Exceeds the limit"),
+    "too-deep": (lambda path, kind: path.write_text("[" * 100_000 + "]" * 100_000),
+                 "invalid JSON: maximum recursion depth exceeded"),
+    "not-object": (lambda path, kind: path.write_text("[]"), "the document must be an object, got []"),
+    "unknown-key": (lambda path, kind: path.write_text('{"bogus": 1}'), "unknown keys ['bogus']"),
+    "nested-unknown-key": (lambda path, kind: path.write_text(json.dumps(_NESTED[kind][0])), None),
+}
+# kind -> a document with an unknown key one object down, and the reason printed; a forecast nests no object
+_NESTED = {
+    "config": ({"optimizer": {"popsize": 8}}, "optimizer: unknown keys ['popsize']"),
+    "network": ({"buses": [{"id": 1, "pload": 0.0}], "branches": []}, "buses[0]: unknown keys ['pload']"),
+}
+
+
+def _document_failure(tmp_path, capsys, kind: str, failure: str) -> str:
+    """Run the CLI on a ``kind`` document that fails as ``failure`` and check
+    that it exits 1 with one line naming the kind and the path once, and no
+    Python internals; return that line."""
+    flag, name = _DOCUMENT_FLAGS[kind]
+    make, reason = _DOCUMENT_FAILURES[failure]
+    path = tmp_path / name
+    make(path, kind)
+    code = main([flag, str(path), "--mode", "det", "--repeats", "1",
+                 "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {kind} {path}: {reason or _NESTED[kind][1]}"), err
+    assert len(err.splitlines()) == 1 and err.count(str(path)) == 1, err
+    assert not any(text in err for text in ("__init__()", "list indices", "KeyError")), err
+    assert not (tmp_path / "o").exists()
+    return err
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         code = main(
@@ -505,7 +548,7 @@ class TestCli:
             (lambda doc: doc["buses"][4].update(p_load=float("nan")), "bus 5: p_load must be finite"),
             (lambda doc: doc["branches"][2].update(x=float("inf")), "x must be finite"),
             (lambda doc: doc["branches"][2].update(r=0.0, x=0.0), "zero-impedance branch"),
-            (lambda doc: doc.update(substation=5), "unknown network keys: ['substation']"),
+            (lambda doc: doc.update(substation=5), "unknown keys ['substation']"),
             (lambda doc: doc["buses"][0].update(id=1.0), "bus 1.0: id must be an integer, got 1.0"),
             (lambda doc: doc["buses"][0].update(id=True), "bus True: id must be an integer, got True"),
             (lambda doc: doc["branches"][0].update(from_bus=1.0, to_bus=2.0), "from_bus must be an integer, got 1.0"),
@@ -523,6 +566,8 @@ class TestCli:
              "ESS at bus 14: p_discharge_max / eff_discharge must be finite"),
             (lambda doc: doc["esss"][0].update(w_min=0.0, w_initial=0.0, w_max=1e-300),
              "ESS at bus 14: w_max must be at least 1e-06 of one rated hour's energy (833.333 kWh), got 1e-300"),
+            (lambda doc: doc["esss"][0].update(p_charge_max=1e308, eff_charge=1.0, w_max=1e303),
+             "ESS at bus 14: w_max + 24 rated hours' energy must be finite"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
@@ -608,7 +653,7 @@ class TestCli:
         code = main(["--network", str(tmp_path), "--mode", "det", "--repeats", "1",
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err == f"config error: network {tmp_path} is a directory; networks are JSON documents\n"
+        assert capsys.readouterr().err == f"config error: network {tmp_path}: Is a directory\n"
         assert not (tmp_path / "o").exists()
 
     def test_malformed_forecast_json_named(self, tmp_path, capsys):
@@ -617,7 +662,7 @@ class TestCli:
         code = main(["--forecast", str(forecast), "--mode", "det", "--repeats", "1",
                      "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"config error: forecast {forecast}: Expecting property name" in capsys.readouterr().err
+        assert f"config error: forecast {forecast}: invalid JSON: Expecting property name" in capsys.readouterr().err
 
     def test_missing_forecast_named(self, tmp_path, capsys):
         forecast = tmp_path / "missing.json"
@@ -627,45 +672,22 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: forecast {forecast}: No such file or directory\n"
 
     @pytest.mark.parametrize(
-        "flag, name, line",
-        [
-            ("--network", "net.json", "config error: network {path}: not UTF-8 text: "),
-            ("--forecast", "forecast.json", "config error: forecast {path}: not UTF-8 text: "),
-            ("--config", "study.json", "config error: cannot read config {path}: "),
-        ],
-        ids=["network-json", "forecast", "config"],
+        "kind, failure",
+        [(kind, failure) for failure in _DOCUMENT_FAILURES for kind in _DOCUMENT_FLAGS
+         # the two tests below hold these rows
+         if failure not in ("not-utf8", "overlong") and (failure != "nested-unknown-key" or kind in _NESTED)],
     )
-    def test_not_utf8_exit_one(self, tmp_path, capsys, flag, name, line):
-        # a file that is not UTF-8 is a config error that names its kind and path
-        path = tmp_path / name
-        path.write_bytes(b"\xff\xfe{\x00}\x00")
-        code = main([flag, str(path), "--mode", "det", "--repeats", "1",
-                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        expected = line.format(path=path)
-        assert err.startswith(expected) and "can't decode byte 0xff in position 0" in err, err
-        assert len(err.splitlines()) == 1
-        assert not (tmp_path / "o").exists()
+    def test_document_failure_exit_one(self, tmp_path, capsys, kind, failure):
+        _document_failure(tmp_path, capsys, kind, failure)
 
-    @pytest.mark.parametrize(
-        "flag, name, line",
-        [
-            ("--config", "study.json", "config error: cannot read config {path}: "),
-            ("--network", "net.json", "config error: {path}: invalid JSON: "),
-        ],
-        ids=["config", "network"],
-    )
-    def test_overlong_integer_literal_exit_one(self, tmp_path, capsys, flag, name, line):
+    @pytest.mark.parametrize("kind", ["network", "forecast", "config"], ids=["network-json", "forecast", "config"])
+    def test_not_utf8_exit_one(self, tmp_path, capsys, kind):
+        assert "can't decode byte 0xff in position 0" in _document_failure(tmp_path, capsys, kind, "not-utf8")
+
+    @pytest.mark.parametrize("kind", ["config", "network", "forecast"])
+    def test_overlong_integer_literal_exit_one(self, tmp_path, capsys, kind):
         # json refuses an integer literal over 4,300 digits with a plain ValueError
-        path = tmp_path / name
-        path.write_text('{"seed": ' + "1" * 5000 + "}")
-        code = main([flag, str(path), "--mode", "det", "--repeats", "1",
-                     "--population", "4", "--iterations", "1", "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(line.format(path=path)) and "4300 digits" in err, err
-        assert not (tmp_path / "o").exists()
+        assert "4300 digits" in _document_failure(tmp_path, capsys, kind, "overlong")
 
     def test_fixed_output_dg(self, tmp_path):
         # p_min == p_max is a valid DG: it runs at that output every hour
