@@ -2,15 +2,17 @@
 
 Networks are radial feeders (a tree rooted at the substation bus) carrying
 optional diesel generators, PV arrays, and energy-storage units at named
-buses.  A validated ``Network`` is immutable and safe to share between any
-number of concurrent evaluators.
+buses.  A ``Network`` validates itself when it is built, however it is built,
+and is then immutable and safe to share between any number of concurrent
+evaluators.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from ._documents import number_problem, object_fields, python_numbers, read_document
@@ -26,7 +28,6 @@ __all__ = [
     "RadialOrder",
     "NetworkError",
     "load_network",
-    "network_to_dict",
     "network_from_dict",
     "builtin_ieee69",
     "radial_order",
@@ -84,6 +85,11 @@ class EssSpec:
 
 @dataclass(frozen=True, eq=False)
 class Network:
+    """A radial feeder and its devices.  Building one (directly, by
+    ``dataclasses.replace`` or from a document) stores its item lists as
+    tuples and validates it, raising NetworkError; the walk that proves the
+    tree is kept as ``order``."""
+
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     dgs: tuple[DgSpec, ...] = ()
@@ -94,6 +100,16 @@ class Network:
     v_max: float = 1.05
     base_kv: float = 12.66
     base_mva: float = 10.0
+
+    def __post_init__(self):
+        for name in ("buses", "branches", "dgs", "pvs", "esss"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _validate(self)
+
+    @cached_property
+    def order(self) -> RadialOrder:
+        """The feeder's depth-first pre-order from its substation."""
+        return radial_order(self)
 
     @property
     def n_bus(self) -> int:
@@ -112,7 +128,7 @@ class Network:
 _MIN_W_MAX_PER_RATED_HOUR = 1e-6
 
 
-def _validate(net: Network) -> Network:
+def _validate(net: Network) -> None:
     n = len(net.buses)
     if n == 0:
         raise NetworkError("network has no buses")
@@ -161,7 +177,7 @@ def _validate(net: Network) -> Network:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): s_max must be positive")
         if br.at_repair < 0 or br.at_restoration < 0:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): negative reliability time")
-    radial_order(net)  # proves the branches form a tree that spans every bus
+    net.order  # the walk proves the branches form a tree that spans every bus
 
     for dg in net.dgs:
         if dg.bus not in id_set:
@@ -207,30 +223,12 @@ def _validate(net: Network) -> Network:
                 f"ESS at bus {ess.bus}: w_max must be at least {_MIN_W_MAX_PER_RATED_HOUR:g} of one rated "
                 f"hour's energy ({rated_hour:.6g} kWh), got {ess.w_max!r}"
             )
-    return net
-
-
-def make_network(buses, branches, dgs=(), pvs=(), esss=(), **scalars) -> Network:
-    """Build and validate a Network from component iterables."""
-    net = Network(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        dgs=tuple(dgs),
-        pvs=tuple(pvs),
-        esss=tuple(esss),
-        **scalars,
-    )
-    return _validate(net)
 
 
 # -- serialization ------------------------------------------------------------
 
 # document key -> the class of each item in its list
 _ITEMS = {"buses": Bus, "branches": Branch, "dgs": DgSpec, "pvs": PvSpec, "esss": EssSpec}
-
-
-def network_to_dict(net: Network) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(net).items()}
 
 
 def network_from_dict(doc: dict) -> Network:
@@ -245,7 +243,7 @@ def network_from_dict(doc: dict) -> Network:
             doc[key] = [cls(**object_fields(cls, item, f"{key}[{i}]")) for i, item in enumerate(items)]
     except ValueError as exc:
         raise NetworkError(str(exc)) from None
-    return make_network(**doc)
+    return Network(**doc)
 
 
 def load_network(path) -> Network:
@@ -303,8 +301,9 @@ class RadialOrder:
 def radial_order(net: Network) -> RadialOrder:
     """Walk the feeder depth-first from the substation.  NetworkError if a
     branch leads back to a bus already reached (a cycle) or a bus is never
-    reached.  Expects bus ids 1..N and known branch ends, as ``_validate``
-    checks before it walks."""
+    reached.  A built Network has made this walk once and keeps it as
+    ``net.order``; validation walks only after it has checked bus ids 1..N
+    and the branch ends."""
     adj: list[list[tuple[int, int]]] = [[] for _ in net.buses]  # (branch, far bus) per bus
     for k, br in enumerate(net.branches):
         adj[br.from_bus - 1].append((k, br.to_bus - 1))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._documents import number_problem
-from .network import Network, radial_order
+from .network import Network
 from .powerflow import check_limits, solve_batch
 from .scenarios import HOURS, ScenarioSet
 
@@ -245,9 +245,8 @@ class ScheduleEvaluator:
         rates = [[e.p_charge_max, e.p_discharge_max] for e in net.esss]
         self.ess_rate_max = np.array(rates, dtype=float).reshape(-1, 2)
 
-        order = radial_order(net)
         times = np.array([br.at_repair + br.at_restoration for br in net.branches])
-        self.path_time = np.array([times[list(order.path(b.id))].sum() for b in net.buses])
+        self.path_time = np.array([times[list(net.order.path(b.id))].sum() for b in net.buses])
 
     def _block(self, x) -> tuple[np.ndarray, np.ndarray]:
         """DG setpoints (k, n_dg, 24) and storage powers (k, n_ess, 24) of a

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import Network, radial_order
+from .network import Network
 
 __all__ = [
     "BatchPowerFlow",
@@ -84,7 +84,7 @@ class _SweepModel:
     """Per-network factorization shared by all solves against that network."""
 
     def __init__(self, net: Network):
-        self.order = order = radial_order(net)
+        self.order = order = net.order
         z_base = net.base_kv**2 / net.base_mva  # ohm
         self.n_bus = net.n_bus
         self.z_pu = np.array([(br.r + 1j * br.x) / z_base for br in net.branches])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from dnems.network import Branch, Bus, Network, NetworkError, make_network
+from dnems.network import Branch, Bus, Network, NetworkError
 from dnems.optimizer import (
     GwoState,
     HybridConfig,
@@ -157,7 +157,7 @@ def random_radial_network(rng: np.random.Generator, n_bus: int) -> Network:
                 at_restoration=float(rng.uniform(0.1, 1.0)),
             )
         )
-    return make_network(buses, branches, v_min=0.5, v_max=1.5)
+    return Network(buses, branches, v_min=0.5, v_max=1.5)
 
 
 def trunk_feeder(rng: np.random.Generator, n_bus: int, drop_pu: float = 0.05) -> Network:
@@ -197,23 +197,15 @@ def trunk_feeder(rng: np.random.Generator, n_bus: int, drop_pu: float = 0.05) ->
         )
         for i in range(1, n_bus)
     ]
-    return make_network(buses, branches, v_min=0.9, v_max=1.1, base_kv=base_kv)
+    return Network(buses, branches, v_min=0.9, v_max=1.1, base_kv=base_kv)
 
 
-def tree_oracle(net: Network) -> dict:
-    """The feeder-tree arrays as four separate walks built them.
-
-    A union-find proves that the branches form a tree spanning every bus
-    (NetworkError naming the first cycle-closing branch or the first
-    unreached bus otherwise).  A breadth-first walk orients each branch away
-    from the substation and keeps every bus's branch path, which gives the
-    path times.  The dense product walks every bus up to the substation, and
-    the tour product runs a second, depth-first walk over per-bus child lists.
-    Returns ``parent``, ``child`` and ``path_time``, and each product's arrays
-    under ``"dense"`` and ``"tour"``.
-    """
-    n = net.n_bus
-    uf = list(range(n + 1))
+def union_find_tree(net) -> None:
+    """Prove by union-find that the branches form a tree spanning every bus:
+    NetworkError naming the first cycle-closing branch or the first unreached
+    bus otherwise.  ``net`` needs only ``buses``, ``branches`` and
+    ``substation_bus``, so it may stand in for a network that would not build."""
+    uf = list(range(len(net.buses) + 1))
 
     def find(u: int) -> int:
         while uf[u] != u:
@@ -231,6 +223,19 @@ def tree_oracle(net: Network) -> dict:
         if find(b.id) != root:
             raise NetworkError(f"bus {b.id} is not connected to the substation")
 
+
+def tree_oracle(net: Network) -> dict:
+    """The feeder-tree arrays as four separate walks built them.
+
+    A union-find proves the tree (``union_find_tree``).  A breadth-first walk
+    orients each branch away from the substation and keeps every bus's branch
+    path, which gives the path times.  The dense product walks every bus up to
+    the substation, and the tour product runs a second, depth-first walk over
+    per-bus child lists.  Returns ``parent``, ``child`` and ``path_time``, and
+    each product's arrays under ``"dense"`` and ``"tour"``.
+    """
+    union_find_tree(net)
+    n = net.n_bus
     adj = {b.id: [] for b in net.buses}
     for idx, br in enumerate(net.branches):
         adj[br.from_bus].append((br.to_bus, idx))

@@ -1,11 +1,13 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dnems
 from dnems.network import (
     Branch,
     Bus,
@@ -14,17 +16,15 @@ from dnems.network import (
     Network,
     NetworkError,
     PvSpec,
+    builtin_ieee69,
     load_network,
-    make_network,
     network_from_dict,
-    network_to_dict,
     radial_order,
-    _validate,
 )
 from dnems.objectives import ScheduleEvaluator, decision_bounds
 from dnems.powerflow import _TOUR_MIN_BUSES, _SweepModel, _TourProduct
 from dnems.scenarios import default_forecast, deterministic_set, generate, reduce
-from oracles import random_radial_network, tree_oracle
+from oracles import random_radial_network, tree_oracle, union_find_tree
 
 
 class TestBuiltin:
@@ -48,16 +48,16 @@ class TestBuiltin:
 class TestLoadNetwork:
     def test_three_bus_roundtrip(self, tmp_path, chain3):
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(network_to_dict(chain3)))
+        path.write_text(json.dumps(asdict(chain3)))
         net = load_network(path)
         assert net.n_bus == 3
         assert len(net.branches) == 2
-        assert network_to_dict(net) == network_to_dict(chain3)
+        assert asdict(net) == asdict(chain3)
 
     def test_roundtrip_with_devices(self, tmp_path, ieee69):
         path = tmp_path / "net69.json"
-        path.write_text(json.dumps(network_to_dict(ieee69)))
-        assert network_to_dict(load_network(path)) == network_to_dict(ieee69)
+        path.write_text(json.dumps(asdict(ieee69)))
+        assert asdict(load_network(path)) == asdict(ieee69)
 
     def test_cycle_rejected(self, tmp_path):
         doc = {
@@ -114,7 +114,7 @@ class TestLoadNetwork:
             load_network(path)
 
     def test_unknown_key_rejected(self, ieee69):
-        doc = {**network_to_dict(ieee69), "substation": 5}
+        doc = {**asdict(ieee69), "substation": 5}
         with pytest.raises(NetworkError, match=r"^unknown keys \['substation'\]$"):
             network_from_dict(doc)
 
@@ -132,28 +132,28 @@ class TestLoadNetwork:
 class TestValidation:
     def test_noncontiguous_ids(self):
         with pytest.raises(NetworkError, match="contiguous"):
-            make_network([Bus(id=1), Bus(id=3)], [Branch(1, 3, 0.1, 0.1)])
+            Network([Bus(id=1), Bus(id=3)], [Branch(1, 3, 0.1, 0.1)])
 
     def test_negative_load(self):
         with pytest.raises(NetworkError, match="negative active load"):
-            make_network([Bus(id=1), Bus(id=2, p_load=-5)], [Branch(1, 2, 0.1, 0.1)])
+            Network([Bus(id=1), Bus(id=2, p_load=-5)], [Branch(1, 2, 0.1, 0.1)])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), pytest.param(10**400, id="int-too-large-for-a-float")])
     @pytest.mark.parametrize("field", ["p_load", "q_load"])
     def test_nonfinite_load(self, field, value):
         with pytest.raises(NetworkError, match=f"bus 2: {field} must be finite"):
-            make_network([Bus(id=1), Bus(id=2, **{field: value})], [Branch(1, 2, 0.1, 0.1)])
+            Network([Bus(id=1), Bus(id=2, **{field: value})], [Branch(1, 2, 0.1, 0.1)])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["r", "x"])
     def test_nonfinite_impedance(self, field, value):
         impedance = {"r": 0.1, "x": 0.1, field: value}
         with pytest.raises(NetworkError, match=rf"branch \(1,2\): {field} must be finite"):
-            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, **impedance)])
+            Network([Bus(id=1), Bus(id=2)], [Branch(1, 2, **impedance)])
 
     def test_nonnumeric_field(self):
         with pytest.raises(NetworkError, match="p_load must be a number"):
-            make_network([Bus(id=1), Bus(id=2, p_load="ten")], [Branch(1, 2, 0.1, 0.1)])
+            Network([Bus(id=1), Bus(id=2, p_load="ten")], [Branch(1, 2, 0.1, 0.1)])
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -170,16 +170,16 @@ class TestValidation:
     def test_nonint_bus_reference(self, edit, message):
         parts = {"buses": [Bus(id=1), Bus(id=2)], "branches": [Branch(1, 2, 0.1, 0.1)], **edit}
         with pytest.raises(NetworkError, match=f"^{message}$"):
-            make_network(**parts)
+            Network(**parts)
 
     def test_inverted_voltage_bounds(self):
         with pytest.raises(NetworkError, match="voltage bounds"):
-            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], v_min=1.1, v_max=0.9)
+            Network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], v_min=1.1, v_max=0.9)
 
     def test_ess_energy_ordering(self):
         ess = EssSpec(bus=2, w_min=50.0, w_max=100.0, p_charge_max=10.0, p_discharge_max=10.0, w_initial=10.0)
         with pytest.raises(NetworkError, match="w_min <= w_initial"):
-            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], esss=[ess])
+            Network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], esss=[ess])
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -201,7 +201,7 @@ class TestValidation:
         ess = EssSpec(**{"bus": 2, "w_min": 0.0, "w_max": 100.0, "p_charge_max": 10.0,
                          "p_discharge_max": 10.0, "w_initial": 50.0, **edit})
         with pytest.raises(NetworkError, match=f"^ESS at bus 2: {re.escape(message)}$"):
-            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], esss=[ess])
+            Network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], esss=[ess])
 
     @pytest.mark.parametrize(
         "devices",
@@ -213,12 +213,42 @@ class TestValidation:
     def test_device_day_cost_not_finite(self, devices):
         # the cost objective adds each DG's and PV's cost of the day at full output
         with pytest.raises(NetworkError, match="^the DGs' and PVs' cost of 24 hours at full output must be finite$"):
-            make_network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], **devices)
+            Network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], **devices)
 
     def test_random_radial_nets_validate(self, rng):
         for _ in range(25):
             net = random_radial_network(rng, int(rng.integers(2, 16)))
             assert len(net.branches) == net.n_bus - 1
+
+
+# the three ways to build a network from the built-in one, each given the same edit of its fields
+_BUILDERS = {
+    "Network": lambda net, edit: dnems.Network(**{**{f.name: getattr(net, f.name) for f in fields(net)}, **edit}),
+    "replace": lambda net, edit: replace(net, **edit),
+    "network_from_dict": lambda net, edit: network_from_dict(json.loads(json.dumps({
+        **asdict(net), **{k: [asdict(item) for item in v] if isinstance(v, tuple) else v for k, v in edit.items()}
+    }))),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda net: {"branches": (replace(net.branches[0], to_bus=70), *net.branches[1:])},
+         "branch (1,70) references unknown bus 70"),
+        (lambda net: {"esss": (replace(net.esss[0], w_min=0.0, w_initial=0.0, w_max=0.0), *net.esss[1:])},
+         "ESS at bus 14: w_max must be positive"),
+        (lambda net: {"buses": (net.buses[0], replace(net.buses[1], p_load=-100.0), *net.buses[2:])},
+         "bus 2: negative active load -100.0"),
+        (lambda net: {"substation_bus": 70}, "unknown substation bus 70"),
+        (lambda net: {"branches": (*net.branches[:-1], Branch(1, 68, 0.1, 0.1))}, "branch (1,68) closes a cycle"),
+    ],
+    ids=["unknown-branch-end", "zero-capacity-storage", "negative-load", "unknown-substation", "cycle"],
+)
+@pytest.mark.parametrize("builder", list(_BUILDERS))
+def test_every_builder_validates(ieee69, builder, edit, message):
+    with pytest.raises(NetworkError, match=f"^{re.escape(message)}$"):
+        _BUILDERS[builder](ieee69, edit(ieee69))
 
 
 class TestRadialOrder:
@@ -231,7 +261,7 @@ class TestRadialOrder:
         assert ro.path(1) == ()
 
     def test_star(self):
-        net = make_network(
+        net = Network(
             [Bus(id=1), Bus(id=2, p_load=10), Bus(id=3, p_load=10)],
             [Branch(1, 2, 0.1, 0.1), Branch(1, 3, 0.1, 0.1)],
         )
@@ -253,6 +283,16 @@ class TestRadialOrder:
                 br = net.branches[ro.branch[k]]
                 assert {br.from_bus, br.to_bus} == {ro.bus[p] + 1, ro.bus[k] + 1}
 
+    def test_one_walk_per_network(self, monkeypatch):
+        # validation walks the tree once and the sweep model and the ENS path times reuse it
+        walks = []
+        monkeypatch.setattr(dnems.network, "radial_order", lambda net: walks.append(net) or radial_order(net))
+        net = builtin_ieee69()
+        lo, _ = decision_bounds(net)
+        ScheduleEvaluator(net).evaluate(lo[None], _SETS[0])
+        assert walks == [net]
+        assert _SweepModel(net).order is net.order
+
     def test_69_paths_reach_substation(self, ieee69):
         ro = radial_order(ieee69)
         for bus in ieee69.buses:
@@ -265,7 +305,7 @@ class TestRadialOrder:
 
 
 def _shuffled_tree(rng, parents, substation: int) -> Network:
-    """Unvalidated network on buses 1..n whose bus i + 2 hangs off bus
+    """Network on buses 1..n whose bus i + 2 hangs off bus
     parents[i] + 1, with random impedances and reliability times, its
     branches in random order and random orientation."""
     branches = []
@@ -302,7 +342,7 @@ class TestTreeOracle:
         net = _shuffled_tree(rng, parents, substation=int(rng.integers(1, n + 1)))
         loaded = rng.random(n) < rng.random()
         buses = tuple(Bus(id=b.id, p_load=100.0 * loaded[k]) for k, b in enumerate(net.buses))
-        net = _validate(replace(net, buses=buses))
+        net = replace(net, buses=buses)
         ref = tree_oracle(net)
         mdl = _SweepModel(net)
         assert isinstance(mdl.product, _TourProduct) == (n >= _TOUR_MIN_BUSES)
@@ -338,14 +378,13 @@ class TestTreeOracle:
         branches = list(tree.branches)
         for k in rng.choice(n - 1, size=min(rewired, n - 1), replace=False):
             branches[k] = replace(branches[k], from_bus=int(rng.integers(1, n + 1)), to_bus=int(rng.integers(1, n + 1)))
-        net = replace(tree, branches=tuple(branches))
         try:
-            tree_oracle(net)
+            union_find_tree(SimpleNamespace(buses=tree.buses, branches=branches, substation_bus=tree.substation_bus))
             expected = True
         except NetworkError:
             expected = False
         try:
-            _validate(net)
+            replace(tree, branches=tuple(branches))
             accepted = True
         except NetworkError as exc:
             assert "closes a cycle" in str(exc) or "not connected to the substation" in str(exc), str(exc)
@@ -434,7 +473,7 @@ _SETS = (deterministic_set(default_forecast()), reduce(generate(default_forecast
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ENS multiplies load factor, load and repair time; no bound spans network and forecast yet")
 def test_huge_load_times_repair_time_keeps_ens_finite():
-    net = make_network([Bus(1), Bus(2, p_load=1e300)], [Branch(1, 2, 0.1, 0.1, at_repair=1e10)])
+    net = Network([Bus(1), Bus(2, p_load=1e300)], [Branch(1, 2, 0.1, 0.1, at_repair=1e10)])
     with np.errstate(over="ignore"):
         (f,) = ScheduleEvaluator(net).evaluate(np.zeros((1, 0)), _SETS[0])
     assert np.isfinite(f.f2)

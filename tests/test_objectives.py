@@ -12,9 +12,9 @@ from dnems.network import (
     Bus,
     DgSpec,
     EssSpec,
+    Network,
     NetworkError,
     builtin_ieee69,
-    make_network,
 )
 from dnems.objectives import (
     DEFAULT_PENALTY_WEIGHTS,
@@ -154,7 +154,7 @@ class TestPenalty:
         # one hour of charging past the rate limit, energy band far away:
         # the rate term is the whole penalty, quadratic in the overshoot
         unit = spec(w_min=0.0, w_max=1e5, w_initial=5e4)
-        net = make_network(two_bus.buses, two_bus.branches, esss=[unit], v_min=0.5, v_max=1.5)
+        net = Network(two_bus.buses, two_bus.branches, esss=[unit], v_min=0.5, v_max=1.5)
         ev = ScheduleEvaluator(net)
         sset = flat_scenario()
         delta = 20.0
@@ -204,9 +204,9 @@ class TestPenalty:
         for unit in _NET.esss:
             rated_hour = max(unit.eff_charge * unit.p_charge_max, unit.p_discharge_max / unit.eff_discharge)
             units.append(replace(unit, w_min=0.0, w_initial=0.0, w_max=_MIN_W_MAX_PER_RATED_HOUR * rated_hour))
-        net = make_network(_NET.buses, _NET.branches, _NET.dgs, _NET.pvs, units)
+        net = Network(_NET.buses, _NET.branches, _NET.dgs, _NET.pvs, units)
         with pytest.raises(NetworkError, match="w_max must be at least"):
-            make_network(_NET.buses, _NET.branches, esss=[replace(units[0], w_max=np.nextafter(units[0].w_max, 0))])
+            Network(_NET.buses, _NET.branches, esss=[replace(units[0], w_max=np.nextafter(units[0].w_max, 0))])
         lower, upper = decision_bounds(net)
         with np.errstate(over="raise"):
             fs = ScheduleEvaluator(net).evaluate(np.stack([lower, upper]), _SETS["deterministic"])
@@ -224,7 +224,7 @@ class TestPenalty:
 
 def dg_test_network():
     """Near-lossless feeder with one 150 kW load and a DG at the load bus."""
-    return make_network(
+    return Network(
         buses=[Bus(id=1), Bus(id=2, p_load=150.0, q_load=0.0)],
         branches=[Branch(1, 2, r=1e-5, x=1e-5)],
         dgs=[DgSpec(bus=2, p_min=0.0, p_max=500.0, marginal_cost=0.08)],
@@ -255,7 +255,7 @@ class TestEvaluateScenario:
         assert bd.cost_s == pytest.approx(24 * (24.0 - 15.0), abs=0.05)
 
     def test_empty_system(self):
-        net = make_network(
+        net = Network(
             [Bus(id=1), Bus(id=2, p_load=0.0)],
             [Branch(1, 2, 0.01, 0.01)],
             v_min=0.5,
@@ -309,7 +309,7 @@ class TestEns:
         assert breakdown(net, x, flat_scenario()).ens_s == 0.0
 
     def test_repair_time_linearity(self, two_bus):
-        doubled = make_network(
+        doubled = Network(
             buses=list(two_bus.buses),
             branches=[
                 Branch(b.from_bus, b.to_bus, b.r, b.x, b.s_max, b.at_repair * 2, b.at_restoration * 2)

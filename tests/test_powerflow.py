@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnems.network import Branch, Bus, DgSpec, EssSpec, Network, PvSpec, make_network
+from dnems.network import Branch, Bus, DgSpec, EssSpec, Network, PvSpec
 from dnems.powerflow import (
     _TOUR_MIN_BUSES,
     _DenseProduct,
@@ -49,7 +49,7 @@ class TestFlatAndTrivial:
 
     def test_zero_impedance_branch_rejected(self):
         with pytest.raises(ValueError, match="zero-impedance"):  # at validation, before any solve
-            make_network(
+            Network(
                 [Bus(id=1), Bus(id=2, p_load=10)],
                 [Branch(1, 2, 0.0, 0.0)],
             )
@@ -66,7 +66,7 @@ class TestTwoBusLadderOracle:
         # 2-bus feeder, z = 0.01 + j0.01 pu, load 1.0 + j0.0 pu at bus 2
         base_kv, base_mva = 12.66, 10.0
         z_base = base_kv**2 / base_mva
-        net = make_network(
+        net = Network(
             [Bus(id=1), Bus(id=2, p_load=base_mva * 1000.0)],
             [Branch(1, 2, r=0.01 * z_base, x=0.01 * z_base)],
             base_kv=base_kv,
@@ -144,7 +144,7 @@ class TestConservationAndMonotonicity:
         assert loaded.q_slack == base.q_slack + 200.0
 
     def test_one_bus(self):
-        net = make_network([Bus(id=1, p_load=100.0, q_load=30.0)], [])
+        net = Network([Bus(id=1, p_load=100.0, q_load=30.0)], [])
         sol = solve_batch(net, np.array([[-100.0, 40.0]]), np.array([[-30.0, 0.0]]))
         assert sol.p_slack.tolist() == [100.0, -40.0]
         assert sol.q_slack.tolist() == [30.0, 0.0]
@@ -254,7 +254,7 @@ class TestCheckLimits:
         assert report.voltage_overshoot_pu[1] == pytest.approx(expected)
 
     def test_flow_excess_arithmetic(self):
-        net = make_network(
+        net = Network(
             [Bus(id=1), Bus(id=2, p_load=120.0)],
             [Branch(1, 2, 0.01, 0.01, s_max=100.0)],
             v_min=0.5,
@@ -266,7 +266,7 @@ class TestCheckLimits:
         assert not report.is_empty
 
     def test_batch_columns_match_single(self):
-        net = make_network(
+        net = Network(
             [Bus(id=1), Bus(id=2, p_load=120.0)],
             [Branch(1, 2, 0.01, 0.01, s_max=100.0)],
             v_min=0.9999,
@@ -294,7 +294,7 @@ def _tree(parents, rng, substation=1):
         ends = (par + 1, i + 2) if rng.random() < 0.5 else (i + 2, par + 1)
         branches.append(Branch(*ends, r=float(rng.uniform(0.01, 1.0)), x=float(rng.uniform(0.01, 1.0))))
     order = rng.permutation(len(branches))
-    return make_network(
+    return Network(
         [Bus(id=i + 1) for i in range(n)], [branches[k] for k in order], substation_bus=substation
     )
 
@@ -446,7 +446,7 @@ def _live_feeder(rng, n, pattern):
                     "esss": EssSpec(bus=int(bus), w_min=0.0, w_max=200.0, p_charge_max=50.0, p_discharge_max=50.0),
                 }[kind]
             )
-    return make_network(buses, base.branches, v_min=base.v_min, v_max=base.v_max, base_kv=base.base_kv, **devices)
+    return Network(buses, base.branches, v_min=base.v_min, v_max=base.v_max, base_kv=base.base_kv, **devices)
 
 
 class TestLiveRows:

@@ -1,12 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dnems.cli import _config_from_args, build_parser, main
-from dnems.network import builtin_ieee69, network_to_dict
+from dnems.network import builtin_ieee69
 from dnems.objectives import ScheduleEvaluator
 from dnems.optimizer import HybridConfig
 from dnems.study import ConfigError, StudyConfig, emit_artifacts, run_study
@@ -571,7 +571,7 @@ class TestCli:
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):
-        doc = network_to_dict(builtin_ieee69())
+        doc = asdict(builtin_ieee69())
         edit(doc)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
@@ -691,7 +691,7 @@ class TestCli:
 
     def test_fixed_output_dg(self, tmp_path):
         # p_min == p_max is a valid DG: it runs at that output every hour
-        doc = network_to_dict(builtin_ieee69())
+        doc = asdict(builtin_ieee69())
         doc["dgs"][0].update(p_min=200.0, p_max=200.0)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
