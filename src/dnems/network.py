@@ -122,7 +122,7 @@ class Network:
 
 # The least w_max of a storage unit, as a share of one rated hour's energy.
 # The energy penalty squares each hour's overshoot divided by w_max.  In the
-# rate box the overshoot after hour t is at most t rated hours, so at the
+# decision box the overshoot after hour t is at most t rated hours, so at the
 # default weight (1e6) the worst in-box day adds at most
 # 1e6 * 1e12 * (1² + ... + 24²), about 5e21, per unit.
 _MIN_W_MAX_PER_RATED_HOUR = 1e-6

@@ -49,11 +49,11 @@ __all__ = [
     "profit_analysis",
 ]
 
+# Weights of the squared overshoots; a schedule outside the box is an error.
 DEFAULT_PENALTY_WEIGHTS = {
     "voltage": 1e6,
     "flow": 1e6,
     "energy": 1e6,
-    "rate": 1e6,
     "convergence": 1e6,
 }
 
@@ -89,15 +89,12 @@ class DecisionVector:
 
 
 def decision_bounds(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Box bounds of the flattened decision vector for a network."""
-    lower, upper = [], []
-    for dg in net.dgs:
-        lower += [dg.p_min] * HOURS
-        upper += [dg.p_max] * HOURS
-    for ess in net.esss:
-        lower += [-ess.p_discharge_max] * HOURS
-        upper += [ess.p_charge_max] * HOURS
-    return np.array(lower), np.array(upper)
+    """Box bounds of the flattened decision vector: each DG hour in [p_min,
+    p_max], each storage hour in [-p_discharge_max, p_charge_max].  The search
+    keeps to this box, and ``ScheduleEvaluator`` rejects a row outside it."""
+    lower = [dg.p_min for dg in net.dgs] + [-ess.p_discharge_max for ess in net.esss]
+    upper = [dg.p_max for dg in net.dgs] + [ess.p_charge_max for ess in net.esss]
+    return np.repeat(np.array(lower, float), HOURS), np.repeat(np.array(upper, float), HOURS)
 
 
 @dataclass(frozen=True)
@@ -222,6 +219,9 @@ class ScheduleEvaluator:
     block: a (k, d) array whose rows are flattened decision vectors
     (``DecisionVector.flatten`` order).  Both go through the same kernel, and
     a candidate's results do not depend on the block it is evaluated in.
+    Every entry point raises ValueError for a schedule, or a block row, with
+    a value outside ``decision_bounds`` or a NaN, naming the row, the device,
+    the hour, the value and the bounds.
 
     ``breakdown`` of one scenario and ``per_scenario`` of a set holding it
     agree exactly on cost, ENS and penalty.
@@ -242,28 +242,36 @@ class ScheduleEvaluator:
         self.pv_mcost = np.array([p.marginal_cost for p in net.pvs])
         self.s_max = np.array([br.s_max for br in net.branches])
         self.ess_w_max = np.array([e.w_max for e in net.esss])
-        rates = [[e.p_charge_max, e.p_discharge_max] for e in net.esss]
-        self.ess_rate_max = np.array(rates, dtype=float).reshape(-1, 2)
+        self.lower, self.upper = decision_bounds(net)
+        self.devices = [f"DG at bus {d.bus}" for d in net.dgs] + [f"ESS at bus {e.bus}" for e in net.esss]
 
         times = np.array([br.at_repair + br.at_restoration for br in net.branches])
         self.path_time = np.array([times[list(net.order.path(b.id))].sum() for b in net.buses])
 
     def _block(self, x) -> tuple[np.ndarray, np.ndarray]:
         """DG setpoints (k, n_dg, 24) and storage powers (k, n_ess, 24) of a
-        DecisionVector (k = 1) or of a (k, d) block of flat decision vectors."""
+        DecisionVector (k = 1) or of a (k, d) block of flat decision vectors,
+        each within ``decision_bounds``."""
         n_dg, n_ess = len(self.dg_idx), len(self.ess_idx)
-        if isinstance(x, DecisionVector):
+        one = isinstance(x, DecisionVector)
+        if one:
             if x.dg_power.shape != (n_dg, HOURS):
                 raise ValueError(f"dg_power shape {x.dg_power.shape} does not match network ({n_dg} DGs)")
             if x.ess_power.shape != (n_ess, HOURS):
                 raise ValueError(f"ess_power shape {x.ess_power.shape} does not match network ({n_ess} ESSs)")
-            return x.dg_power[None], x.ess_power[None]
-        x = np.asarray(x, dtype=float)
-        d = (n_dg + n_ess) * HOURS
-        if x.ndim != 2 or x.shape[1] != d:
-            raise ValueError(f"block shape {x.shape} does not match network: need (k, {d})")
-        k, split = len(x), n_dg * HOURS
-        return x[:, :split].reshape(k, n_dg, HOURS), x[:, split:].reshape(k, n_ess, HOURS)
+        flat = x.flatten()[None] if one else np.asarray(x, dtype=float)
+        if flat.ndim != 2 or flat.shape[1] != len(self.lower):
+            raise ValueError(f"block shape {flat.shape} does not match network: need (k, {len(self.lower)})")
+        outside = ~((flat >= self.lower) & (flat <= self.upper))  # NaN is outside
+        if outside.any():
+            row, col = np.argwhere(outside)[0]
+            where = "" if one else f"block row {row}: "
+            raise ValueError(
+                f"{where}{self.devices[col // HOURS]}, hour {col % HOURS}: {flat[row, col]} "
+                f"outside [{self.lower[col]}, {self.upper[col]}]"
+            )
+        k, split = len(flat), n_dg * HOURS
+        return flat[:, :split].reshape(k, n_dg, HOURS), flat[:, split:].reshape(k, n_ess, HOURS)
 
     def _day(self, dg: np.ndarray, ess: np.ndarray, sset: ScenarioSet) -> _Day:
         """The evaluation kernel: the grid states of a block of candidates,
@@ -271,22 +279,14 @@ class ScheduleEvaluator:
         ``_CALL_BUS_COLUMNS`` allows, then hourly costs and per-candidate,
         per-scenario totals."""
         k = len(dg)
-        w = self.weights
-
         pv_out = self.pv_capacity[:, None, None] * sset.pv_factor[None, :, :]  # (n_pv, n_s, 24)
         pv_cost = self.pv_mcost[:, None, None] * pv_out
         pv_cost_s = pv_cost.sum(axis=(0, 2))
 
-        # storage energy band and rate overshoots, per candidate
+        # storage energy band overshoots, per candidate (+0.0 without storage)
         _, viol = _energy_balance(ess, self.net.esss)
         e_over = viol / self.ess_w_max[:, None]
-        charge_over = np.maximum(0.0, ess - self.ess_rate_max[:, [0]])
-        discharge_over = np.maximum(0.0, -ess - self.ess_rate_max[:, [1]])
-        r_over = charge_over / self.ess_rate_max[:, [0]] + discharge_over / self.ess_rate_max[:, [1]]
-        static_pen = (  # +0.0 for a feeder without storage
-            w["energy"] * (e_over**2).reshape(k, -1).sum(axis=1)
-            + w["rate"] * (r_over**2).reshape(k, -1).sum(axis=1)
-        )
+        static_pen = self.weights["energy"] * (e_over**2).reshape(k, -1).sum(axis=1)
         dg_cost = self.dg_cost[:, None] * dg  # (k, n_dg, 24)
         dg_cost_s = dg_cost.reshape(k, -1).sum(axis=1)
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -150,25 +151,6 @@ class TestStorageRecurrence:
 
 
 class TestPenalty:
-    def test_rate_overshoot_value(self, two_bus):
-        # one hour of charging past the rate limit, energy band far away:
-        # the rate term is the whole penalty, quadratic in the overshoot
-        unit = spec(w_min=0.0, w_max=1e5, w_initial=5e4)
-        net = Network(two_bus.buses, two_bus.branches, esss=[unit], v_min=0.5, v_max=1.5)
-        ev = ScheduleEvaluator(net)
-        sset = flat_scenario()
-        delta = 20.0
-
-        def pen(charge):
-            power = np.zeros((1, 24))
-            power[0, 7] = charge
-            return ev.evaluate(DecisionVector(np.zeros((0, 24)), power), sset).penalty
-
-        expected = ev.weights["rate"] * (delta / unit.p_charge_max) ** 2
-        assert pen(unit.p_charge_max + delta) == pytest.approx(expected, rel=1e-12)
-        assert pen(unit.p_charge_max + 2 * delta) == pytest.approx(4 * expected, rel=1e-12)
-        assert pen(unit.p_charge_max) == 0.0
-
     def test_evaluator_merges_partial_weights(self, two_bus):
         ev = ScheduleEvaluator(two_bus, weights={"voltage": 5.0})
         assert ev.weights == {**DEFAULT_PENALTY_WEIGHTS, "voltage": 5.0}
@@ -179,6 +161,8 @@ class TestPenalty:
     def test_unknown_weight_rejected(self, two_bus):
         with pytest.raises(ValueError, match="unknown penalty weight 'volt'"):
             ScheduleEvaluator(two_bus, weights={"volt": 1.0})
+        with pytest.raises(ValueError, match="unknown penalty weight 'rate'"):  # the decision box holds instead
+            ScheduleEvaluator(two_bus, weights={"rate": 1.0})
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_PENALTY_WEIGHTS))
     def test_evaluator_rejects_negative_weight(self, two_bus, name):
@@ -588,6 +572,69 @@ class TestDecisionBounds:
         back = DecisionVector.from_flat(x.flatten(), 4, 3)
         assert np.array_equal(back.dg_power, x.dg_power)
         assert np.array_equal(back.ess_power, x.ess_power)
+
+
+# the built-in feeder with its first storage unit (bus 14) charging at most
+# 500 kW and discharging at most 750 kW, so the two sides of its box differ
+_BOX_NET = replace(_NET, esss=(replace(_NET.esss[0], p_charge_max=500.0), *_NET.esss[1:]))
+
+
+def _outside(index, hour, value):
+    """An in-box schedule of ``_BOX_NET`` with one device-hour set to ``value``;
+    devices are indexed DGs first, then storage units."""
+    lower, upper = decision_bounds(_BOX_NET)
+    flat = (lower + upper) / 2
+    flat[index * 24 + hour] = value
+    return flat
+
+
+class TestDecisionBox:
+    # (flat schedule, the device-hour's part of the message); DG 2 is at bus
+    # 51 with [0, 500] kW, and the first storage unit is device 4
+    CASES = {
+        "dg-below-p_min": (_outside(1, 7, -1.0), "DG at bus 51, hour 7: -1.0 outside [0.0, 500.0]"),
+        "dg-above-p_max": (_outside(1, 7, 500.5), "DG at bus 51, hour 7: 500.5 outside [0.0, 500.0]"),
+        "dg-nan": (_outside(1, 7, np.nan), "DG at bus 51, hour 7: nan outside [0.0, 500.0]"),
+        "ess-above-charge": (_outside(4, 23, 501.0), "ESS at bus 14, hour 23: 501.0 outside [-750.0, 500.0]"),
+        "ess-below-discharge": (_outside(4, 0, -751.0), "ESS at bus 14, hour 0: -751.0 outside [-750.0, 500.0]"),
+        "ess-nan": (_outside(4, 0, np.nan), "ESS at bus 14, hour 0: nan outside [-750.0, 500.0]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_decision_vector_rejected(self, case):
+        flat, message = self.CASES[case]
+        x = DecisionVector.from_flat(flat, len(_BOX_NET.dgs), len(_BOX_NET.esss))
+        ev, sset = ScheduleEvaluator(_BOX_NET), _SETS["deterministic"]
+        for entry in (ev.evaluate, ev.per_scenario, ev.breakdown):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry(x, sset)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_row_rejected(self, case):
+        flat, message = self.CASES[case]
+        lower, upper = decision_bounds(_BOX_NET)
+        ev, sset = ScheduleEvaluator(_BOX_NET), _SETS["ten_scenarios"]
+        for entry in (ev.evaluate, ev.per_scenario):
+            with pytest.raises(ValueError, match=f"^{re.escape('block row 2: ' + message)}$"):
+                entry(np.stack([lower, upper, flat, flat]), sset)
+
+    def test_rows_on_the_bounds_keep_their_values(self):
+        # each row touches a bound in every device-hour: the box is closed,
+        # and the values are those of the evaluator before it checked the box
+        lower, upper = decision_bounds(_BOX_NET)
+        mixed = np.where(np.arange(lower.size) % 2 == 0, lower, upper)
+        block = np.stack([lower, upper, mixed])
+        ev, sset = ScheduleEvaluator(_BOX_NET), _SETS["deterministic"]
+        got = [(f.f1, f.f2, f.penalty) for f in ev.evaluate(block, sset)]
+        before = [
+            (-127.75693374098225, 96335.495, 945734605.5932597),
+            (7326.204550742423, 92295.83250000002, 444053750.00000006),
+            (3607.043566486271, 94296.40750000002, 12481934.233189883),
+        ]
+        assert got == [pytest.approx(f, rel=1e-12) for f in before]
+        for row, f in zip(block, got):
+            one = ev.evaluate(DecisionVector.from_flat(row, len(_BOX_NET.dgs), len(_BOX_NET.esss)), sset)
+            assert (one.f1, one.f2, one.penalty) == f
 
 
 class TestProfit:

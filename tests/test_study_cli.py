@@ -459,7 +459,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "weights, message",
-        [({"volt": 1.0}, "unknown penalty weight 'volt'"), ({"flow": -1.0}, "'flow' must be >= 0")],
+        [
+            ({"volt": 1.0}, "unknown penalty weight 'volt'"),
+            ({"flow": -1.0}, "'flow' must be >= 0"),
+            ({"rate": 1.0}, "unknown penalty weight 'rate'"),
+        ],
     )
     def test_bad_penalty_weights_exit_one(self, tmp_path, capsys, weights, message):
         cfg_path = tmp_path / "cfg.json"

@@ -2,11 +2,12 @@
 must not depend on how many workers ran them, nor on how they were started."""
 
 import ctypes
+import json
 import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,22 @@ class TestNoStartMethod:
         report, files_in_process = study_artifacts(cfg, tmp_path / "in_process")
         assert files_in_process == files_workers
         assert report.errors == []
+
+
+class TestDecisionBox:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_search_stays_in_an_asymmetric_box(self, n, monkeypatch, tmp_path):
+        # the evaluator rejects a position outside decision_bounds, so a
+        # study with no failed repeat handed it none, on either side of a
+        # storage unit that charges at most 500 kW and discharges 750 kW
+        net = builtin_ieee69()
+        net = replace(net, esss=(replace(net.esss[0], p_charge_max=500.0), *net.esss[1:]))
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(asdict(net)))
+        cfg = replace(DET_MULTI, network=str(path), optimizer=HybridConfig(population=10, iterations=6))
+        workers(monkeypatch, n)
+        report = run_study(cfg)
+        assert report.errors == [] and report.runs
 
 
 class TestByteIdentity:
