@@ -124,7 +124,8 @@ def ess_trajectory(x: DecisionVector, specs) -> EssTrajectory:
     if x.ess_power.shape != (n, HOURS):
         raise ValueError(f"ess_power shape {x.ess_power.shape} does not match {n} storage units")
     energy, viol = _energy_balance(x.ess_power, specs)
-    return EssTrajectory(energy=energy, feasible=not np.any(viol > 0), violations=viol)
+    # feasible only when every overshoot is exactly 0: a NaN power makes NaN overshoots
+    return EssTrajectory(energy=energy, feasible=bool(np.all(viol == 0)), violations=viol)
 
 
 def _energy_balance(ess_power: np.ndarray, specs) -> tuple[np.ndarray, np.ndarray]:

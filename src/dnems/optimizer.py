@@ -63,17 +63,6 @@ class GwoState:
     epsilon: float  # exploration scalar in [0, 2]
 
 
-@dataclass
-class PsoState:
-    positions: np.ndarray  # (n, d)
-    velocities: np.ndarray  # (n, d)
-    pbest: np.ndarray  # (n, d) per-particle best positions
-    gbest: np.ndarray  # (d,) global best position
-    mu: float  # inertia
-    c1: float = 1.49618
-    c2: float = 1.49618
-
-
 @dataclass(frozen=True)
 class HybridConfig:
     population: int = 60
@@ -105,6 +94,17 @@ class HybridConfig:
         _check_weights(self.objective_weights, "objective_weights")
 
 
+@dataclass
+class PsoState:
+    positions: np.ndarray  # (n, d)
+    velocities: np.ndarray  # (n, d)
+    pbest: np.ndarray  # (n, d) per-particle best positions
+    gbest: np.ndarray  # (d,) global best position
+    mu: float  # inertia
+    c1: float = HybridConfig.c1
+    c2: float = HybridConfig.c2
+
+
 class EvaluatorFailure(RuntimeError):
     """Evaluator raised; ``x`` holds the offending position (row ``row`` of
     the block), or the whole block when the failing row is not known."""
@@ -122,7 +122,9 @@ def epsilon_schedule(iteration: int, total: int) -> float:
     return 2.0 * (1.0 - iteration / (total - 1))
 
 
-def mu_schedule(iteration: int, total: int, high: float = 0.9, low: float = 0.4) -> float:
+def mu_schedule(
+    iteration: int, total: int, high: float = HybridConfig.mu_high, low: float = HybridConfig.mu_low
+) -> float:
     """Inertia weight, linear from ``high`` down to ``low`` across iterations."""
     if total <= 1:
         return high

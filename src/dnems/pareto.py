@@ -73,15 +73,6 @@ class ParetoArchive:
         nn[int(np.argmin(f2))] = np.inf
         del self.entries[int(np.argmin(nn))]
 
-    def to_csv(self, weights: tuple[float, float]) -> str:
-        """CSV text of each entry's objectives, memberships and normalized
-        score ``y = score / sum of scores`` under ``weights`` (see ``_scores``)."""
-        psi, score = _scores(self.entries, weights)
-        lines = ["f1,f2,psi1,psi2,y"]
-        for e, (m1, m2), y in zip(self.entries, psi, score / score.sum()):
-            lines.append(f"{e.f.f1:.10g},{e.f.f2:.10g},{m1:.10g},{m2:.10g},{y:.10g}")
-        return "\n".join(lines) + "\n"
-
 
 def _check_weights(weights, name: str = "weights") -> None:
     """ValueError naming the field ``name`` unless ``weights`` are two finite

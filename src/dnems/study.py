@@ -35,7 +35,7 @@ from .objectives import (
     profit_analysis,
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run
-from .pareto import ParetoArchive, _check_weights, best_compromise
+from .pareto import ParetoArchive, _check_weights, _scores, best_compromise
 from .scenarios import (
     ForecastProfile,
     RunStatistics,
@@ -218,14 +218,18 @@ def _make_scenarios(cfg: StudyConfig, forecast: ForecastProfile, count: int, see
     return reduce_scenarios(raw, min(count, len(raw)))
 
 
+def _rank(mode: str, f: ObjectiveVector) -> tuple[float, float, float]:
+    """Sort key of a mode's schedules, lowest first: the penalty, the mode's
+    own metric (ENS for ``ens``, cost otherwise), then the other metric."""
+    own, other = (f.f2, f.f1) if mode == "ens" else (f.f1, f.f2)
+    return f.penalty, own, other
+
+
 def _select(archive: ParetoArchive, mode: str, weights) -> tuple[np.ndarray, ObjectiveVector]:
     if mode == "multi":
         entry = best_compromise(archive, weights)
-        return entry.x, entry.f
-    # the archive's entries are all feasible or all infeasible: feasibility-first
-    # dominance leaves no infeasible entry beside a feasible one
-    key = (lambda e: (e.f.f1, e.f.f2)) if mode == "cost" else (lambda e: (e.f.f2, e.f.f1))
-    entry = min(archive.entries, key=key)
+    else:
+        entry = min(archive.entries, key=lambda e: _rank(mode, e.f))
     return entry.x, entry.f
 
 
@@ -442,17 +446,17 @@ def _plan(cfg: StudyConfig) -> list[_Task]:
     return tasks
 
 
-def _rank(mode: str, f) -> tuple[float, float]:
-    """Sort key of a mode's runs (ObjectiveVectors or RunRecords): penalty
-    first, then the mode's own metric, ENS for ``ens`` and cost otherwise."""
-    return f.penalty, (f.f2 if mode == "ens" else f.f1)
+# the columns of stats.csv, and the keys of each StudyReport.stats_rows row
+_STATS_COLUMNS = ("setting", "n_scenarios", "objective_mode", "metric", "n", "mean", "sd", "ci95", "ev", "re")
 
 
 def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
-    """The study's report from its tasks and their results, in task order."""
+    """The study's report from its tasks and their results, in task order:
+    one walk files each success under its (setting, mode) group, and the
+    statistics, best runs, bcs, front and profit are read from the groups."""
     runs: list[RunRecord] = []
     errors: list[str] = []
-    best_runs: dict[str, _Found] = {}  # mode -> its best run
+    groups: dict[tuple[str, str], list[_Found]] = {}  # in the order of each group's first success
     bare = None
     for task, out in zip(tasks, results):
         if task.bare:
@@ -461,34 +465,25 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
             errors.append(f"{task.label}/{task.mode}/repeat{task.rep}: {out}")
         else:
             runs.append(RunRecord(task.label, task.mode, task.rep, out.f.f1, out.f.f2, out.f.penalty))
-            prev = best_runs.get(task.mode)
-            if prev is None or _rank(task.mode, out.f) < _rank(task.mode, prev.f):
-                best_runs[task.mode] = out
+            groups.setdefault((task.label, task.mode), []).append(out)
 
     stats_rows: list[dict] = []
     for label, count in _settings(cfg):
         for mode in _modes(cfg):
-            recs = [r for r in runs if r.setting == label and r.objective_mode == mode]
-            if len(recs) < 2:
+            found = groups.get((label, mode), [])
+            if len(found) < 2:
                 continue
-            ev = min(recs, key=lambda r: _rank(mode, r))
+            ev = min(found, key=lambda out: _rank(mode, out.f)).f
             for metric, attr in (("cost", "f1"), ("ens", "f2")):
-                st = RunStatistics.from_samples([getattr(r, attr) for r in recs], ev=getattr(ev, attr))
-                stats_rows.append(
-                    {
-                        "setting": label,
-                        "n_scenarios": count,
-                        "objective_mode": mode,
-                        "metric": metric,
-                        "n": st.n,
-                        "mean": st.mean,
-                        "sd": st.sd,
-                        "ci95": st.ci95_halfwidth,
-                        "ev": st.ev,
-                        "re": st.re,
-                    }
-                )
+                st = RunStatistics.from_samples([getattr(out.f, attr) for out in found], ev=getattr(ev, attr))
+                values = (label, count, mode, metric, st.n, st.mean, st.sd, st.ci95_halfwidth, st.ev, st.re)
+                stats_rows.append(dict(zip(_STATS_COLUMNS, values)))
 
+    by_mode: dict[str, list[_Found]] = {}  # each mode's successes in task order: settings are the outer loop
+    for (_, mode), found in groups.items():
+        by_mode.setdefault(mode, []).extend(found)
+    # the first of equals of each mode is its best run
+    best_runs = {mode: min(found, key=lambda out: _rank(mode, out.f)) for mode, found in by_mode.items()}
     best = {
         mode: {"f1": out.f.f1, "f2": out.f.f2, "penalty": out.f.penalty, "x": out.x, "outcomes": out.outcomes,
                "p_slack": out.breakdown.p_slack}
@@ -496,11 +491,10 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
     }
 
     bcs = None
-    if cfg.objective == "multi" and all(m in best for m in _OBJECTIVES):
+    if cfg.objective == "multi" and all(m in best_runs for m in _OBJECTIVES):
         bcs = {
-            "cost_run": {"f1": best["cost"]["f1"], "f2": best["cost"]["f2"]},
-            "ens_run": {"f1": best["ens"]["f1"], "f2": best["ens"]["f2"]},
-            "bcs": {"f1": best["multi"]["f1"], "f2": best["multi"]["f2"]},
+            key: {"f1": best_runs[mode].f.f1, "f2": best_runs[mode].f.f2}
+            for key, mode in (("cost_run", "cost"), ("ens_run", "ens"), ("bcs", "multi"))
         }
 
     profit = None
@@ -582,7 +576,7 @@ def _fd_histogram(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     return edges, density
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header, rows: list[list]) -> str:
     def fmt(x):
         if isinstance(x, float):
             return repr(x)  # shortest round-trip representation
@@ -592,6 +586,17 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _front_csv(front: ParetoArchive | None, weights) -> str:
+    """CSV text of each front entry's objectives, memberships and normalized
+    score ``y = score / sum of scores`` under ``weights`` (``pareto._scores``)."""
+    rows = []
+    if front is not None:
+        psi, score = _scores(front.entries, weights)
+        for e, (m1, m2), y in zip(front.entries, psi, score / score.sum()):
+            rows.append([f"{v:.10g}" for v in (e.f.f1, e.f.f2, m1, m2, y)])
+    return _csv(["f1", "f2", "psi1", "psi2", "y"], rows)
+
+
 # mode -> the file of its best schedule
 _SCHEDULE_FILES = {"cost": "schedules_cost.csv", "ens": "schedules_ens.csv", "multi": "schedules_bcs.csv"}
 _OPTIONAL_ARTIFACTS = frozenset({"profit.csv", *_SCHEDULE_FILES.values()})
@@ -599,8 +604,7 @@ _OPTIONAL_ARTIFACTS = frozenset({"profit.csv", *_SCHEDULE_FILES.values()})
 
 def _render(report: StudyReport) -> dict[str, str]:
     """Every artifact of ``report`` but the manifest, as text by file name."""
-    front = report.archive
-    texts = {"pareto_front.csv": "f1,f2,psi1,psi2,y\n" if front is None else front.to_csv(report.config["weights"])}
+    texts = {"pareto_front.csv": _front_csv(report.archive, report.config["weights"])}
 
     for mode, rec in report.best.items():
         dg, ess, p_slack = rec["x"].dg_power, rec["x"].ess_power, rec["p_slack"]
@@ -613,8 +617,7 @@ def _render(report: StudyReport) -> dict[str, str]:
         rows = [[t, *dg[:, t].tolist(), *ess[:, t].tolist(), float(p_slack[t])] for t in range(dg.shape[1])]
         texts[_SCHEDULE_FILES[mode]] = _csv(header, rows)
 
-    header = ["setting", "n_scenarios", "objective_mode", "metric", "n", "mean", "sd", "ci95", "ev", "re"]
-    texts["stats.csv"] = _csv(header, [[r[k] for k in header] for r in report.stats_rows])
+    texts["stats.csv"] = _csv(_STATS_COLUMNS, [[r[k] for k in _STATS_COLUMNS] for r in report.stats_rows])
 
     source = report.best.get("multi") or next(iter(report.best.values()), None)
     for metric, column in (("f1", "cost"), ("f2", "ens")):

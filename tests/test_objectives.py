@@ -97,6 +97,12 @@ class TestEssTrajectory:
         # 500 + 180/h crosses 1000 kWh during hour 3
         assert traj.violations[0, 2] == pytest.approx(40.0)
 
+    def test_nan_power_is_not_feasible(self):
+        power = np.zeros((1, 24))
+        power[0, 5] = np.nan
+        traj = ess_trajectory(DecisionVector(np.zeros((0, 24)), power), [spec()])
+        assert not traj.feasible
+
     def test_recompute_identical(self, rng):
         for _ in range(20):
             power = rng.uniform(-200, 200, size=(2, 24))

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnems.objectives import ObjectiveVector
 from dnems.pareto import ArchiveEntry, ParetoArchive, _scores, best_compromise, dominates
+from dnems.study import _front_csv
 from oracles import nondominated_filter
 
 
@@ -218,8 +219,8 @@ class TestBestCompromise:
 
 
 def front_y(arch, weights):
-    """The ``y`` column of ``arch``'s ``to_csv`` text."""
-    return [float(line.split(",")[-1]) for line in arch.to_csv(weights).splitlines()[1:]]
+    """The ``y`` column of the study's front CSV of ``arch``."""
+    return [float(line.split(",")[-1]) for line in _front_csv(arch, weights).splitlines()[1:]]
 
 
 objective_values = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 7.25])
@@ -231,7 +232,7 @@ class TestFrontCsv:
         arch = ParetoArchive(capacity=5)
         arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
         arch.insert(ArchiveEntry(x=None, f=ov(2, 1)))
-        assert arch.to_csv((0.5, 0.5)) == "f1,f2,psi1,psi2,y\n1,2,1,0,0.5\n2,1,0,1,0.5\n"
+        assert _front_csv(arch, (0.5, 0.5)) == "f1,f2,psi1,psi2,y\n1,2,1,0,0.5\n2,1,0,1,0.5\n"
 
     def test_y_weighted(self):
         arch = ParetoArchive(capacity=5)
@@ -242,12 +243,12 @@ class TestFrontCsv:
 
     def test_empty_archive_and_bad_weights(self):
         with pytest.raises(ValueError, match="empty"):
-            ParetoArchive().to_csv((0.5, 0.5))
+            _front_csv(ParetoArchive(), (0.5, 0.5))
         arch = ParetoArchive(capacity=5)
         arch.insert(ArchiveEntry(x=None, f=ov(1, 2)))
         for weights in ((0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0,)):
             with pytest.raises(ValueError, match="^weights must be two finite numbers"):
-                arch.to_csv(weights)
+                _front_csv(arch, weights)
 
     @settings(max_examples=200, deadline=None)
     @given(
