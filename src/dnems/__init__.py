@@ -33,7 +33,7 @@ from .objectives import (
 )
 from .optimizer import HybridConfig, SearchSpace, hybrid_run, rowwise, single_run
 from .pareto import ParetoArchive, best_compromise, dominates
-from .powerflow import check_limits, solve_batch
+from .powerflow import solve_batch
 from .scenarios import (
     ForecastProfile,
     ScenarioSet,
@@ -65,7 +65,6 @@ __all__ = [
     "StudyConfig",
     "best_compromise",
     "builtin_ieee69",
-    "check_limits",
     "decision_bounds",
     "default_forecast",
     "discretize_normal",

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._documents import number_problem
 from .network import Network
-from .powerflow import check_limits, solve_batch
+from .powerflow import solve_batch
 from .scenarios import HOURS, ScenarioSet
 
 __all__ = [
@@ -142,8 +142,15 @@ def _energy_balance(ess_power: np.ndarray, specs) -> tuple[np.ndarray, np.ndarra
         energy[..., t + 1] = energy[..., t] + delta[..., t]
     w_min = np.array([s.w_min for s in specs])[:, None]
     w_max = np.array([s.w_max for s in specs])[:, None]
-    viol = np.maximum(0.0, energy[..., 1:] - w_max) + np.maximum(0.0, w_min - energy[..., 1:])
-    return energy, viol
+    return energy, _overshoot(energy[..., 1:], w_min, w_max)
+
+
+def _overshoot(value: np.ndarray, lo, hi) -> np.ndarray:
+    """Distance of each ``value`` outside [lo, hi]; ``lo=None``: no lower end."""
+    over = np.maximum(0.0, value - hi)
+    if lo is not None:
+        over += np.maximum(0.0, lo - value)
+    return over
 
 
 def merge_penalty_weights(weights: dict | None = None) -> dict:
@@ -241,7 +248,7 @@ class ScheduleEvaluator:
         self.dg_cost = np.array([d.marginal_cost for d in net.dgs])
         self.pv_capacity = np.array([p.capacity for p in net.pvs])
         self.pv_mcost = np.array([p.marginal_cost for p in net.pvs])
-        self.s_max = np.array([br.s_max for br in net.branches])
+        self.s_max = np.array([br.s_max for br in net.branches])[:, None, None]  # kVA, against (branch, c, u) flows
         self.ess_w_max = np.array([e.w_max for e in net.esss])
         self.lower, self.upper = decision_bounds(net)
         self.devices = [f"DG at bus {d.bus}" for d in net.dgs] + [f"ESS at bus {e.bus}" for e in net.esss]
@@ -345,12 +352,13 @@ class ScheduleEvaluator:
 
         # an all-zero overshoot is skipped: its weighted sum would be +0.0
         # (weights are finite), and adding +0.0 changes no bit
-        over = check_limits(sol, self.net)
         pen = np.where(sol.converged, 0.0, w["convergence"])
-        if over.voltage_overshoot_pu.any():
-            pen += w["voltage"] * (over.voltage_overshoot_pu**2).sum(axis=0)
-        if over.flow_overshoot_kva.any():
-            pen += w["flow"] * ((over.flow_overshoot_kva / self.s_max[:, None, None]) ** 2).sum(axis=0)
+        v_over = _overshoot(sol.v, self.net.v_min, self.net.v_max)
+        if v_over.any():
+            pen += w["voltage"] * (v_over**2).sum(axis=0)
+        s_over = _overshoot(sol.s_flow, None, self.s_max)
+        if s_over.any():
+            pen += w["flow"] * ((s_over / self.s_max) ** 2).sum(axis=0)
         p_slack, p_loss, converged, ens, pen = (
             _scenario_hours(a, state_of, n_s) for a in (sol.p_slack, sol.p_loss, sol.converged, ens, pen)
         )

@@ -25,7 +25,6 @@ __all__ = [
     "GwoState",
     "PsoState",
     "HybridConfig",
-    "EvaluatorFailure",
     "epsilon_schedule",
     "mu_schedule",
     "gwo_step",
@@ -72,7 +71,7 @@ class HybridConfig:
     c1: float = 1.49618
     c2: float = 1.49618
     seed: int = 0
-    archive_capacity: int = 100
+    archive_capacity: int = ParetoArchive.capacity
     objective_weights: tuple[float, float] = (0.5, 0.5)
     penalty_weights: dict | None = None  # overrides merged over the schedule evaluator's defaults
 
@@ -103,16 +102,6 @@ class PsoState:
     mu: float  # inertia
     c1: float = HybridConfig.c1
     c2: float = HybridConfig.c2
-
-
-class EvaluatorFailure(RuntimeError):
-    """Evaluator raised; ``x`` holds the offending position (row ``row`` of
-    the block), or the whole block when the failing row is not known."""
-
-    def __init__(self, x: np.ndarray, cause: BaseException, row: int | None = None):
-        where = f"row {row}" if row is not None else f"a {'x'.join(map(str, np.shape(x)))} block"
-        super().__init__(f"evaluator failed at {where}: {type(cause).__name__}: {cause}")
-        self.x = x
 
 
 def epsilon_schedule(iteration: int, total: int) -> float:
@@ -164,30 +153,13 @@ def pso_step(state: PsoState, space: SearchSpace, rng) -> tuple[np.ndarray, np.n
 def rowwise(fn):
     """Population evaluator from a one-position objective ``fn(x) -> f``: it
     maps an (n, d) block to ``[fn(row) for row in block]``."""
-
-    def evaluate_rows(positions):
-        out = []
-        for i, row in enumerate(positions):
-            try:
-                out.append(fn(row))
-            except Exception as exc:
-                raise EvaluatorFailure(row.copy(), exc, row=i) from exc
-        return out
-
-    return evaluate_rows
+    return lambda positions: [fn(row) for row in positions]
 
 
 def _evaluate_all(evaluator, positions):
-    try:
-        fs = list(evaluator(positions))
-    except EvaluatorFailure:
-        raise
-    except Exception as exc:
-        raise EvaluatorFailure(positions.copy(), exc) from exc
+    fs = list(evaluator(positions))
     if len(fs) != len(positions):
-        raise EvaluatorFailure(
-            positions.copy(), ValueError(f"{len(fs)} objective vectors for {len(positions)} positions")
-        )
+        raise ValueError(f"{len(fs)} objective vectors for {len(positions)} positions")
     return fs
 
 
@@ -284,7 +256,9 @@ def hybrid_run(cfg: HybridConfig, space: SearchSpace, evaluator):
     ``evaluator`` maps an (n, d) block of positions, the whole population, to
     a sequence of n objective vectors with ``f1``, ``f2`` and ``penalty``
     attributes, in row order; ``rowwise`` builds one from a one-position
-    objective.  Fully deterministic per seed.
+    objective.  An exception the evaluator raises reaches the caller
+    unchanged, and a result of another length than n is a ValueError.
+    Fully deterministic per seed.
     """
     return _run("hybrid", cfg, space, evaluator)
 

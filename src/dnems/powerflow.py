@@ -28,7 +28,9 @@ and drops the padding from its results: at such widths the BLAS runs every
 column through one kernel, and numpy adds the branches of a sum in order.
 
 Sign convention: injections are positive for generation, negative for
-load.  The substation is the slack bus, pinned at 1.0 pu.
+load.  The substation is the slack bus, pinned at 1.0 pu.  The solver
+returns states only: the schedule evaluator judges them against the
+feeder's voltage band and branch ratings.
 """
 
 from __future__ import annotations
@@ -42,12 +44,7 @@ import numpy as np
 
 from .network import Network
 
-__all__ = [
-    "BatchPowerFlow",
-    "ViolationReport",
-    "solve_batch",
-    "check_limits",
-]
+__all__ = ["BatchPowerFlow", "solve_batch"]
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 100
@@ -96,7 +93,6 @@ class _SweepModel:
         rows = np.argsort(order.branch[1:]) + 1  # the row each branch feeds
         self.parent, self.child = bus[parent[rows]], bus[rows]
         self.s_base_kva = net.base_mva * 1000.0
-        self.s_max = np.array([br.s_max for br in net.branches])  # kVA
         # the buses a call may inject at: the substation and every bus with
         # load or a device; the others are junctions
         self.injected = np.array([b.p_load != 0 or b.q_load != 0 for b in net.buses])
@@ -351,22 +347,3 @@ def solve_batch(
         iterations=it,
         mismatch=unpadded(mismatch),
     )
-
-
-@dataclass(frozen=True)
-class ViolationReport:
-    flow_overshoot_kva: np.ndarray  # (n_branch, *batch), max(0, flow - s_max)
-    voltage_overshoot_pu: np.ndarray  # (n_bus, *batch), distance outside [v_min, v_max]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (np.any(self.flow_overshoot_kva > 0) or np.any(self.voltage_overshoot_pu > 0))
-
-
-def check_limits(sol: BatchPowerFlow, net: Network) -> ViolationReport:
-    """Per-branch flow overshoots and per-bus voltage violations, as max(0,
-    excess), shaped like the solution's ``s_flow`` and ``v``."""
-    s_max = _model(net).s_max.reshape(-1, *(1,) * (sol.s_flow.ndim - 1))
-    flow = np.maximum(0.0, sol.s_flow - s_max)
-    volt = np.maximum(0.0, net.v_min - sol.v) + np.maximum(0.0, sol.v - net.v_max)
-    return ViolationReport(flow_overshoot_kva=flow, voltage_overshoot_pu=volt)

@@ -295,24 +295,24 @@ class _TaskRunner:
         return self._evaluators[bare]
 
     def __call__(self, task: _Task) -> _Found | str:
-        """The task's result, or the text of its failure, which always
-        pickles."""
+        """The task's result, or the text of whatever failure ended it,
+        ``"<Type>: <message>"``, which always pickles."""
         t0 = time.perf_counter()
-        sset = self.scenarios(task)
         try:
+            sset = self.scenarios(task)
             evaluator = self.evaluator(task.bare)
             run_weights = tuple(_MODE_WEIGHTS.get(task.mode, self.cfg.weights))
             opt_cfg = replace(self.cfg.optimizer, seed=task.seed, objective_weights=run_weights)
             space = SearchSpace(*decision_bounds(evaluator.net))
             archive, _log = hybrid_run(opt_cfg, space, lambda positions: evaluator.evaluate(positions, sset))
             x, f = _select(archive, task.mode, self.cfg.weights)
+            x = DecisionVector.from_flat(x, len(evaluator.net.dgs), len(evaluator.net.esss))
+            outcomes = breakdown = None
+            if not task.bare:
+                outcomes = evaluator.per_scenario(x, sset)
+                breakdown = evaluator.breakdown(x, self.forecast_set)
         except Exception as exc:  # noqa: BLE001 - folded into the report by the study
-            return str(exc)
-        x = DecisionVector.from_flat(x, len(evaluator.net.dgs), len(evaluator.net.esss))
-        outcomes = breakdown = None
-        if not task.bare:
-            outcomes = evaluator.per_scenario(x, sset)
-            breakdown = evaluator.breakdown(x, self.forecast_set)
+            return f"{type(exc).__name__}: {exc}"
         kept = archive if task.mode == "multi" else None
         return _Found(x, f, outcomes, breakdown, kept, time.perf_counter() - t0)
 

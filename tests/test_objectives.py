@@ -27,6 +27,7 @@ from dnems.objectives import (
     merge_penalty_weights,
     profit_analysis,
 )
+from dnems.powerflow import solve_batch
 from dnems.scenarios import ScenarioSet, default_forecast, deterministic_set, generate, reduce
 from oracles import ens_oracle
 
@@ -210,6 +211,78 @@ class TestPenalty:
             ScheduleEvaluator(two_bus, weights={name: float("inf")})
         with pytest.raises(ValueError, match=f"penalty weight '{name}' must be finite, got a number too large"):
             merge_penalty_weights({name: 10**400})
+
+
+def rated_two_bus(v_min=0.5):
+    """Two-bus feeder whose 120 kW load exceeds its 100 kVA branch rating."""
+    return Network(
+        [Bus(id=1), Bus(id=2, p_load=120.0)],
+        [Branch(1, 2, 0.01, 0.01, s_max=100.0)],
+        v_min=v_min,
+        v_max=1.5,
+    )
+
+
+def idle_penalty(net, sset, **weights):
+    """Per-scenario penalty of a device-free feeder's only schedule."""
+    x = DecisionVector(np.zeros((0, 24)), np.zeros((0, 24)))
+    return ScheduleEvaluator(net, weights).per_scenario(x, sset).penalty
+
+
+class TestNetworkPenalty:
+    """Every hour of a flat day adds the same network penalty: each weight
+    times its squared overshoot, a flow's over the branch rating, plus the
+    convergence weight for a power flow that did not converge."""
+
+    W = DEFAULT_PENALTY_WEIGHTS
+
+    def test_feasible_empty(self, ieee69):
+        x = DecisionVector(np.zeros((4, 24)), np.zeros((3, 24)))
+        assert ScheduleEvaluator(ieee69).evaluate(x, flat_scenario(load=0.2)).penalty == 0.0
+
+    def test_voltage_excess_arithmetic(self, two_bus):
+        # 9000 kW sags bus 2 below a band raised to 0.99999 pu
+        net = replace(two_bus, v_min=0.99999)
+        sol = solve_batch(net, np.array([0.0, -9000.0]), np.zeros(2))
+        assert sol.converged
+        expected = max(0.0, net.v_min - sol.v[1])
+        assert expected > 0
+        penalty = idle_penalty(net, flat_scenario(load=9000.0 / 150.0))
+        assert penalty[0] == pytest.approx(24 * self.W["voltage"] * expected**2)
+
+    def test_flow_excess_arithmetic(self):
+        net = rated_two_bus()
+        sol = solve_batch(net, np.array([0.0, -120.0]), np.zeros(2))
+        expected = sol.s_flow[0] - 100.0
+        assert expected > 0
+        penalty = idle_penalty(net, flat_scenario())
+        assert penalty[0] == pytest.approx(24 * self.W["flow"] * (expected / 100.0) ** 2)
+
+    def test_nonconvergence_costs_its_weight(self, two_bus):
+        # 100 MW collapses bus 2, far out of band and over the rating
+        load = 1e8 / 150.0
+        sol = solve_batch(two_bus, np.array([0.0, -150.0 * load]), np.zeros(2))
+        assert not sol.converged
+        sset = flat_scenario(load=load)
+        assert idle_penalty(two_bus, sset, voltage=0.0, flow=0.0)[0] == 24 * self.W["convergence"]
+        volt, flow = two_bus.v_min - sol.v[1], (sol.s_flow[0] - 10000.0) / 10000.0
+        hour = self.W["convergence"] + self.W["voltage"] * volt**2 + self.W["flow"] * flow**2
+        assert idle_penalty(two_bus, sset)[0] == pytest.approx(24 * hour)
+
+    def test_batch_columns_match_single(self):
+        net = rated_two_bus(v_min=0.9999)
+        loads = (50.0, 120.0, 4000.0)  # clean, flow overshoot, flow and voltage overshoot
+        sets = [flat_scenario(load=k / 120.0) for k in loads]
+        block = idle_penalty(net, stacked(sets, [1 / 3] * 3))
+        assert block.tolist() == [idle_penalty(net, sset)[0] for sset in sets]
+        volt, flow = [], []
+        for sset in sets:
+            sol = solve_batch(net, np.array([0.0, -120.0 * sset.load_factor[0, 0]]), np.zeros(2))
+            volt.append(max(0.0, net.v_min - sol.v[1]))
+            flow.append(max(0.0, sol.s_flow[0] - 100.0))
+        assert flow[0] == 0.0 < flow[1] and volt[1] == 0.0 < volt[2]
+        hand = [24 * (self.W["voltage"] * v**2 + self.W["flow"] * (f / 100.0) ** 2) for v, f in zip(volt, flow)]
+        assert block[0] == 0.0 and block.tolist() == pytest.approx(hand)
 
 
 def dg_test_network():

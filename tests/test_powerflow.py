@@ -12,7 +12,6 @@ from dnems.powerflow import (
     _SweepModel,
     _TourProduct,
     _model,
-    check_limits,
     solve_batch,
 )
 from oracles import pf_oracle_newton, pf_oracle_sweep, random_radial_network, sweep_oracle, tree_oracle, trunk_feeder
@@ -236,53 +235,6 @@ class TestBatch:
         factors = np.array([0.5, 1.0, 1.5])
         with pytest.raises(ValueError, match="n_bus=69"):
             solve_batch(ieee69, factors[:, None] * p, factors[:, None] * q)
-
-
-class TestCheckLimits:
-    def test_feasible_empty(self, ieee69):
-        p, q = load_injections(ieee69)
-        sol = solve_batch(ieee69, p * 0.2, q * 0.2)
-        report = check_limits(sol, ieee69)
-        assert report.is_empty
-
-    def test_voltage_excess_arithmetic(self, two_bus):
-        p = np.array([0.0, -9000.0])
-        sol = solve_batch(two_bus, p, np.zeros(2))
-        assert sol.converged
-        report = check_limits(sol, two_bus)
-        expected = max(0.0, two_bus.v_min - sol.v[1])
-        assert report.voltage_overshoot_pu[1] == pytest.approx(expected)
-
-    def test_flow_excess_arithmetic(self):
-        net = Network(
-            [Bus(id=1), Bus(id=2, p_load=120.0)],
-            [Branch(1, 2, 0.01, 0.01, s_max=100.0)],
-            v_min=0.5,
-            v_max=1.5,
-        )
-        sol = solve_batch(net, np.array([0.0, -120.0]), np.zeros(2))
-        report = check_limits(sol, net)
-        assert report.flow_overshoot_kva[0] == pytest.approx(sol.s_flow[0] - 100.0)
-        assert not report.is_empty
-
-    def test_batch_columns_match_single(self):
-        net = Network(
-            [Bus(id=1), Bus(id=2, p_load=120.0)],
-            [Branch(1, 2, 0.01, 0.01, s_max=100.0)],
-            v_min=0.9999,
-            v_max=1.5,
-        )
-        loads = (50.0, 120.0, 4000.0)  # clean, flow overshoot, flow and voltage overshoot
-        batch = solve_batch(net, np.array([[0.0] * 3, [-k for k in loads]]), np.zeros((2, 3)))
-        report = check_limits(batch, net)
-        assert report.flow_overshoot_kva.shape == batch.s_flow.shape
-        assert report.voltage_overshoot_pu.shape == batch.v.shape
-        for i, k in enumerate(loads):
-            single = check_limits(solve_batch(net, np.array([0.0, -k]), np.zeros(2)), net)
-            assert np.allclose(report.flow_overshoot_kva[:, i], single.flow_overshoot_kva, atol=1e-9)
-            assert np.allclose(report.voltage_overshoot_pu[:, i], single.voltage_overshoot_pu, atol=1e-12)
-        assert report.flow_overshoot_kva[0, 0] == 0.0 < report.flow_overshoot_kva[0, 1]
-        assert report.voltage_overshoot_pu[1, 1] == 0.0 < report.voltage_overshoot_pu[1, 2]
 
 
 def _tree(parents, rng, substation=1):

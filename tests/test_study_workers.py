@@ -306,6 +306,27 @@ class TestByteIdentity:
         assert outcomes[1] == outcomes[0]
         assert outcomes[0][0] == 2
 
+    @pytest.mark.parametrize("start", [study._START_METHOD, None], ids=["workers", "in-process"])
+    def test_failed_breakdown_is_a_failed_repeat(self, start, monkeypatch, tmp_path, capsys):
+        # a failure after the search, while the task breaks its schedule
+        # down, is worded like any other and fails that repeat only
+        def failing(self, x, sset):
+            raise ValueError("breakdown failed")
+
+        monkeypatch.setattr(ScheduleEvaluator, "breakdown", failing)
+        monkeypatch.setattr(study, "_START_METHOD", start)
+        workers(monkeypatch, 2)
+        argv = ["--mode", "det", "--objective", "ens", "--repeats", "2", "--population", "2", "--iterations", "1"]
+        report = run_study(StudyConfig(mode="deterministic", objective="ens", repeats=2,
+                                       optimizer=HybridConfig(population=2, iterations=1)))
+        assert report.runs == []
+        assert report.errors == [f"det/ens/repeat{rep}: ValueError: breakdown failed" for rep in (0, 1)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "runtime failure: no repeat succeeded" in capsys.readouterr().err
+        manifest = json.loads(artifacts(tmp_path / "out")["manifest.json"])
+        assert manifest["summary"]["errors"] == report.errors
+
     def test_failed_baseline_raises_the_same(self, monkeypatch):
         evaluate = ScheduleEvaluator.evaluate
 
@@ -323,7 +344,7 @@ class TestByteIdentity:
             raised.append((type(err.value), str(err.value)))
         assert raised[1] == raised[0]
         assert raised[0][0] is RuntimeError
-        assert raised[0][1].startswith("evaluator failed at ") and raised[0][1].endswith("KeyError: 'flow'")
+        assert raised[0][1] == "KeyError: 'flow'"
 
     def test_unpicklable_baseline_failure_keeps_its_message(self, monkeypatch):
         # a failure that holds a lock cannot cross the worker boundary as an
@@ -340,7 +361,7 @@ class TestByteIdentity:
             workers(monkeypatch, n)
             with pytest.raises(RuntimeError) as err:
                 run_study(DET_MULTI)
-            assert type(err.value) is RuntimeError and str(err.value) == "bare feeder failed"
+            assert type(err.value) is RuntimeError and str(err.value) == "LockedFailure: bare feeder failed"
 
     def test_spawned_workers_match_in_process(self, monkeypatch, tmp_path):
         cfg = StudyConfig(
