@@ -7,7 +7,7 @@ arrays inject at full output.
 
 import numpy as np
 
-from dnems import builtin_ieee69, radial_order, solve_batch
+from dnems import builtin_ieee69, solve_batch
 
 net = builtin_ieee69()
 print(f"{net.n_bus} buses, {len(net.branches)} branches, "
@@ -15,7 +15,7 @@ print(f"{net.n_bus} buses, {len(net.branches)} branches, "
 print(f"total demand: {sum(b.p_load for b in net.buses):.0f} kW / "
       f"{sum(b.q_load for b in net.buses):.0f} kvar")
 
-order = radial_order(net)
+order = net.order  # the depth-first walk from the substation that validation made
 deepest = max(net.buses, key=lambda b: len(order.path(b.id)))
 print(f"deepest bus: #{deepest.id}, {len(order.path(deepest.id))} branches from the substation")
 

@@ -21,7 +21,6 @@ from .network import (
     PvSpec,
     builtin_ieee69,
     load_network,
-    radial_order,
 )
 from .objectives import (
     DecisionVector,
@@ -75,7 +74,6 @@ __all__ = [
     "hybrid_run",
     "load_network",
     "profit_analysis",
-    "radial_order",
     "reduce",
     "rowwise",
     "run_study",

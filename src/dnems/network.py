@@ -178,6 +178,10 @@ def _validate(net: Network) -> None:
         if br.at_repair < 0 or br.at_restoration < 0:
             raise NetworkError(f"branch ({br.from_bus},{br.to_bus}): negative reliability time")
     net.order  # the walk proves the branches form a tree that spans every bus
+    # ENS weights each bus's unserved load by the outage hours along its feed path
+    outage_hours = sum(br.at_repair + br.at_restoration for br in net.branches)
+    if number_problem(sum(b.p_load for b in net.buses) * outage_hours):
+        raise NetworkError("the total load times the branches' total repair and restoration hours must be finite")
 
     for dg in net.dgs:
         if dg.bus not in id_set:

@@ -412,19 +412,9 @@ class ProfitReport:
     c_npv: float
     investment: float
     annual_delta_toc: float  # $/yr
-    cumulative: np.ndarray  # ($,) per year, length = horizon
+    cumulative: list[float]  # $ per year, length = horizon
     payback_year: int | None
     net_profit: float  # $ at the end of the horizon
-
-    def to_dict(self) -> dict:
-        return {
-            "c_npv": self.c_npv,
-            "investment": self.investment,
-            "annual_delta_toc": self.annual_delta_toc,
-            "cumulative": self.cumulative.tolist(),
-            "payback_year": self.payback_year,
-            "net_profit": self.net_profit,
-        }
 
 
 # Capital-cost context for the built-in study: PV $2,000/kW, ESS $100/kW with
@@ -457,7 +447,7 @@ def profit_analysis(
         c_npv=c_npv,
         investment=investment,
         annual_delta_toc=annual,
-        cumulative=cumulative,
+        cumulative=cumulative.tolist(),
         payback_year=payback,
         net_profit=float(cumulative[-1] - investment),
     )

@@ -185,24 +185,29 @@ def _incumbent(archive: ParetoArchive, lo, hi, weights) -> tuple[ArchiveEntry, f
 
 
 def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
-    if mode not in ("gwo", "pso", "hybrid"):
-        raise ValueError(f"unknown algorithm {mode!r}")
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.population, space.dimension
     split = {"hybrid": n // 2, "gwo": n, "pso": 0}[mode]  # rows that move as wolves
     weights = cfg.objective_weights
+    archive = ParetoArchive(capacity=cfg.archive_capacity)
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)  # running objective extremes over everything evaluated
+
+    def evaluate(x):
+        """Evaluate a population, widen the running extremes by it and offer
+        it to the archive: its (n, 3) objective rows, and the archive's
+        incumbent and that incumbent's score."""
+        fs = _evaluate_all(evaluator, x)
+        f = _objective_rows(fs)
+        np.minimum(lo, f[:, :2].min(axis=0), out=lo)
+        np.maximum(hi, f[:, :2].max(axis=0), out=hi)
+        for row, fv in zip(x, fs):
+            archive.insert(ArchiveEntry(x=row.copy(), f=fv))
+        return (f, *_incumbent(archive, lo, hi, weights))
 
     x = space.lower + rng.random((n, d)) * (space.upper - space.lower)
     v = np.zeros((n, d))
-    fs = _evaluate_all(evaluator, x)
-    f = _objective_rows(fs)
-    # running objective extremes over everything evaluated so far
-    lo, hi = f[:, :2].min(axis=0), f[:, :2].max(axis=0)
-    archive = ParetoArchive(capacity=cfg.archive_capacity)
-    for row, fv in zip(x, fs):
-        archive.insert(ArchiveEntry(x=row.copy(), f=fv))
+    f, best, best_score = evaluate(x)
     pbest_x, pbest_f = x.copy(), f.copy()
-    best, best_score = _incumbent(archive, lo, hi, weights)
 
     log = []
     for it in range(cfg.iterations):
@@ -229,15 +234,9 @@ def _run(mode: str, cfg: HybridConfig, space: SearchSpace, evaluator):
             )
             x[pso_rows], v[pso_rows] = pso_step(ps, space, rng)
 
-        fs = _evaluate_all(evaluator, x)
-        f = _objective_rows(fs)
-        lo, hi = np.minimum(lo, f[:, :2].min(axis=0)), np.maximum(hi, f[:, :2].max(axis=0))
-        for row, fv in zip(x, fs):
-            archive.insert(ArchiveEntry(x=row.copy(), f=fv))
+        f, best, best_score = evaluate(x)
         better = _scalars(f, lo, hi, weights) < _scalars(pbest_f, lo, hi, weights)
         pbest_x[better], pbest_f[better] = x[better], f[better]
-
-        best, best_score = _incumbent(archive, lo, hi, weights)
         log.append(
             {
                 "iteration": it,
@@ -264,6 +263,9 @@ def hybrid_run(cfg: HybridConfig, space: SearchSpace, evaluator):
 
 
 def single_run(algorithm: str, cfg: HybridConfig, space: SearchSpace, evaluator):
-    """Undivided-population baseline: the whole population moves by one rule."""
+    """Undivided-population baseline: the whole population moves by one
+    rule, ``"gwo"`` (pack) or ``"pso"`` (swarm)."""
+    if algorithm not in ("gwo", "pso"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     return _run(algorithm, cfg, space, evaluator)
 

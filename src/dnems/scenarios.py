@@ -165,25 +165,29 @@ def deterministic_set(forecast: ForecastProfile) -> ScenarioSet:
     return ScenarioSet(forecast.load_factor[None], forecast.pv_factor[None], forecast.price[None], [1.0])
 
 
+def _bins(mean, sigma, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centres and masses, (..., levels) each, of ``discretize_normal``'s
+    bins for each entry of the same-shaped ``mean`` and ``sigma``."""
+    if levels < 3 or levels % 2 == 0:
+        raise ValueError(f"levels must be odd and >= 3, got {levels}")
+    half = (levels - 1) // 2
+    ks = np.arange(-half, half + 1)
+    edges = [0.5 * math.erfc(-(k + 0.5) / math.sqrt(2)) for k in ks[:-1]]
+    std_masses = np.diff(np.concatenate([[0.0], edges, [1.0]]))
+    sigma = np.asarray(sigma)[..., None]
+    return np.asarray(mean)[..., None] + ks * sigma, np.where(sigma != 0, std_masses, ks == 0)
+
+
 def discretize_normal(mean: float, sigma: float, levels: int = 7) -> list[tuple[float, float]]:
     """Discretize N(mean, sigma) into ``levels`` sigma-wide bins.
 
     Bins are centered at mean + k*sigma; each interior bin carries the CDF
     mass of its sigma-wide interval and the outer bins absorb the tails, so
-    the probabilities always sum to one.
+    the probabilities always sum to one.  A sigma of 0 gives one certain
+    bin, the middle one.
     """
-    if levels < 3 or levels % 2 == 0:
-        raise ValueError(f"levels must be odd and >= 3, got {levels}")
-    half = (levels - 1) // 2
-    ks = np.arange(-half, half + 1)
-    if sigma == 0:
-        probs = np.zeros(levels)
-        probs[half] = 1.0
-        return [(float(mean), float(p)) for p in probs]
-    edges = [0.5 * math.erfc(-(k + 0.5) / math.sqrt(2)) for k in ks[:-1]]
-    probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
-    centers = mean + ks * sigma
-    return [(float(c), float(p)) for c, p in zip(centers, probs)]
+    centres, masses = _bins(mean, sigma, levels)
+    return [(float(c), float(p)) for c, p in zip(centres, masses)]
 
 
 def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> ScenarioSet:
@@ -191,27 +195,25 @@ def generate(forecast: ForecastProfile, n: int, seed: int, levels: int = 7) -> S
 
     Each hour of each uncertain variable draws one bin independently; a
     scenario's weight is the product of its drawn bin probabilities.  Bins
-    are ``sigma·|nominal|`` wide.  Load draws are clipped at 0 and PV draws
-    to [0, 1]; price draws are not clipped, so a negative price keeps its
-    sign and spreads by ``sigma·|price|``.  Draws whose three profiles agree
-    after rounding to 12 decimals are merged into the first of them, their
-    weights summed in draw order, and the weights are renormalized to sum to
-    one.  Deterministic for a given seed.
+    are those of ``discretize_normal(nominal, sigma·|nominal|, levels)``.
+    Load draws are clipped at 0 and PV draws to [0, 1]; price draws are not
+    clipped, so a negative price keeps its sign and spreads by
+    ``sigma·|price|``.  Draws whose three profiles agree after rounding to
+    12 decimals are merged into the first of them, their weights summed in
+    draw order, and the weights are renormalized to sum to one.
+    Deterministic for a given seed.
     """
     n = _count("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    half = (levels - 1) // 2
-    ks = np.arange(-half, half + 1)
-    std_probs = np.array([p for _, p in discretize_normal(0.0, 1.0, levels)])
 
     # per-variable (load, PV, price), per-hour bin values and probabilities (3, HOURS, levels)
     nominal = np.stack([forecast.load_factor, forecast.pv_factor, forecast.price])
     sig = np.array([forecast.sigma_load, forecast.sigma_pv, forecast.sigma_price])[:, None] * np.abs(nominal)
+    centres, probs = _bins(nominal, sig, levels)
     lower, upper = np.array([[0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]])[:, :, None, None]
-    values = np.clip(nominal[..., None] + ks * sig[..., None], lower, upper)
-    probs = np.where(sig[..., None] > 0, std_probs, ks == 0)  # one certain bin where sigma is 0
+    values = np.clip(centres, lower, upper)
 
     # draw-major uniforms: the same stream as drawing 24 per variable per draw
     u = rng.random((n, 3, HOURS))

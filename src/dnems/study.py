@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from .objectives import (
     ProfitReport,
     ScenarioOutcomes,
     ScheduleEvaluator,
-    decision_bounds,
     merge_penalty_weights,
     profit_analysis,
 )
@@ -191,7 +190,7 @@ class StudyReport:
     runs: list[RunRecord]
     stats_rows: list[dict]  # setting x mode x metric summary rows
     # mode -> its best run's {"f1", "f2", "penalty", "x": DecisionVector, "outcomes": ScenarioOutcomes on the
-    # run's scenario set, "p_slack": (24,) kW under the forecast}
+    # run's scenario set, "breakdown": EvaluationBreakdown under the forecast}
     best: dict
     archive: ParetoArchive | None
     bcs: dict | None  # multi-mode cross-run summary
@@ -255,13 +254,13 @@ class _Task:
 class _Found:
     """What a successful task sends back: the selected schedule and its
     objectives, its outcomes under each scenario of the set it was optimized
-    on and its hourly breakdown under the forecast (neither for a bare task),
-    the archive of a ``multi`` run, and the task's wall time."""
+    on and its hourly breakdown under the forecast, the archive of a
+    ``multi`` run, and the task's wall time."""
 
     x: DecisionVector
     f: ObjectiveVector
-    outcomes: ScenarioOutcomes | None
-    breakdown: EvaluationBreakdown | None
+    outcomes: ScenarioOutcomes
+    breakdown: EvaluationBreakdown
     archive: ParetoArchive | None
     seconds: float
 
@@ -303,14 +302,12 @@ class _TaskRunner:
             evaluator = self.evaluator(task.bare)
             run_weights = tuple(_MODE_WEIGHTS.get(task.mode, self.cfg.weights))
             opt_cfg = replace(self.cfg.optimizer, seed=task.seed, objective_weights=run_weights)
-            space = SearchSpace(*decision_bounds(evaluator.net))
+            space = SearchSpace(evaluator.lower, evaluator.upper)
             archive, _log = hybrid_run(opt_cfg, space, lambda positions: evaluator.evaluate(positions, sset))
             x, f = _select(archive, task.mode, self.cfg.weights)
             x = DecisionVector.from_flat(x, len(evaluator.net.dgs), len(evaluator.net.esss))
-            outcomes = breakdown = None
-            if not task.bare:
-                outcomes = evaluator.per_scenario(x, sset)
-                breakdown = evaluator.breakdown(x, self.forecast_set)
+            outcomes = evaluator.per_scenario(x, sset)
+            breakdown = evaluator.breakdown(x, self.forecast_set)
         except Exception as exc:  # noqa: BLE001 - folded into the report by the study
             return f"{type(exc).__name__}: {exc}"
         kept = archive if task.mode == "multi" else None
@@ -486,7 +483,7 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
     best_runs = {mode: min(found, key=lambda out: _rank(mode, out.f)) for mode, found in by_mode.items()}
     best = {
         mode: {"f1": out.f.f1, "f2": out.f.f2, "penalty": out.f.penalty, "x": out.x, "outcomes": out.outcomes,
-               "p_slack": out.breakdown.p_slack}
+               "breakdown": out.breakdown}
         for mode, out in best_runs.items()
     }
 
@@ -500,12 +497,12 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
     profit = None
     timings: dict = {}
     if "cost" in best_runs:
-        # the deterministic cost of the retrofitted system against the bare
-        # feeder's, projected over the horizon
+        # the cost of the retrofitted system under the forecast against the
+        # bare feeder's, projected over the horizon
         if isinstance(bare, str):
             raise RuntimeError(bare)
         profit = profit_analysis(
-            toc_old=bare.f.f1,
+            toc_old=bare.breakdown.cost_s,
             toc_new=best_runs["cost"].breakdown.cost_s,
             investment=cfg.investment,
             years=cfg.profit_years,
@@ -513,8 +510,11 @@ def _fold(cfg: StudyConfig, tasks: list[_Task], results: list) -> StudyReport:
         )
         timings["profit_s"] = bare.seconds  # the bare task's own wall time
 
+    config = asdict(cfg)
+    for key in _PER_RUN:  # each run sets its own from the top-level keys
+        del config["optimizer"][key]
     return StudyReport(
-        config=_config_dict(cfg),
+        config=config,
         runs=runs,
         stats_rows=stats_rows,
         best=best,
@@ -544,14 +544,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     report = _fold(cfg, tasks, _run_tasks(_TaskRunner(net, cfg, forecast), tasks))
     report.timings["total_s"] = time.perf_counter() - t0
     return report
-
-
-def _config_dict(cfg: StudyConfig) -> dict:
-    doc = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__ if k != "optimizer"}
-    doc["scenario_counts"] = list(cfg.scenario_counts)
-    doc["weights"] = list(cfg.weights)
-    doc["optimizer"] = {k: getattr(cfg.optimizer, k) for k in cfg.optimizer.__dataclass_fields__ if k not in _PER_RUN}
-    return doc
 
 
 # -- artifact emission --------------------------------------------------------
@@ -607,7 +599,7 @@ def _render(report: StudyReport) -> dict[str, str]:
     texts = {"pareto_front.csv": _front_csv(report.archive, report.config["weights"])}
 
     for mode, rec in report.best.items():
-        dg, ess, p_slack = rec["x"].dg_power, rec["x"].ess_power, rec["p_slack"]
+        dg, ess, p_slack = rec["x"].dg_power, rec["x"].ess_power, rec["breakdown"].p_slack
         header = (
             ["hour"]
             + [f"dg_{j + 1}_kw" for j in range(dg.shape[0])]
@@ -630,16 +622,14 @@ def _render(report: StudyReport) -> dict[str, str]:
 
     if report.profit is not None:
         pr = report.profit
-        rows = [
-            [y + 1, float(pr.cumulative[y]), pr.investment, float(pr.cumulative[y] - pr.investment)]
-            for y in range(len(pr.cumulative))
-        ]
+        rows = [[year, c, pr.investment, c - pr.investment] for year, c in enumerate(pr.cumulative, start=1)]
         texts["profit.csv"] = _csv(["year", "cumulative", "investment", "net"], rows)
     return texts
 
 
 def emit_artifacts(report: StudyReport, out_dir) -> dict:
-    """Write every study artifact under ``out_dir`` and return the manifest.
+    """Write every study artifact under ``out_dir`` and return the manifest
+    as its file reads back.
 
     Every file, the manifest included, is rendered before the first is
     written, so a report that cannot be rendered raises and leaves
@@ -656,7 +646,7 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
             "runs": len(report.runs),
             "errors": report.errors,
             "bcs": report.bcs,
-            "profit": report.profit.to_dict() if report.profit else None,
+            "profit": asdict(report.profit) if report.profit else None,
             "best": {
                 m: {"f1": rec["f1"], "f2": rec["f2"], "penalty": rec["penalty"]}
                 for m, rec in sorted(report.best.items())
@@ -677,4 +667,4 @@ def emit_artifacts(report: StudyReport, out_dir) -> dict:
             raise OSError(f"failed writing {out / name}: {exc}") from exc
     for name in _OPTIONAL_ARTIFACTS.difference(data):
         (out / name).unlink(missing_ok=True)
-    return manifest
+    return json.loads(manifest_blob)

@@ -215,6 +215,21 @@ class TestValidation:
         with pytest.raises(NetworkError, match="^the DGs' and PVs' cost of 24 hours at full output must be finite$"):
             Network([Bus(id=1), Bus(id=2)], [Branch(1, 2, 0.1, 0.1)], **devices)
 
+    @pytest.mark.parametrize(
+        "loads, times",
+        [((1e300,), ((1e10, 0.5),)), ((0.0, 0.0), ((1e308, 0.5), (1e308, 0.5)))],
+        ids=["huge-load-times-repair-time", "overflowing-path-time"],
+    )
+    def test_load_times_outage_hours_not_finite(self, loads, times):
+        # ENS weights each bus's unserved load by the repair and restoration
+        # hours along its path: 1e300 kW over 1e10 h overflows, and a path of
+        # infinite hours makes even a zero load NaN
+        buses = [Bus(1)] + [Bus(k + 2, p_load=p) for k, p in enumerate(loads)]
+        branches = [Branch(k + 1, k + 2, 0.1, 0.1, at_repair=r, at_restoration=h) for k, (r, h) in enumerate(times)]
+        message = "^the total load times the branches' total repair and restoration hours must be finite$"
+        with pytest.raises(NetworkError, match=message):
+            Network(buses, branches)
+
     def test_random_radial_nets_validate(self, rng):
         for _ in range(25):
             net = random_radial_network(rng, int(rng.integers(2, 16)))
@@ -468,12 +483,3 @@ class TestDocumentGenerator:
 
 
 _SETS = (deterministic_set(default_forecast()), reduce(generate(default_forecast(), n=6, seed=5), 3))
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ENS multiplies load factor, load and repair time; no bound spans network and forecast yet")
-def test_huge_load_times_repair_time_keeps_ens_finite():
-    net = Network([Bus(1), Bus(2, p_load=1e300)], [Branch(1, 2, 0.1, 0.1, at_repair=1e10)])
-    with np.errstate(over="ignore"):
-        (f,) = ScheduleEvaluator(net).evaluate(np.zeros((1, 0)), _SETS[0])
-    assert np.isfinite(f.f2)

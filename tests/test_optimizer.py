@@ -286,8 +286,10 @@ class TestRuns:
             HybridConfig(**{field: value})
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            single_run("annealing", HybridConfig(population=4, iterations=1), wide_space(), rowwise(sphere))
+        # the hybrid split is hybrid_run's alone: single_run runs the two baselines
+        for algorithm in ("annealing", "hybrid"):
+            with pytest.raises(ValueError, match=f"^unknown algorithm '{algorithm}'$"):
+                single_run(algorithm, HybridConfig(population=4, iterations=1), wide_space(), rowwise(sphere))
 
     def test_odd_population_rejected(self):
         with pytest.raises(ValueError, match="population"):

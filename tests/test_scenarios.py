@@ -5,12 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from dnems import scenarios
 from dnems.objectives import ScheduleEvaluator, decision_bounds
 from dnems.scenarios import (
     ForecastProfile,
@@ -130,6 +132,33 @@ class TestGenerate:
     def test_non_integer_n(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             generate(default_forecast(), n=n, seed=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        load=st.lists(st.floats(0.0, 3.0), min_size=24, max_size=24),
+        pv=st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24),
+        price=st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05, 0.2])] * 3),
+        levels=st.sampled_from([3, 5, 7, 9]),
+    )
+    def test_bins_are_discretize_normal_per_hour(self, load, pv, price, sigmas, levels):
+        # before clipping, each hour's bins of each variable are those of
+        # discretize_normal(nominal, sigma * |nominal|): a zero sigma or a zero
+        # nominal gives the one certain bin
+        fc = ForecastProfile(load, pv, price, *sigmas)
+        bins, seen = scenarios._bins, []
+
+        def recorded(*args):
+            seen.append(bins(*args))
+            return seen[-1]
+
+        with mock.patch.object(scenarios, "_bins", recorded):
+            generate(fc, n=1, seed=0, levels=levels)
+        ((centres, masses),) = seen
+        for v, (nominal, sigma) in enumerate(zip((load, pv, price), sigmas)):
+            for t, mean in enumerate(nominal):
+                got = list(zip(centres[v, t].tolist(), masses[v, t].tolist()))
+                assert got == discretize_normal(mean, sigma * abs(mean), levels), (v, t)
 
     def test_numpy_integer_n(self):
         a, b = generate(default_forecast(), n=np.int64(12), seed=3), generate(default_forecast(), n=12, seed=3)

@@ -572,6 +572,8 @@ class TestCli:
              "ESS at bus 14: w_max must be at least 1e-06 of one rated hour's energy (833.333 kWh), got 1e-300"),
             (lambda doc: doc["esss"][0].update(p_charge_max=1e308, eff_charge=1.0, w_max=1e303),
              "ESS at bus 14: w_max + 24 rated hours' energy must be finite"),
+            (lambda doc: doc["branches"][0].update(at_repair=1e305),
+             "the total load times the branches' total repair and restoration hours must be finite"),
         ],
     )
     def test_bad_network_exit_one(self, tmp_path, capsys, edit, message):

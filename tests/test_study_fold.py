@@ -13,20 +13,22 @@ DET_MULTI = StudyConfig(mode="deterministic", objective="multi", repeats=2)
 STOCH_COST = StudyConfig(mode="stochastic", objective="cost", scenario_counts=(4, 8), repeats=2)
 
 
-def found(f1, f2, penalty=0.0, tag=0):
-    """A successful run with the objectives ``(f1, f2, penalty)``; ``tag``
-    fills its schedule's DG row, so a test can tell it apart."""
+def found(f1, f2, penalty=0.0, tag=0, cost_s=None):
+    """A successful run with the objectives ``(f1, f2, penalty)`` and the
+    cost ``cost_s`` (``f1`` if not given) under the forecast; ``tag`` fills
+    its schedule's DG row, so a test can tell it apart."""
     x = DecisionVector(np.full((1, 24), float(tag)), np.zeros((1, 24)))
     outcomes = ScenarioOutcomes(np.array([f1]), np.array([f2]), np.array([penalty]), np.array([1.0]))
-    breakdown = SimpleNamespace(p_slack=np.zeros(24), cost_s=f1)
+    breakdown = SimpleNamespace(p_slack=np.zeros(24), cost_s=f1 if cost_s is None else cost_s)
     return _Found(x, ObjectiveVector(f1, f2, penalty), outcomes, breakdown, None, 0.0)
 
 
-def fold(cfg, outcome):
+def fold(cfg, outcome, bare=None):
     """The report of ``cfg`` whose runs return ``outcome(task)`` and whose
-    bare-feeder run succeeds."""
+    bare-feeder run returns ``bare`` (a success by default)."""
     tasks = _plan(cfg)
-    return _fold(cfg, tasks, [found(10.0, 0.0) if t.bare else outcome(t) for t in tasks])
+    bare = found(10.0, 0.0) if bare is None else bare
+    return _fold(cfg, tasks, [bare if t.bare else outcome(t) for t in tasks])
 
 
 def tag(report, mode):
@@ -72,3 +74,9 @@ class TestFold:
         assert report.best["cost"]["f2"] == 2.0
         ev = {r["metric"]: r["ev"] for r in report.stats_rows if r["objective_mode"] == "cost"}
         assert ev == {"cost": 1.0, "ens": 2.0}
+
+    def test_profit_compares_the_two_breakdowns(self):
+        # each side is a run's cost under the forecast: the bare run's search
+        # objective (10.0) is not its breakdown's cost (12.0)
+        report = fold(DET_MULTI, lambda t: found(4.0, 1.0, cost_s=5.0), bare=found(10.0, 0.0, cost_s=12.0))
+        assert report.profit.annual_delta_toc == DET_MULTI.c_npv * 365.0 * (12.0 - 5.0)
